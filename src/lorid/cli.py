@@ -323,6 +323,10 @@ def _cmd_purify(args) -> int:
             basis = read_basis(args.basis)
         elif args.fit_basis_from is not None:
             fit_data = read_tensor(args.fit_basis_from)
+            if fit_data.ndim != 4:
+                raise ConfigError(
+                    f"--fit-basis-from needs an (N, H, W, C) tensor, got shape {fit_data.shape}"
+                )
             layout = TensorizationLayout(
                 height=fit_data.shape[1],
                 width=fit_data.shape[2],

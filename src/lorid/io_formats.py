@@ -90,6 +90,14 @@ def _read_block(fh: BinaryIO) -> np.ndarray:
         count *= d
         if count > _MAX_ELEMENTS:
             raise TensorFormatError(f"dimension overflow: {dims}")
+    if fh.seekable():  # refuse a header that claims more payload than the file holds
+        here = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - here
+        fh.seek(here)
+        if 8 * count > left:
+            raise TensorFormatError(
+                f"truncated file: header claims {8 * count} bytes of payload, {left} remain"
+            )
     payload = _read_exact(fh, 8 * count, "payload")
     return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
 

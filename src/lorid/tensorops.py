@@ -31,11 +31,6 @@ __all__ = [
     "mse",
 ]
 
-# Relative threshold below which a rotated column is treated as numerically zero
-# and replaced by an orthonormal completion vector.
-_RANK_TOL = 1e-13
-
-
 class SvdResult(NamedTuple):
     """Thin SVD ``a = u @ diag(s) @ vt``.
 
@@ -96,102 +91,19 @@ def mode_product(x, u, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(mat, arr, axes=(1, mode)), 0, mode)
 
 
-def _orthonormal_completion(u: np.ndarray, cols: Sequence[int]) -> None:
-    """Fill the listed columns of ``u`` with unit vectors orthogonal to the rest.
-
-    Deterministic: candidates are taken from the identity basis in order.
-    Modifies ``u`` in place.
-    """
-    m = u.shape[0]
-    good = [j for j in range(u.shape[1]) if j not in set(cols)]
-    basis = [u[:, j] for j in good]
-    e = 0
-    for j in cols:
-        while True:
-            if e >= m:  # cannot happen for k <= m, kept as a hard stop
-                raise RuntimeError("orthonormal completion exhausted the identity basis")
-            cand = np.zeros(m)
-            cand[e] = 1.0
-            e += 1
-            for b in basis:
-                cand -= (b @ cand) * b
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:  # identity vectors lose at most their projection
-                cand /= norm
-                u[:, j] = cand
-                basis.append(cand)
-                break
-
-
-def _jacobi_svd_tall(a: np.ndarray, max_sweeps: int = 60) -> SvdResult:
-    """One-sided Jacobi SVD of a tall-or-square matrix (m >= n).
-
-    Repeatedly rotates column pairs to kill their inner product; on
-    convergence the working columns are ``u_j * s_j`` and the accumulated
-    rotations form ``v``.
-    """
-    m, n = a.shape
-    work = a.copy()
-    v = np.eye(n)
-    tol = 1e-15
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                cp = work[:, p]
-                cq = work[:, q]
-                apq = cp @ cq
-                app = cp @ cp
-                aqq = cq @ cq
-                if abs(apq) <= tol * math.sqrt(app * aqq):
-                    continue
-                rotated = True
-                theta = 0.5 * math.atan2(2.0 * apq, app - aqq)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                new_p = c * cp + s * cq
-                new_q = -s * cp + c * cq
-                work[:, p] = new_p
-                work[:, q] = new_q
-                vp = v[:, p].copy()
-                v[:, p] = c * vp + s * v[:, q]
-                v[:, q] = -s * vp + c * v[:, q]
-        if not rotated:
-            break
-
-    norms = np.linalg.norm(work, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    s_vals = norms[order]
-    u = work[:, order]
-    v = v[:, order]
-    cutoff = _RANK_TOL * s_vals[0] if s_vals[0] > 0 else 0.0
-    dead = []
-    for j in range(n):
-        if s_vals[j] > cutoff:
-            u[:, j] /= s_vals[j]
-        else:
-            dead.append(j)
-    if dead:
-        _orthonormal_completion(u, dead)
-    return SvdResult(u=u, s=s_vals, vt=v.T)
-
-
 def svd(m) -> SvdResult:
-    """Thin SVD via one-sided Jacobi rotations.
+    """Thin SVD by LAPACK (``numpy.linalg.svd`` with ``full_matrices=False``).
 
-    Wide matrices are handled by factoring the transpose and swapping the
-    factors.  Singular values are sorted descending; exact-zero directions get
-    orthonormal filler vectors so both factors stay orthonormal.
+    Singular values are sorted descending.  Both factors stay orthonormal for
+    rank-deficient input: LAPACK fills the zero singular directions with
+    orthonormal vectors.
     """
     mat = np.asarray(m, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    if mat.shape[0] >= mat.shape[1]:
-        return _jacobi_svd_tall(mat)
-    res = _jacobi_svd_tall(mat.T.copy())
-    return SvdResult(u=res.vt.T, s=res.s, vt=res.u.T)
+    return SvdResult(*np.linalg.svd(mat, full_matrices=False))
 
 
 def frobenius_norm(x) -> float:

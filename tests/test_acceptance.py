@@ -103,7 +103,7 @@ def test_criterion_1_kl_contraction_under_diffusion():
     ]
     ts = list(range(0, 1001, 50))
     curves = np.empty((len(pairs), len(ts)))
-    for j, t in enumerate(ts):  # t outermost: the convolution kernel cache holds one depth
+    for j, t in enumerate(ts):
         for i, (d1, d2) in enumerate(pairs):
             curves[i, j] = kl_quadrature_forward(d1, d2, sched, t)
     worst_quad = float(np.max(np.diff(curves, axis=1)))

@@ -2,6 +2,7 @@
 Monte Carlo bound verification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from lorid.analysis import (
     quadrature_grid,
     verify_bounds,
 )
-from lorid.diffusion import GaussianOracleDenoiser, default_schedule, make_linear_schedule
+from lorid.diffusion import (
+    GaussianOracleDenoiser,
+    Schedule,
+    default_schedule,
+    make_linear_schedule,
+)
 from lorid.purify import misaligned_noise
 from lorid.tucker import TensorizationLayout, fit_basis
 
@@ -270,6 +276,31 @@ class TestKlQuadrature:
         uni = self._gauss(0.0, 1.0)(x)
         kls = [kl_quadrature_forward(bimodal, uni, sched, t) for t in range(0, 1001, 200)]
         assert np.all(np.diff(kls) <= 1e-6)
+
+    def test_schedules_sharing_endpoints_give_their_own_kl(self):
+        """A quadratic-beta schedule with the linear one's endpoints is not
+        mistaken for it, even right after the linear schedule was used."""
+        linear = default_schedule()
+        b = np.linspace(math.sqrt(1e-4), math.sqrt(0.02), 1000) ** 2
+        quadratic = Schedule(T=1000, beta=b, alpha=1.0 - b, alpha_bar=np.cumprod(1.0 - b))
+        p, q = self._gauss(0.5, 1.0), self._gauss(-0.5, 1.0)
+        for sched in (linear, quadratic):
+            quad = kl_quadrature_forward(p, q, sched, 200)
+            exact = kl_gaussian_forward((0.5, 1.0), (-0.5, 1.0), sched, 200)
+            np.testing.assert_allclose(quad, exact, rtol=1e-5)
+
+    def test_peak_memory_stays_small(self):
+        """One push-forward holds a block of kernel rows, never the n^2 kernel
+        (4801^2 doubles would be 176 MB)."""
+        sched = default_schedule()
+        p, q = self._gauss(0.5, 1.0), self._gauss(-0.5, 1.0)
+        tracemalloc.start()
+        try:
+            kl_quadrature_forward(p, q, sched, 300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_unnormalized_density_rejected(self):
         sched = default_schedule()

@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: exit codes, file outputs, reproducibility."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from lorid.analysis import loop_bound_curve
 from lorid.cli import main
 from lorid.diffusion import make_linear_schedule
-from lorid.io_formats import default_config, format_config, read_tensor
+from lorid.io_formats import default_config, format_config, read_tensor, write_tensor
 
 
 def write_config(tmp_path, **overrides):
@@ -140,6 +142,27 @@ class TestWorkflow:
         rc = main(["purify", "--input", data, "--denoiser", deno, "--config", cfg,
                    "--out", str(tmp / "x.lten")])
         assert rc == 2
+
+    def test_fit_basis_from_non_image_tensor_is_usage_error(self, workdir, tmp_path, capsys):
+        tmp, cfg, data, labels, deno = workdir
+        flat = str(tmp_path / "flat.lten")
+        write_tensor(flat, np.zeros((4, 256)))
+        rc = main(["purify", "--input", data, "--denoiser", deno, "--config", cfg,
+                   "--out", str(tmp_path / "x.lten"), "--fit-basis-from", flat])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "(N, H, W, C)" in err
+
+    def test_oversized_tensor_header_is_usage_error(self, workdir, tmp_path, capsys):
+        """A header claiming 2^37 elements in a 40-byte file exits 2, not MemoryError."""
+        tmp, cfg, data, labels, deno = workdir
+        bogus = tmp_path / "claims.lten"
+        bogus.write_bytes(b"LTEN" + struct.pack("<HH", 1, 4)
+                          + struct.pack("<4Q", 1 << 29, 16, 16, 1))
+        rc = main(["purify", "--input", str(bogus), "--denoiser", deno, "--config", cfg,
+                   "--out", str(tmp_path / "x.lten"), "--fit-basis-from", data])
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_seed_override_changes_output(self, workdir):
         tmp, cfg, data, labels, deno = workdir

@@ -117,6 +117,19 @@ class TestTensorFile:
         with pytest.raises(TensorFormatError):
             read_tensor(path)
 
+    def test_header_claiming_more_than_the_file_holds_rejected(self, tmp_path):
+        """A 40-byte file claiming 2^37 elements is refused before any payload
+        is read, from a path and from a seekable handle."""
+        blob = (TENSOR_MAGIC + struct.pack("<HH", TENSOR_VERSION, 4)
+                + struct.pack("<4Q", 1 << 29, 16, 16, 1))
+        assert len(blob) == 40
+        path = tmp_path / "claims.lten"
+        path.write_bytes(blob)
+        with pytest.raises(TensorFormatError, match="header claims"):
+            read_tensor(str(path))
+        with pytest.raises(TensorFormatError, match="header claims"):
+            read_tensor(io.BytesIO(blob))
+
 
 class TestCsv:
     def test_floats_at_full_precision(self, tmp_path):
