@@ -37,6 +37,7 @@ from .attacks import (
 )
 from .diffusion import (
     GaussianOracleDenoiser,
+    GaussianSource,
     MlpDenoiser,
     MlpTrainConfig,
     Schedule,
@@ -75,7 +76,6 @@ from .purify import (
     add_adversarial,
     lorid_purify,
     misaligned_noise,
-    purify_single,
     uniform_sign_noise,
 )
 from .tensorops import SvdResult, fold, frobenius_norm, mode_product, svd, unfold

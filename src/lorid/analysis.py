@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import Denoiser, Schedule, diffuse, one_shot_recover
-from .tensorops import l2_norm
+from .diffusion import Denoiser, GaussianSource, Schedule, diffuse, one_shot_recover
+from .tensorops import frobenius_norm
 from .tucker import TuckerBasis, tf_apply
 
 __all__ = [
@@ -199,38 +199,22 @@ def loop_bound_curve(
 # ---------------------------------------------------------------------------
 
 
-def _mean_cov(p, name: str) -> tuple[np.ndarray, np.ndarray]:
-    mean, cov = p
-    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    if mean.ndim != 1:
-        raise ValueError(f"{name}: mean must be a scalar or vector")
-    d = mean.size
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim == 0:
-        cov = float(cov) * np.eye(d)
-    elif cov.ndim == 1:
-        if cov.size != d:
-            raise ValueError(f"{name}: diagonal covariance length {cov.size} != dim {d}")
-        cov = np.diag(cov)
-    elif cov.shape != (d, d):
-        raise ValueError(f"{name}: covariance shape {cov.shape} != ({d}, {d})")
-    cov = 0.5 * (cov + cov.T)
-    if np.linalg.eigvalsh(cov)[0] <= 0:
-        raise ValueError(f"{name}: covariance must be positive definite")
-    return mean, cov
-
-
 def kl_gaussian_curve(p1, p2, schedule: Schedule, ts: Sequence[int]) -> np.ndarray:
     """Closed-form KL between the depth-t versions of two Gaussians, batched over t.
 
     The depth-t distribution of N(m, S) is N(sqrt(abar_t) m, abar_t S +
-    (1 - abar_t) I); t = 0 means the sources themselves.
+    (1 - abar_t) I); t = 0 means the sources themselves.  Each source is a
+    ``(mean, cov)`` pair read by :class:`GaussianSource`, and its covariance
+    must also be positive definite.
     """
-    m1, s1 = _mean_cov(p1, "p1")
-    m2, s2 = _mean_cov(p2, "p2")
-    if m1.size != m2.size:
-        raise ValueError(f"dimension mismatch: {m1.size} vs {m2.size}")
-    d = m1.size
+    src1, src2 = GaussianSource(*p1), GaussianSource(*p2)
+    for name, src in (("p1", src1), ("p2", src2)):
+        if src.eigvals.min() <= 0.0:
+            raise ValueError(f"{name}: covariance must be positive definite")
+    if src1.dim != src2.dim:
+        raise ValueError(f"dimension mismatch: {src1.dim} vs {src2.dim}")
+    d = src1.dim
+    m1, s1, m2, s2 = src1.mean, src1.cov, src2.mean, src2.cov
     ts = np.asarray(ts, dtype=np.int64)
     abar = np.array([schedule.alpha_bar_at(int(t)) for t in ts])
     eye = np.eye(d)
@@ -348,7 +332,7 @@ class BoundSetup:
     """Data model + denoiser + optional perturbation for :func:`verify_bounds`.
 
     ``mean``/``cov`` define the Gaussian source (cov scalar, diagonal vector,
-    or full matrix).  ``eps_a`` is a fixed perturbation added to every draw
+    or positive semi-definite matrix; see :class:`GaussianSource`).  ``eps_a`` is a fixed perturbation added to every draw
     before recovery (None = clean).  ``basis``, when given, routes draws
     through the low-rank projection first; the data dimension must then match
     the basis layout's image size.
@@ -381,28 +365,6 @@ class BoundReport:
             raise ValueError(f"non-finite bound report: {vals}")
 
 
-def _sample_gaussian(
-    mean: np.ndarray, cov: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    z = rng.standard_normal((n, mean.size))
-    if cov.ndim == 0:
-        return mean + math.sqrt(float(cov)) * z
-    if cov.ndim == 1:
-        return mean + np.sqrt(cov) * z
-    return mean + z @ np.linalg.cholesky(cov).T
-
-
-def _analytic_mmse(cov: np.ndarray, d: int, t: int, schedule: Schedule) -> float:
-    abar = schedule.alpha_bar_at(t)
-    if cov.ndim == 0:
-        lam = np.full(d, float(cov))
-    elif cov.ndim == 1:
-        lam = cov
-    else:
-        lam = np.linalg.eigvalsh(cov)
-    return float(np.mean(lam * (1.0 - abar) / (abar * lam + (1.0 - abar))))
-
-
 def _recovery_errors(
     x0: np.ndarray,
     x_in: np.ndarray,
@@ -433,17 +395,16 @@ def verify_bounds(
     if trials < 2:
         raise ValueError("need at least 2 trials")
     schedule = setup.schedule
-    mean = np.atleast_1d(np.asarray(setup.mean, dtype=np.float64))
-    cov = np.asarray(setup.cov, dtype=np.float64)
-    d = mean.size
+    source = GaussianSource(setup.mean, setup.cov)
+    d = source.dim
     if setup.basis is not None:
         img_shape = setup.basis.layout.image_shape
         if d != int(np.prod(img_shape)):
             raise ValueError(f"dimension {d} does not match basis layout {img_shape}")
-    mmse = _analytic_mmse(cov, d, t, schedule)
+    mmse = source.mmse_per_dim(schedule.alpha_bar_at(t))
 
     # Clean companion run pins down the denoiser-slack estimate.
-    x0 = _sample_gaussian(mean, cov, trials, rng)
+    x0 = source.sample(trials, rng)
     clean_err = _recovery_errors(x0, x0, t, setup.denoiser, schedule, rng)
     clean_mean = float(np.mean(clean_err))
     clean_se = float(np.std(clean_err) / math.sqrt(trials))
@@ -453,7 +414,7 @@ def verify_bounds(
         empirical, se = clean_mean, clean_se
         gap = 0.0
     else:
-        x0 = _sample_gaussian(mean, cov, trials, rng)
+        x0 = source.sample(trials, rng)
         x_in = x0
         gap = 0.0
         if setup.eps_a is not None:
@@ -462,7 +423,7 @@ def verify_bounds(
                 raise ValueError(f"perturbation size {eps.size} != dimension {d}")
             x_in = x_in + eps
         if setup.basis is None:
-            gap = l2_norm(eps) / math.sqrt(d)
+            gap = frobenius_norm(eps) / math.sqrt(d)
         else:
             imgs = x_in.reshape(trials, *setup.basis.layout.image_shape)
             x_in = tf_apply(imgs, setup.basis).reshape(trials, d)
@@ -472,7 +433,7 @@ def verify_bounds(
             gap = e_tucker
             if setup.eps_a is not None:
                 eps_img = eps.reshape(setup.basis.layout.image_shape)
-                gap += l2_norm(tf_apply(eps_img, setup.basis).reshape(-1)) / math.sqrt(d)
+                gap += frobenius_norm(tf_apply(eps_img, setup.basis).reshape(-1)) / math.sqrt(d)
         err = _recovery_errors(x0, x_in, t, setup.denoiser, schedule, rng)
         empirical = float(np.mean(err))
         se = math.hypot(float(np.std(err) / math.sqrt(trials)), clean_se)

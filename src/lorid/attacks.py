@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -324,7 +324,7 @@ def evaluate(
     adv_flat = pgd(clf, flat, y, budget, rng)
     table["attacked"] = clf.accuracy(adv_flat, y)
 
-    basis = cfg.basis if cfg.use_tucker else None
+    basis = cfg.basis
     if basis is not None:
         adv_images = adv_flat.reshape(images.shape)
         tf_flat = _flatten_samples(tf_apply(adv_images, basis), clf.input_dim)
@@ -339,20 +339,10 @@ def evaluate(
             accs.append(clf.accuracy(_flatten_samples(purified, clf.input_dim), y))
         return float(np.mean(accs))
 
-    single_cfg = LoridConfig(
-        t=cfg.t, L=1, use_tucker=False, sampler=cfg.sampler,
-        skip_k=cfg.skip_k, loop_order=cfg.loop_order, clip=cfg.clip,
-    )
-    loop_cfg = LoridConfig(
-        t=cfg.t, L=cfg.L, use_tucker=False, sampler=cfg.sampler,
-        skip_k=cfg.skip_k, loop_order=cfg.loop_order, clip=cfg.clip,
-    )
-    table["single"] = averaged(single_cfg, adv_flat)
+    loop_cfg = replace(cfg, basis=None)
+    table["single"] = averaged(replace(loop_cfg, L=1), adv_flat)
     table["loop_only"] = averaged(loop_cfg, adv_flat)
-    if basis is not None:
-        table["lorid"] = averaged(cfg, adv_flat.reshape(images.shape))
-    else:
-        table["lorid"] = averaged(loop_cfg, adv_flat)
+    table["lorid"] = averaged(cfg, adv_flat if basis is None else adv_flat.reshape(images.shape))
     return table
 
 

@@ -93,7 +93,6 @@ def lorid_config_from(cfg: RunConfig, basis: TuckerBasis | None) -> LoridConfig:
     return LoridConfig(
         t=cfg.t,
         L=cfg.L,
-        use_tucker=cfg.use_tucker,
         basis=basis if cfg.use_tucker else None,
         sampler=cfg.sampler,
         skip_k=cfg.skip_k,
@@ -501,14 +500,7 @@ def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int)
     basis = fit_basis(images, layout, 0.95)
     d = 64
     eps_img = misaligned_noise((8, 8, 1), basis, budget_l2=0.5 * np.sqrt(d), rng=rng)
-    setup = BoundSetup(
-        mean=np.zeros(d),
-        cov=np.ones(d),
-        denoiser=GaussianOracleDenoiser(np.zeros(d), 1.0, schedule),
-        schedule=schedule,
-        eps_a=eps_img.reshape(-1),
-        basis=basis,
-    )
+    setup = _oracle_setup(schedule, d=d, eps_a=eps_img.reshape(-1), basis=basis)
     for t in _VERIFY_T_SET:
         report = verify_bounds(setup, t, trials, rng)
         print(

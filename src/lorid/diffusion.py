@@ -35,6 +35,7 @@ __all__ = [
     "DEFAULT_BETA_START",
     "DEFAULT_BETA_END",
     "Denoiser",
+    "GaussianSource",
     "GaussianOracleDenoiser",
     "MlpDenoiser",
     "MlpTrainConfig",
@@ -192,6 +193,72 @@ def reverse_skip(
     return x
 
 
+class GaussianSource:
+    """A Gaussian N(mean, cov) held as its mean and the eigenpairs of cov.
+
+    ``cov`` may be a scalar (isotropic), a length-d vector (diagonal) or a
+    d x d matrix.  The first two keep ``eigvecs = None`` and stay elementwise,
+    so no d x d matrix is ever formed for them.  A matrix must be symmetric
+    (``numpy.allclose`` with atol 1e-12) and positive semi-definite; for every
+    form, eigenvalues in [-1e-10, 0) are rounding and are clipped to 0.  This
+    constructor is the one place a covariance is validated and normalised.
+    """
+
+    def __init__(self, mean, cov):
+        self.mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
+        if self.mean.ndim != 1:
+            raise ValueError("mean must be a scalar or vector")
+        d = self.mean.size
+        cov = np.asarray(cov, dtype=np.float64)
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
+        if cov.ndim == 0:
+            cov = np.full(d, float(cov))
+        if cov.ndim == 1:
+            if cov.size != d:
+                raise ValueError(f"diagonal covariance length {cov.size} != dimension {d}")
+            vals, vecs = cov, None
+        elif cov.ndim == 2:
+            if cov.shape != (d, d):
+                raise ValueError(f"covariance shape {cov.shape} != ({d}, {d})")
+            if not np.allclose(cov, cov.T, atol=1e-12):
+                raise ValueError("covariance must be symmetric")
+            vals, vecs = np.linalg.eigh(cov)
+        else:
+            raise ValueError("covariance must be a scalar, a diagonal vector or a matrix")
+        if np.any(vals < -1e-10):
+            raise ValueError("covariance must be positive semi-definite")
+        self.eigvals = np.clip(vals, 0.0, None)
+        self.eigvecs = vecs
+
+    @property
+    def dim(self) -> int:
+        return self.mean.size
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The covariance as a dense d x d matrix."""
+        if self.eigvecs is None:
+            return np.diag(self.eigvals)
+        return (self.eigvecs * self.eigvals) @ self.eigvecs.T
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` draws as an (n, d) array, from one ``standard_normal((n, d))`` call."""
+        z = rng.standard_normal((n, self.dim))
+        if self.eigvecs is None:
+            return self.mean + np.sqrt(self.eigvals) * z
+        return self.mean + (z * np.sqrt(self.eigvals)) @ self.eigvecs.T
+
+    def mmse_per_dim(self, abar: float) -> float:
+        """Per-dimension posterior MSE of x0 from sqrt(abar) x0 + sqrt(1-abar) eps.
+
+        tr(Cov(x0 | x_t)) / d = (1/d) sum_i lam_i (1-abar) / (abar lam_i + 1-abar);
+        equals (1 - abar) = 1/(1 + snr) for unit-variance white data.
+        """
+        lam = self.eigvals
+        return float(np.mean(lam * (1.0 - abar) / (abar * lam + (1.0 - abar))))
+
+
 class GaussianOracleDenoiser:
     """Exact conditional-mean noise predictor for Gaussian data N(mu0, Sigma0).
 
@@ -204,60 +271,32 @@ class GaussianOracleDenoiser:
 
     Plugging this into the one-shot recovery yields exactly E[x0 | x_t], the
     minimum-mean-square-error estimate of the clean signal.  The covariance is
-    eigendecomposed once at construction, so each prediction is two small
-    matrix products.
+    held as a :class:`GaussianSource`, eigendecomposed once, so each
+    prediction is two small matrix products (elementwise when it is diagonal).
     """
 
     def __init__(self, mean, cov, schedule: Schedule):
         self.schedule = schedule
-        self.mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-        if self.mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        d = self.mean.shape[0]
-        cov = np.asarray(cov, dtype=np.float64)
-        if cov.ndim == 0:
-            cov = np.full(d, float(cov))
-        if cov.ndim == 1:
-            if cov.shape[0] != d or np.any(cov < 0.0):
-                raise ValueError("diagonal covariance must be length-d and nonnegative")
-            self._eigvals = cov.copy()
-            self._eigvecs = None
-        elif cov.ndim == 2:
-            if cov.shape != (d, d):
-                raise ValueError("covariance must be d x d")
-            if not np.allclose(cov, cov.T, atol=1e-12):
-                raise ValueError("covariance must be symmetric")
-            vals, vecs = np.linalg.eigh(cov)
-            if np.any(vals < -1e-10):
-                raise ValueError("covariance must be positive semi-definite")
-            self._eigvals = np.clip(vals, 0.0, None)
-            self._eigvecs = vecs
-        else:
-            raise ValueError("covariance must be scalar, diagonal, or a matrix")
-        self.dim = d
+        self.source = GaussianSource(mean, cov)
+        self.dim = self.source.dim
 
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray:
         x_t = np.asarray(x_t, dtype=np.float64)
         if x_t.shape[-1] != self.dim:
             raise ValueError(f"trailing axis {x_t.shape[-1]} != data dimension {self.dim}")
         ab = self.schedule.alpha_bar_at(t)
-        denom = ab * self._eigvals + (1.0 - ab)  # eigenvalues of Cov(x_t), all > 0 for ab < 1
-        centered = x_t - math.sqrt(ab) * self.mean
-        if self._eigvecs is None:
+        src = self.source
+        denom = ab * src.eigvals + (1.0 - ab)  # eigenvalues of Cov(x_t), all > 0 for ab < 1
+        centered = x_t - math.sqrt(ab) * src.mean
+        if src.eigvecs is None:
             solved = centered / denom
         else:
-            solved = ((centered @ self._eigvecs) / denom) @ self._eigvecs.T
+            solved = ((centered @ src.eigvecs) / denom) @ src.eigvecs.T
         return math.sqrt(1.0 - ab) * solved
 
     def mmse_per_dim(self, t: int) -> float:
-        """Analytic per-dimension posterior MSE of the induced clean-signal estimate.
-
-        tr(Cov(x0 | x_t)) / d = (1/d) sum_i lam_i (1-ab) / (ab lam_i + 1-ab);
-        equals (1 - ab) = 1/(1 + snr_t) for unit-variance white data.
-        """
-        ab = self.schedule.alpha_bar_at(t)
-        lam = self._eigvals
-        return float(np.mean(lam * (1.0 - ab) / (ab * lam + (1.0 - ab))))
+        """Analytic per-dimension posterior MSE of the induced clean-signal estimate."""
+        return self.source.mmse_per_dim(self.schedule.alpha_bar_at(t))
 
 
 _TIME_FREQS = (1.0, 2.0, 4.0, 8.0)

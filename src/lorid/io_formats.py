@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _nn
 from .attacks import ToyClassifier
-from .diffusion import MlpDenoiser
+from .diffusion import N_TIME_FEATURES, MlpDenoiser
 from .tucker import TensorizationLayout, TuckerBasis
 
 __all__ = [
@@ -315,11 +315,37 @@ def _write_params(fh: BinaryIO, params: _nn.Params) -> None:
         _write_block(fh, b)
 
 
-def _read_params(fh: BinaryIO, n_layers: int) -> _nn.Params:
+def _sizes(block: np.ndarray, what: str) -> tuple[int, ...]:
+    """The positive integers a 1-D size block holds."""
+    ok = np.isfinite(block) & (block >= 1) & (block == np.round(block))
+    if block.ndim != 1 or not np.all(ok):
+        raise TensorFormatError(
+            f"{what} must be a vector of positive integers, got a block of shape {block.shape}"
+        )
+    return tuple(int(v) for v in block)
+
+
+def _read_params(
+    fh: BinaryIO, n_layers: int, fan_in: int, fan_out: int, what: str,
+    hidden: Sequence[int] | None = None,
+) -> _nn.Params:
+    """Weight/bias pairs chaining ``fan_in`` through the ``hidden`` widths (any
+    widths when None) to ``fan_out``; a block of another shape is refused."""
     params = []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         w = _read_block(fh)
         b = _read_block(fh)
+        if i == n_layers - 1:
+            want = fan_out
+        else:
+            want = None if hidden is None else hidden[i]
+        if (w.ndim != 2 or w.shape[0] != fan_in or want not in (None, w.shape[1])
+                or b.shape != (w.shape[1],)):
+            raise TensorFormatError(
+                f"{what} layer {i}: weight {w.shape} and bias {b.shape} do not map "
+                f"{fan_in} inputs to {want or 'any number of'} outputs"
+            )
+        fan_in = w.shape[1]
         params.append((w, b))
     return params
 
@@ -337,13 +363,12 @@ def read_mlp(path: str) -> MlpDenoiser:
         meta = _read_block(fh)
         if meta.shape != (2,):
             raise TensorFormatError(f"bad denoiser meta block shape {meta.shape}")
-        hidden = tuple(int(h) for h in _read_block(fh))
-        params = _read_params(fh, len(hidden) + 1)
+        dim, t_total = _sizes(meta, "denoiser meta block")
+        hidden = _sizes(_read_block(fh), "denoiser hidden sizes")
+        params = _read_params(fh, len(hidden) + 1, dim + N_TIME_FEATURES, dim, "denoiser", hidden)
         if fh.read(1):
             raise TensorFormatError("trailing bytes after denoiser container")
-    return MlpDenoiser(
-        dim=int(meta[0]), hidden=hidden, t_total=int(meta[1]), params=params
-    )
+    return MlpDenoiser(dim=dim, hidden=hidden, t_total=t_total, params=params)
 
 
 def write_classifier(path: str, clf: ToyClassifier) -> None:
@@ -360,10 +385,11 @@ def read_classifier(path: str) -> ToyClassifier:
         meta = _read_block(fh)
         if meta.shape != (3,):
             raise TensorFormatError(f"bad classifier meta block shape {meta.shape}")
-        params = _read_params(fh, int(meta[2]))
+        input_dim, n_classes, n_layers = _sizes(meta, "classifier meta block")
+        params = _read_params(fh, n_layers, input_dim, n_classes, "classifier")
         if fh.read(1):
             raise TensorFormatError("trailing bytes after classifier container")
-    return ToyClassifier(params=params, input_dim=int(meta[0]), n_classes=int(meta[1]))
+    return ToyClassifier(params=params, input_dim=input_dim, n_classes=n_classes)
 
 
 # ---------------------------------------------------------------------------

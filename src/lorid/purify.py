@@ -4,12 +4,8 @@ The purifier runs L short diffuse/denoise loops of depth t' = floor(t / L)
 instead of one deep loop of depth t, so the total injected-noise budget is
 held fixed while the denoiser gets L chances to pull the sample back toward
 the data manifold.  An optional frozen low-rank projection strips off-subspace
-perturbation energy before the loops start.
-
-Two loop orders are supported.  The default runs recover-after-diffuse inside
-each loop (diffuse then denoise, so the output is a denoised sample); the
-alternative ``"diffuse_last"`` order denoises first and leaves the final
-diffusion un-denoised, which is mainly useful for ablations.
+perturbation energy before the loops start.  Each loop diffuses, then
+denoises, so the output is a denoised sample.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import Denoiser, Schedule, diffuse, reverse_ancestral, reverse_skip
-from .tensorops import l2_norm
+from .tensorops import frobenius_norm
 from .tucker import TuckerBasis, tf_apply
 
 __all__ = [
@@ -29,22 +25,20 @@ __all__ = [
     "PurifyTrace",
     "AdvPerturbation",
     "lorid_purify",
-    "purify_single",
     "add_adversarial",
     "uniform_sign_noise",
     "misaligned_noise",
 ]
 
 _SAMPLERS = ("ancestral", "skip")
-_LOOP_ORDERS = ("denoise_last", "diffuse_last")
 
 
 @dataclass(frozen=True)
 class LoridConfig:
     """Knobs of one purification run.
 
-    ``t`` is the total diffusion depth split across ``L`` loops.  ``use_tucker``
-    switches on the frozen low-rank projection (``basis`` then required).
+    ``t`` is the total diffusion depth split across ``L`` loops.  A fitted
+    ``basis`` switches on the frozen low-rank projection.
     ``sampler`` picks the reverse pass: step-by-step ancestral sampling or the
     deterministic stride-``skip_k`` jump sampler.  ``clip`` optionally clamps
     the final output to a box, e.g. ``(-1.0, 1.0)`` for centered images.
@@ -52,11 +46,9 @@ class LoridConfig:
 
     t: int
     L: int = 1
-    use_tucker: bool = False
     basis: TuckerBasis | None = None
     sampler: str = "ancestral"
     skip_k: int = 1
-    loop_order: str = "denoise_last"
     clip: tuple[float, float] | None = None
     seed: int | None = None
 
@@ -71,10 +63,6 @@ class LoridConfig:
             raise ValueError(f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}")
         if self.skip_k < 1:
             raise ValueError(f"skip stride {self.skip_k} must be >= 1")
-        if self.loop_order not in _LOOP_ORDERS:
-            raise ValueError(f"loop order must be one of {_LOOP_ORDERS}, got {self.loop_order!r}")
-        if self.use_tucker and self.basis is None:
-            raise ValueError("use_tucker=True requires a fitted basis")
         if self.clip is not None and not self.clip[0] < self.clip[1]:
             raise ValueError(f"clip box {self.clip} must be increasing")
 
@@ -120,22 +108,23 @@ def lorid_purify(
     """Purify one sample (any shape); returns the purified sample and a trace.
 
     Samples are flat vectors on the last axis; leading axes are treated as a
-    batch and purified together.  With the projection enabled the input is
+    batch and purified together.  With a basis in the config the input is
     instead an image on the last three axes (matching the basis layout) and is
     flattened after projecting.  When ``clean_ref`` is given (same shape as
     ``x``), ``trace.distances`` records the aggregate l2 distance to it after
     the projection stage and after every loop — handy for watching the
-    iterates approach the clean signal.
+    iterates approach the clean signal.  Non-finite input raises ValueError.
     """
     start = time.perf_counter()
     if rng is None:
         rng = np.random.default_rng(config.seed)
     config.validate(schedule)
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input to purify holds non-finite values")
     orig_shape = x.shape
 
-    if config.use_tucker:
-        assert config.basis is not None
+    if config.basis is not None:
         x = tf_apply(x, config.basis)
         flat = x.reshape(*x.shape[:-3], -1)
     else:
@@ -144,37 +133,21 @@ def lorid_purify(
     trace = PurifyTrace()
     if clean_ref is not None:
         ref = np.asarray(clean_ref, dtype=np.float64).reshape(flat.shape)
-        trace.distances.append(l2_norm(flat - ref))
+        trace.distances.append(frobenius_norm(flat - ref))
 
     t_loop = config.per_loop_t
     for _ in range(config.L):
-        if config.loop_order == "denoise_last":
-            noisy, _ = diffuse(flat, t_loop, schedule, rng)
-            flat = _reverse(noisy, t_loop, denoiser, schedule, config, rng)
-        else:
-            flat = _reverse(flat, t_loop, denoiser, schedule, config, rng)
-            flat, _ = diffuse(flat, t_loop, schedule, rng)
+        noisy, _ = diffuse(flat, t_loop, schedule, rng)
+        flat = _reverse(noisy, t_loop, denoiser, schedule, config, rng)
         trace.loops += 1
         if clean_ref is not None:
-            trace.distances.append(l2_norm(flat - ref))
+            trace.distances.append(frobenius_norm(flat - ref))
 
     out = flat.reshape(orig_shape)
     if config.clip is not None:
         out = np.clip(out, config.clip[0], config.clip[1])
     trace.wall_time_s = time.perf_counter() - start
     return out, trace
-
-
-def purify_single(
-    x: np.ndarray,
-    denoiser: Denoiser,
-    schedule: Schedule,
-    config: LoridConfig,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Purified sample only, trace discarded."""
-    out, _ = lorid_purify(x, denoiser, schedule, config, rng)
-    return out
 
 
 @dataclass(frozen=True)
@@ -192,8 +165,8 @@ def _describe(eps: np.ndarray) -> AdvPerturbation:
     return AdvPerturbation(
         eps=eps,
         linf=float(np.max(np.abs(flat))) if flat.size else 0.0,
-        l2=l2_norm(flat),
-        rms=l2_norm(flat) / math.sqrt(flat.size) if flat.size else 0.0,
+        l2=frobenius_norm(flat),
+        rms=frobenius_norm(flat) / math.sqrt(flat.size) if flat.size else 0.0,
     )
 
 
@@ -208,7 +181,7 @@ def add_adversarial(
     if budget_l2 is not None:
         if budget_l2 < 0:
             raise ValueError("l2 budget must be nonnegative")
-        norm = l2_norm(eps.reshape(-1))
+        norm = frobenius_norm(eps.reshape(-1))
         if norm == 0.0:
             raise ValueError("cannot rescale a zero perturbation to a positive budget")
         eps = eps * (budget_l2 / norm)
@@ -242,7 +215,7 @@ def misaligned_noise(
     for _ in range(max_tries):
         delta = rng.standard_normal(shape)
         resid = delta - tf_apply(delta, basis)
-        norm = l2_norm(resid.reshape(-1))
+        norm = frobenius_norm(resid.reshape(-1))
         if norm > 1e-12:
             return resid * (budget_l2 / norm)
     raise RuntimeError(

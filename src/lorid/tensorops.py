@@ -27,7 +27,6 @@ __all__ = [
     "mode_product",
     "svd",
     "frobenius_norm",
-    "l2_norm",
     "mse",
 ]
 
@@ -109,11 +108,6 @@ def svd(m) -> SvdResult:
 def frobenius_norm(x) -> float:
     """Square root of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel()))
-
-
-def l2_norm(x) -> float:
-    """Euclidean norm of the flattened array (alias of the Frobenius norm)."""
-    return frobenius_norm(x)
 
 
 def mse(a, b) -> float:

@@ -138,25 +138,10 @@ def _ranks_from_policy(
     return int(np.searchsorted(cum, eta * total) + 1)
 
 
-def truncated_hosvd(
-    x: np.ndarray,
-    rank_policy: float | Sequence[int],
-    modes: Sequence[int] | None = None,
-) -> tuple[np.ndarray, list[np.ndarray], list[float]]:
-    """Project a tensor onto leading singular subspaces of its unfoldings.
-
-    ``rank_policy`` is either an energy fraction eta in (0, 1] (per mode, the
-    smallest rank retaining eta of the squared singular-value mass) or an
-    explicit rank per decomposed mode.  ``modes`` selects which modes to
-    decompose (default: all).  Returns ``(x_hat, factors, discarded)`` where
-    ``x_hat`` applies every mode's orthogonal projection U_n U_n^T and
-    ``discarded[i]`` sums the squared singular values dropped from mode i.
-    The squared projection error never exceeds ``sum(discarded)``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if modes is None:
-        modes = list(range(x.ndim))
-    modes = [int(m) for m in modes]
+def _hosvd_factors(
+    x: np.ndarray, rank_policy: float | Sequence[int], modes: Sequence[int]
+) -> tuple[list[np.ndarray], list[float]]:
+    """Per-mode factors and discarded energies of :func:`truncated_hosvd`."""
     if isinstance(rank_policy, (int, float)):
         eta = float(rank_policy)
         if not 0.0 < eta <= 1.0:
@@ -177,7 +162,27 @@ def truncated_hosvd(
         r = min(r, res.u.shape[1])
         factors.append(res.u[:, :r].copy())
         discarded.append(float(np.sum(res.s[r:] ** 2)))
+    return factors, discarded
 
+
+def truncated_hosvd(
+    x: np.ndarray,
+    rank_policy: float | Sequence[int],
+    modes: Sequence[int] | None = None,
+) -> tuple[np.ndarray, list[np.ndarray], list[float]]:
+    """Project a tensor onto leading singular subspaces of its unfoldings.
+
+    ``rank_policy`` is either an energy fraction eta in (0, 1] (per mode, the
+    smallest rank retaining eta of the squared singular-value mass) or an
+    explicit rank per decomposed mode.  ``modes`` selects which modes to
+    decompose (default: all).  Returns ``(x_hat, factors, discarded)`` where
+    ``x_hat`` applies every mode's orthogonal projection U_n U_n^T and
+    ``discarded[i]`` sums the squared singular values dropped from mode i.
+    The squared projection error never exceeds ``sum(discarded)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    modes = [int(m) for m in (range(x.ndim) if modes is None else modes)]
+    factors, discarded = _hosvd_factors(x, rank_policy, modes)
     x_hat = x
     for mode, u in zip(modes, factors):
         x_hat = mode_product(mode_product(x_hat, u.T, mode), u, mode)
@@ -202,7 +207,7 @@ def fit_basis(
     if data.shape[1:] != layout.image_shape:
         raise ValueError(f"dataset images {data.shape[1:]} do not match layout {layout.image_shape}")
     tens = tensorize(data, layout)  # (N, H/p, W/p, p*p, C)
-    _, factors, discarded = truncated_hosvd(tens, rank_policy, modes=[1, 2, 3, 4])
+    factors, discarded = _hosvd_factors(tens, rank_policy, modes=[1, 2, 3, 4])
     return TuckerBasis(
         factors=tuple(factors),
         ranks=tuple(u.shape[1] for u in factors),

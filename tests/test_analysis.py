@@ -250,6 +250,15 @@ class TestKlGaussian:
         with pytest.raises(ValueError):
             kl_gaussian_forward((np.zeros(2), np.array([1.0, 0.0])), (np.zeros(2), 1.0), sched, 10)
 
+    def test_asymmetric_covariance_rejected(self):
+        """An asymmetric matrix is refused, not silently replaced by its symmetric part."""
+        sched = default_schedule()
+        asym = np.array([[1.0, 0.5], [0.1, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            kl_gaussian_forward((np.zeros(2), asym), (np.zeros(2), 1.0), sched, 10)
+        with pytest.raises(ValueError, match="symmetric"):
+            kl_gaussian_forward((np.zeros(2), 1.0), (np.zeros(2), asym), sched, 10)
+
 
 class TestKlQuadrature:
     @staticmethod
@@ -372,6 +381,19 @@ class TestVerifyBounds:
         )
         with pytest.raises(BoundViolation):
             verify_bounds(setup, t=100, trials=3000, rng=np.random.default_rng(526))
+
+    def test_singular_full_covariance_accepted(self):
+        """A rank-2 PSD matrix in 4-D samples through its eigenpairs (no Cholesky)."""
+        sched = default_schedule()
+        v = np.linalg.qr(np.random.default_rng(527).standard_normal((4, 4)))[0]
+        lam = np.array([2.0, 0.5, 0.0, 0.0])
+        cov = v @ np.diag(lam) @ v.T
+        oracle = GaussianOracleDenoiser(np.zeros(4), cov, sched)
+        setup = BoundSetup(mean=np.zeros(4), cov=cov, denoiser=oracle, schedule=sched)
+        report = verify_bounds(setup, t=200, trials=4000, rng=np.random.default_rng(528))
+        ab = sched.alpha_bar_at(200)
+        mmse = float(np.mean(lam * (1 - ab) / (ab * lam + 1 - ab)))
+        np.testing.assert_allclose(report.lower, mmse, rtol=1e-12)
 
     def test_report_validation(self):
         sched = default_schedule()

@@ -164,6 +164,36 @@ class TestWorkflow:
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_non_finite_input_is_usage_error(self, workdir, tmp_path, capsys):
+        """One NaN pixel exits 2 with one line and writes nothing."""
+        tmp, cfg, data, labels, deno = workdir
+        images = read_tensor(data)[:2].copy()
+        images[0, 3, 5, 0] = np.nan
+        bad = str(tmp_path / "nan.lten")
+        write_tensor(bad, images)
+        out = tmp_path / "x.lten"
+        rc = main(["purify", "--input", bad, "--denoiser", deno, "--config", cfg,
+                   "--out", str(out), "--fit-basis-from", data])
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_malformed_denoiser_is_usage_error(self, workdir, tmp_path, capsys):
+        """A 2-D hidden-sizes block exits 2 with one line, not a TypeError."""
+        tmp, cfg, data, labels, deno = workdir
+        with open(deno, "rb") as fh:
+            blocks = []
+            while fh.peek(1):
+                blocks.append(read_tensor(fh))
+        bad = str(tmp_path / "denoiser.lten")
+        with open(bad, "wb") as fh:
+            for i, block in enumerate(blocks):
+                write_tensor(fh, block[None, :] if i == 1 else block)
+        rc = main(["purify", "--input", data, "--denoiser", bad, "--config", cfg,
+                   "--out", str(tmp_path / "x.lten"), "--fit-basis-from", data])
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_seed_override_changes_output(self, workdir):
         tmp, cfg, data, labels, deno = workdir
         basis_path = str(tmp / "basis.lten")

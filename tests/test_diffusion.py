@@ -7,6 +7,7 @@ import pytest
 
 from lorid.diffusion import (
     GaussianOracleDenoiser,
+    GaussianSource,
     MlpDenoiser,
     MlpTrainConfig,
     Schedule,
@@ -285,6 +286,62 @@ class TestGaussianOracle:
         oracle = GaussianOracleDenoiser(np.zeros(2), 1.0, sched)
         with pytest.raises(ValueError):
             oracle.predict_eps(np.zeros(3), 10)
+
+
+class TestGaussianSource:
+    LAM = np.array([2.0, 0.5, 0.1, 1.0])
+
+    def test_scalar_is_the_constant_diagonal(self):
+        """Same eigenvalues, no eigenvectors, and the same draws bit for bit."""
+        scalar = GaussianSource(np.ones(3), 0.7)
+        diag = GaussianSource(np.ones(3), np.full(3, 0.7))
+        assert scalar.eigvecs is None and diag.eigvecs is None
+        np.testing.assert_array_equal(scalar.eigvals, diag.eigvals)
+        np.testing.assert_array_equal(
+            scalar.sample(50, np.random.default_rng(343)),
+            diag.sample(50, np.random.default_rng(343)),
+        )
+        assert scalar.mmse_per_dim(0.4) == diag.mmse_per_dim(0.4)
+
+    def test_rotated_full_agrees_with_diagonal(self):
+        """V diag(lam) V^T has the diagonal form's MMSE, and its draws have that
+        covariance in the rotated frame."""
+        v = np.linalg.qr(np.random.default_rng(344).standard_normal((4, 4)))[0]
+        mean = np.array([1.0, -2.0, 0.0, 0.5])
+        full = GaussianSource(mean, v @ np.diag(self.LAM) @ v.T)
+        diag = GaussianSource(mean, self.LAM)
+        for abar in (0.01, 0.5, 0.99):
+            np.testing.assert_allclose(full.mmse_per_dim(abar), diag.mmse_per_dim(abar), rtol=1e-12)
+        n = 200_000
+        for src, frame in ((full, v), (diag, np.eye(4))):
+            x = src.sample(n, np.random.default_rng(345))
+            assert x.shape == (n, 4)
+            np.testing.assert_allclose(x.mean(axis=0), mean, atol=0.02)
+            cov = frame.T @ np.cov(x, rowvar=False) @ frame
+            np.testing.assert_allclose(cov, np.diag(self.LAM), atol=0.02)
+        np.testing.assert_allclose(full.cov, v @ np.diag(self.LAM) @ v.T, atol=1e-14)
+        np.testing.assert_array_equal(diag.cov, np.diag(self.LAM))
+
+    def test_rounding_negatives_clipped_for_every_form(self):
+        for cov in (-1e-11, np.array([1.0, -1e-11]), np.array([[1.0, 0.0], [0.0, -1e-11]])):
+            src = GaussianSource(np.zeros(2), cov)
+            assert np.all(src.eigvals >= 0.0)
+
+    def test_validation(self):
+        for mean, cov in [
+            (np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]])),  # asymmetric
+            (np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]])),  # indefinite
+            (np.zeros(2), np.array([1.0, -0.5])),
+            (np.zeros(2), -0.5),
+            (np.zeros(2), np.ones(3)),
+            (np.zeros(2), np.eye(3)),
+            (np.zeros(2), np.ones((2, 2, 2))),
+            (np.zeros((2, 2)), 1.0),
+            (np.array([0.0, np.nan]), 1.0),
+            (np.zeros(2), np.array([1.0, np.inf])),
+        ]:
+            with pytest.raises(ValueError):
+                GaussianSource(mean, cov)
 
 
 class TestMlpDenoiser:

@@ -246,6 +246,80 @@ class TestModelSerialization:
         np.testing.assert_array_equal(back.predict(x), clf.predict(x))
 
 
+def _write_blocks(path, blocks):
+    with open(path, "wb") as fh:
+        for block in blocks:
+            write_tensor(fh, np.asarray(block, dtype=float))
+
+
+def _layer_blocks(params):
+    return [arr for layer in params for arr in layer]
+
+
+class TestModelShapeChecks:
+    """A model container whose blocks disagree with its meta block is refused on read."""
+
+    @pytest.fixture(scope="class")
+    def mlp(self):
+        sched = make_linear_schedule(50, 1e-3, 0.02)
+        data = np.random.default_rng(47).standard_normal((16, 3))
+        cfg = MlpTrainConfig(hidden=(6, 4), epochs=1, batch_size=16)
+        return train_mlp_denoiser(data, sched, cfg, np.random.default_rng(48))[0]
+
+    @pytest.fixture(scope="class")
+    def clf(self):
+        x, y = gen_two_gaussian_classes(40, seed=49)
+        return train_classifier(x, y, ClassifierTrainConfig(hidden=(6, 5), epochs=2),
+                                np.random.default_rng(50))
+
+    def test_mlp_hidden_sizes_block_must_be_a_vector(self, mlp, tmp_path):
+        path = str(tmp_path / "mlp.lten")
+        _write_blocks(path, [[mlp.dim, mlp.t_total], [mlp.hidden], *_layer_blocks(mlp.params)])
+        with pytest.raises(TensorFormatError, match="hidden sizes"):
+            read_mlp(path)
+
+    def test_mlp_hidden_sizes_must_be_positive_integers(self, mlp, tmp_path):
+        path = str(tmp_path / "mlp.lten")
+        _write_blocks(path, [[mlp.dim, mlp.t_total], [6.5, 4], *_layer_blocks(mlp.params)])
+        with pytest.raises(TensorFormatError, match="hidden sizes"):
+            read_mlp(path)
+
+    def test_mlp_first_layer_fan_in_checked(self, mlp, tmp_path):
+        """A first weight block one row short is refused at read time."""
+        (w0, b0), *rest = mlp.params
+        path = str(tmp_path / "mlp.lten")
+        _write_blocks(path, [[mlp.dim, mlp.t_total], mlp.hidden,
+                             *_layer_blocks([(w0[1:], b0), *rest])])
+        with pytest.raises(TensorFormatError, match="layer 0"):
+            read_mlp(path)
+
+    def test_mlp_layer_widths_follow_hidden_sizes(self, mlp, tmp_path):
+        path = str(tmp_path / "mlp.lten")
+        _write_blocks(path, [[mlp.dim, mlp.t_total], [4, 6], *_layer_blocks(mlp.params)])
+        with pytest.raises(TensorFormatError, match="layer 0"):
+            read_mlp(path)
+
+    def test_classifier_inner_layer_checked(self, clf, tmp_path):
+        """The second weight block must take the first layer's width as its fan-in."""
+        (w0, b0), (w1, b1), last = clf.params
+        path = str(tmp_path / "clf.lten")
+        _write_blocks(path, [[clf.input_dim, clf.n_classes, 3],
+                             *_layer_blocks([(w0, b0), (w1[1:], b1), last])])
+        with pytest.raises(TensorFormatError, match="layer 1"):
+            read_classifier(path)
+
+    def test_classifier_bias_and_meta_checked(self, clf, tmp_path):
+        (w0, b0), *rest = clf.params
+        path = str(tmp_path / "clf.lten")
+        _write_blocks(path, [[clf.input_dim, clf.n_classes, 3],
+                             *_layer_blocks([(w0, b0[1:]), *rest])])
+        with pytest.raises(TensorFormatError, match="layer 0"):
+            read_classifier(path)
+        _write_blocks(path, [[clf.input_dim, clf.n_classes, 0], *_layer_blocks(clf.params)])
+        with pytest.raises(TensorFormatError, match="meta block"):
+            read_classifier(path)
+
+
 class TestGenerators:
     def test_gaussian_dataset_seeded(self):
         a = gen_gaussian_dataset(4, 10, seed=7)

@@ -6,7 +6,6 @@ import pytest
 from lorid.tensorops import (
     fold,
     frobenius_norm,
-    l2_norm,
     mode_product,
     mse,
     svd,
@@ -164,11 +163,6 @@ class TestNorms:
         for shape in [(4,), (3, 5), (2, 3, 4)]:
             x = rng.standard_normal(shape)
             np.testing.assert_allclose(frobenius_norm(x), np.linalg.norm(x.ravel()), rtol=1e-15)
-
-    def test_l2_is_frobenius_on_any_shape(self):
-        rng = np.random.default_rng(131)
-        x = rng.standard_normal((3, 4, 2))
-        assert l2_norm(x) == frobenius_norm(x)
 
     def test_mse_basic(self):
         a = np.array([1.0, 2.0, 3.0])
