@@ -31,7 +31,6 @@ from .attacks import (
     ToyClassifier,
     classifier_grad_check,
     evaluate,
-    fgsm,
     pgd,
     train_classifier,
 )
@@ -70,10 +69,8 @@ from .io_formats import (
     write_tensor,
 )
 from .purify import (
-    AdvPerturbation,
     LoridConfig,
     PurifyTrace,
-    add_adversarial,
     lorid_purify,
     misaligned_noise,
     uniform_sign_noise,

@@ -1,13 +1,19 @@
 """Minimal dense-network plumbing shared by the trained denoiser and the toy classifier.
 
 Hand-rolled forward/backward passes for a tanh MLP with a linear head, plus the
-pack/unpack helpers used for finite-difference gradient checking.  Kept private:
-the public surfaces live in :mod:`lorid.diffusion` and :mod:`lorid.attacks`.
+pack/unpack helpers used for finite-difference gradient checking, and the scope
+that holds numpy's BLAS to one thread.  Kept private: the public surfaces live
+in :mod:`lorid.diffusion` and :mod:`lorid.attacks`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,3 +135,72 @@ def gradient_check(
         g_an = grad_flat[i]
         worst = max(worst, abs(g_an - g_fd) / max(abs(g_an), abs(g_fd), 1e-12))
     return worst
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Wheels bundle it under ``numpy.libs`` with its symbols renamed
+    (``scipy_openblas_`` prefix, ``64_`` suffix for the ILP64 build).
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _BlasHold:
+    """The open :func:`one_blas_thread` blocks of the process, counted, since
+    the thread count they change belongs to the whole process."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.open = 0
+        self.found = 0
+
+
+_BLAS_HOLD = _BlasHold()
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold numpy's bundled OpenBLAS to one thread inside the block.
+
+    Between calls OpenBLAS's worker threads busy-wait on the other cores; on
+    this package's small matrices they buy nothing, and they take the core the
+    purifier's noise stream runs on.  The count found when the first open
+    block began is restored when the last one ends, so blocks may nest and
+    overlap across threads.  A no-op when numpy bundles no OpenBLAS.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    hold = _BLAS_HOLD
+    with hold.lock:
+        if hold.open == 0:
+            hold.found = get()
+            put(1)
+        hold.open += 1
+    try:
+        yield
+    finally:
+        with hold.lock:
+            hold.open -= 1
+            if hold.open == 0:
+                put(hold.found)

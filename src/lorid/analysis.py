@@ -80,10 +80,13 @@ def quadrature_grid(n: int = GRID_NODES) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mmse_gaussian(snr):
-    """MMSE for a standard-normal input: 1 / (1 + snr).  Scalar or array."""
+    """MMSE for a standard-normal input: 1 / (1 + snr).  Scalar or array.
+
+    snr = inf gives the limit 0; a negative or NaN snr raises ValueError.
+    """
     snr = np.asarray(snr, dtype=np.float64)
-    if np.any(snr < 0):
-        raise ValueError("snr must be nonnegative")
+    if not np.all(snr >= 0):
+        raise ValueError("snr must be nonnegative and not NaN")
     out = 1.0 / (1.0 + snr)
     return float(out) if out.ndim == 0 else out
 
@@ -103,10 +106,12 @@ def mmse_binary(snr, *, _check_tol: float = 1e-9):
     at snr = 0 (the integrand vanishes identically), and never larger than the
     Gaussian-input value at the same snr.  Raises if halving the node count
     moves the result by more than ``_check_tol`` (quadrature not converged).
+    The quadrature cannot evaluate snr = inf, so a non-finite or negative snr
+    raises ValueError.
     """
     arr = np.asarray(snr, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("snr must be nonnegative")
+    if not np.all((arr >= 0) & np.isfinite(arr)):
+        raise ValueError("snr must be finite and nonnegative")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     full = 1.0 - _binary_integral(arr, GRID_NODES)

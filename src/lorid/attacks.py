@@ -1,8 +1,7 @@
 """Small white-box-on-the-classifier adversaries and the accuracy scoreboard.
 
-A tiny softmax MLP stands in for a real classifier; sign-gradient (FGSM) and
-projected-gradient (PGD) attacks perturb inputs against it under an explicit
-norm budget.  Attacks see only the classifier: gradients never flow through
+A tiny softmax MLP stands in for a real classifier; projected-gradient (PGD)
+attacks perturb inputs against it under an explicit norm budget.  Attacks see only the classifier: gradients never flow through
 the purifier, which enters purely as a preprocessing defense at evaluation
 time.  ``evaluate`` scores one attack against a ladder of defenses — nothing,
 projection only, one deep diffusion loop, several short loops, and the full
@@ -19,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _nn
+from ._nn import one_blas_thread
 from .diffusion import Denoiser, Schedule
 from .purify import LoridConfig, lorid_purify
 from .tucker import tf_apply
@@ -29,7 +29,6 @@ __all__ = [
     "ClassifierTrainConfig",
     "train_classifier",
     "classifier_grad_check",
-    "fgsm",
     "pgd",
     "PurifierBundle",
     "evaluate",
@@ -100,7 +99,7 @@ class AttackBudget:
 
     ``norm`` is "linf" or "l2"; ``epsilon`` the ball radius (0 is allowed as a
     degenerate no-op probe); ``clip`` optionally clamps perturbed inputs to
-    the data's valid range.
+    the data's valid range.  ``epsilon`` and ``step_size`` must be finite.
     """
 
     norm: str
@@ -112,12 +111,14 @@ class AttackBudget:
     def __post_init__(self) -> None:
         if self.norm not in ("linf", "l2"):
             raise ValueError(f"norm must be 'linf' or 'l2', got {self.norm!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if self.step_size is not None and not (
+            math.isfinite(self.step_size) and self.step_size > 0
+        ):
+            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
         if self.clip is not None and not self.clip[0] < self.clip[1]:
             raise ValueError(f"clip box {self.clip} must be increasing")
 
@@ -239,21 +240,6 @@ def _attack_steps(
     return x
 
 
-def fgsm(
-    clf: ToyClassifier, x: np.ndarray, y: np.ndarray, budget: AttackBudget
-) -> np.ndarray:
-    """One sign-gradient (or normalized-gradient) step at the full budget."""
-    orig_shape = np.asarray(x).shape
-    x0 = np.asarray(x, dtype=np.float64).reshape(-1, clf.input_dim)
-    if budget.epsilon == 0.0:
-        return x0.copy().reshape(orig_shape)
-    one_step = AttackBudget(
-        norm=budget.norm, epsilon=budget.epsilon, steps=1, step_size=budget.epsilon, clip=budget.clip
-    )
-    out = _attack_steps(clf, x0, x0, np.asarray(y, dtype=np.int64), one_step, 1)
-    return out.reshape(orig_shape)
-
-
 def pgd(
     clf: ToyClassifier,
     x: np.ndarray,
@@ -309,7 +295,8 @@ def evaluate(
     ``single`` (one loop at full depth, no projection), ``loop_only`` (the
     configured loop count, no projection), and ``lorid`` (the full configured
     purifier).  Stochastic defenses are averaged over ``trials`` independent
-    purification rounds.
+    purification rounds.  BLAS runs on one thread throughout (see
+    :func:`lorid._nn.one_blas_thread`).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -320,18 +307,6 @@ def evaluate(
     if flat.shape[0] != y.size:
         raise ValueError(f"{flat.shape[0]} samples but {y.size} labels")
 
-    table = {"standard": clf.accuracy(flat, y)}
-    adv_flat = pgd(clf, flat, y, budget, rng)
-    table["attacked"] = clf.accuracy(adv_flat, y)
-
-    basis = cfg.basis
-    if basis is not None:
-        adv_images = adv_flat.reshape(images.shape)
-        tf_flat = _flatten_samples(tf_apply(adv_images, basis), clf.input_dim)
-        table["tf_only"] = clf.accuracy(tf_flat, y)
-    else:
-        table["tf_only"] = table["attacked"]
-
     def averaged(config: LoridConfig, x_in: np.ndarray) -> float:
         accs = []
         for _ in range(trials):
@@ -339,10 +314,24 @@ def evaluate(
             accs.append(clf.accuracy(_flatten_samples(purified, clf.input_dim), y))
         return float(np.mean(accs))
 
-    loop_cfg = replace(cfg, basis=None)
-    table["single"] = averaged(replace(loop_cfg, L=1), adv_flat)
-    table["loop_only"] = averaged(loop_cfg, adv_flat)
-    table["lorid"] = averaged(cfg, adv_flat if basis is None else adv_flat.reshape(images.shape))
+    with one_blas_thread():
+        table = {"standard": clf.accuracy(flat, y)}
+        adv_flat = pgd(clf, flat, y, budget, rng)
+        table["attacked"] = clf.accuracy(adv_flat, y)
+
+        basis = cfg.basis
+        if basis is not None:
+            adv_images = adv_flat.reshape(images.shape)
+            tf_flat = _flatten_samples(tf_apply(adv_images, basis), clf.input_dim)
+            table["tf_only"] = clf.accuracy(tf_flat, y)
+        else:
+            table["tf_only"] = table["attacked"]
+
+        loop_cfg = replace(cfg, basis=None)
+        table["single"] = averaged(replace(loop_cfg, L=1), adv_flat)
+        table["loop_only"] = averaged(loop_cfg, adv_flat)
+        adv_in = adv_flat if basis is None else adv_flat.reshape(images.shape)
+        table["lorid"] = averaged(cfg, adv_in)
     return table
 
 

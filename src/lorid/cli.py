@@ -63,6 +63,7 @@ from .io_formats import (
     write_mlp,
     write_tensor,
 )
+from ._nn import one_blas_thread
 from .purify import LoridConfig, lorid_purify
 from .tucker import TensorizationLayout, TuckerBasis, fit_basis
 
@@ -212,37 +213,41 @@ def run_calibration(
     Returns (rows, (t, L)) where rows are (t, L, clean_acc, robust_acc) and
     the recommendation maximizes robust accuracy subject to clean accuracy
     within 3 points of the grid's best clean accuracy (ties: smaller t, then
-    smaller L).
+    smaller L).  BLAS runs on one thread throughout (see
+    :func:`lorid._nn.one_blas_thread`).
     """
     art = artifacts or toy_task_artifacts(cfg)
     if not t_grid or not L_grid:
         raise ConfigError("calibration grids must be nonempty")
     flat_test = art.test_images.reshape(art.test_images.shape[0], -1)
-    adv_flat = pgd(
-        art.clf, flat_test, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)
-    )
-    adv_images = adv_flat.reshape(art.test_images.shape)
-
     rows = []
-    for t in t_grid:
-        for L in L_grid:
-            if t // L < 1:
-                raise ConfigError(f"grid point t={t}, L={L} gives zero-depth loops")
-            run_cfg = replace(cfg, t=int(t), L=int(L))
-            purifier_cfg = lorid_config_from(run_cfg, art.basis)
-            rng = np.random.default_rng(cfg.seed + 6)
-            clean_accs, robust_accs = [], []
-            for _ in range(trials):
-                clean_pure, _ = lorid_purify(
-                    art.test_images, art.denoiser, art.schedule, purifier_cfg, rng
-                )
-                robust_pure, _ = lorid_purify(
-                    adv_images, art.denoiser, art.schedule, purifier_cfg, rng
-                )
-                n = art.test_labels.size
-                clean_accs.append(art.clf.accuracy(clean_pure.reshape(n, -1), art.test_labels))
-                robust_accs.append(art.clf.accuracy(robust_pure.reshape(n, -1), art.test_labels))
-            rows.append((int(t), int(L), float(np.mean(clean_accs)), float(np.mean(robust_accs))))
+    with one_blas_thread():
+        adv_flat = pgd(
+            art.clf, flat_test, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)
+        )
+        adv_images = adv_flat.reshape(art.test_images.shape)
+        for t in t_grid:
+            for L in L_grid:
+                if t // L < 1:
+                    raise ConfigError(f"grid point t={t}, L={L} gives zero-depth loops")
+                run_cfg = replace(cfg, t=int(t), L=int(L))
+                purifier_cfg = lorid_config_from(run_cfg, art.basis)
+                rng = np.random.default_rng(cfg.seed + 6)
+                clean_accs, robust_accs = [], []
+                for _ in range(trials):
+                    clean_pure, _ = lorid_purify(
+                        art.test_images, art.denoiser, art.schedule, purifier_cfg, rng
+                    )
+                    robust_pure, _ = lorid_purify(
+                        adv_images, art.denoiser, art.schedule, purifier_cfg, rng
+                    )
+                    n = art.test_labels.size
+                    clean_accs.append(
+                        art.clf.accuracy(clean_pure.reshape(n, -1), art.test_labels))
+                    robust_accs.append(
+                        art.clf.accuracy(robust_pure.reshape(n, -1), art.test_labels))
+                rows.append(
+                    (int(t), int(L), float(np.mean(clean_accs)), float(np.mean(robust_accs))))
 
     best_clean = max(r[2] for r in rows)
     eligible = [r for r in rows if r[2] >= best_clean - 0.03]
@@ -356,15 +361,13 @@ def _cmd_curves(args) -> int:
     cfg = _load_config(args.config, args.seed)
     schedule = build_schedule(cfg)
     if args.kind == "fig2":
-        t_list = [int(v) for v in args.effective_t.split(",")]
         rows = []
-        for t_eff in t_list:
+        for t_eff in args.effective_t:
             for pt in loop_bound_curve(schedule, t_eff, range(1, args.l_max + 1)):
                 rows.append((t_eff, pt.L, pt.t_over_L, pt.value))
         write_csv(args.out, ("effective_t", "L", "t_over_L", "value"), rows)
     elif args.kind == "mmse":
-        grid = [float(v) for v in args.snr_grid.split(",")]
-        rows = [(s, mmse_gaussian(s), mmse_binary(s)) for s in grid]
+        rows = [(s, mmse_gaussian(s), mmse_binary(s)) for s in args.snr_grid]
         write_csv(args.out, ("snr", "mmse_gaussian", "mmse_binary"), rows)
     else:  # snr
         ts = range(1, schedule.T + 1)
@@ -375,6 +378,8 @@ def _cmd_curves(args) -> int:
 
 
 _VERIFY_T_SET = (50, 200, 500, 800)
+# Monte Carlo trials per theorem when --trials is not given (theorem 1 takes --pairs).
+_VERIFY_TRIALS = {"2": 100_000, "3": 10_000, "4": 10_000, "5": 1_000, "cor1": 100_000}
 
 
 def _oracle_setup(schedule: Schedule, d: int = 8, eps_a=None, basis=None) -> BoundSetup:
@@ -528,19 +533,19 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, args.seed)
     schedule = build_schedule(cfg)
     rng = np.random.default_rng(cfg.seed)
-    trials = args.trials
+    trials = args.trials if args.trials is not None else _VERIFY_TRIALS.get(args.theorem)
     if args.theorem == "1":
         _verify_theorem_1(schedule, rng, pairs=args.pairs)
     elif args.theorem == "2":
-        _verify_theorem_2(schedule, rng, trials or 100_000)
+        _verify_theorem_2(schedule, rng, trials)
     elif args.theorem == "3":
-        _verify_theorem_3(schedule, rng, trials or 10_000)
+        _verify_theorem_3(schedule, rng, trials)
     elif args.theorem == "4":
-        _verify_theorem_4(schedule, rng, trials or 10_000, args.effective_t)
+        _verify_theorem_4(schedule, rng, trials, args.effective_t)
     elif args.theorem == "5":
-        _verify_theorem_5(schedule, rng, trials or 1_000)
+        _verify_theorem_5(schedule, rng, trials)
     else:
-        _verify_cor1(schedule, rng, trials or 100_000)
+        _verify_cor1(schedule, rng, trials)
     print(f"theorem {args.theorem}: PASS")
     return 0
 
@@ -559,10 +564,10 @@ def _cmd_attack_eval(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    t_grid = [int(v) for v in args.t_grid.split(",")]
-    l_grid = [int(v) for v in args.L_grid.split(",")]
     budget = toy_budget(eps=args.eps, steps=args.steps)
-    rows, (best_t, best_l) = run_calibration(cfg, t_grid, l_grid, budget, trials=args.trials)
+    rows, (best_t, best_l) = run_calibration(
+        cfg, args.t_grid, args.L_grid, budget, trials=args.trials
+    )
     if args.out:
         write_csv(args.out, ("t", "L", "clean_acc", "robust_acc"), rows)
         print(f"wrote calibration grid to {args.out}")
@@ -578,8 +583,38 @@ def _cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit 2, like every other
+    input error; ``--help`` still shows the usage."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """Argument type of every count flag: an integer >= 1."""
+    refusal = argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise refusal from None
+    if value < 1:
+        raise refusal
+    return value
+
+
+def _comma_list(item):
+    """Argument type of a comma list whose entries each parse with ``item``."""
+
+    def parse(text: str) -> list:
+        return [item(v) for v in text.split(",")]
+
+    parse.__name__ = f"comma list of {item.__name__}"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorid",
         description="Desk-scale laboratory for low-rank iterative diffusion purification.",
     )
@@ -588,8 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--task", required=True,
                    choices=["gaussian", "two-gaussians", "two-point", "striped"])
-    p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--d", type=int, default=8, help="dimension (gaussian tasks)")
+    p.add_argument("--n", type=_count, required=True, help="number of samples")
+    p.add_argument("--d", type=_count, default=8, help="dimension (gaussian tasks)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output tensor path")
     p.add_argument("--labels-out", help="labels tensor path (labelled tasks)")
@@ -599,7 +634,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output container path")
     p.add_argument("--hidden", default="64,64")
-    p.add_argument("--epochs", type=int, default=40)
+    p.add_argument("--epochs", type=_count, default=40)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, help="override config seed")
 
@@ -608,7 +643,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--hidden", default="32")
-    p.add_argument("--epochs", type=int, default=150)
+    p.add_argument("--epochs", type=_count, default=150)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
 
@@ -627,18 +662,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["fig2", "mmse", "snr"])
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--effective-t", default="200,400,600,900",
+    p.add_argument("--effective-t", type=_comma_list(_count), default=[200, 400, 600, 900],
                    help="comma list of depth budgets (fig2)")
-    p.add_argument("--l-max", type=int, default=10, help="largest loop count (fig2)")
-    p.add_argument("--snr-grid", default="0,0.5,1,2", help="comma list of snr values (mmse)")
+    p.add_argument("--l-max", type=_count, default=10, help="largest loop count (fig2)")
+    p.add_argument("--snr-grid", type=_comma_list(float), default=[0.0, 0.5, 1.0, 2.0],
+                   help="comma list of snr values (mmse)")
     p.add_argument("--seed", type=int, help="override config seed")
 
     p = sub.add_parser("verify", help="run a bound/monotonicity verification")
     p.add_argument("--theorem", required=True, choices=["1", "2", "3", "4", "5", "cor1"])
     p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=int, help="Monte Carlo trials (default per theorem)")
-    p.add_argument("--pairs", type=int, default=100, help="Gaussian pairs (theorem 1)")
-    p.add_argument("--effective-t", type=int, default=600,
+    p.add_argument("--trials", type=_count, help="Monte Carlo trials (default per theorem)")
+    p.add_argument("--pairs", type=_count, default=100, help="Gaussian pairs (theorem 1)")
+    p.add_argument("--effective-t", type=_count, default=600,
                    help="depth budget for the curve check (theorem 4); the curve can only "
                         "be strictly decreasing when the half-depth snr(t // 2) is >= 1, "
                         "as at 200 or 400 on the default schedule; at the default 600 it "
@@ -648,18 +684,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack-eval", help="striped-task robustness ladder under PGD")
     p.add_argument("--config", required=True)
     p.add_argument("--eps", type=float, default=0.35, help="L-inf budget")
-    p.add_argument("--steps", type=int, default=30, help="PGD steps")
-    p.add_argument("--trials", type=int, default=3, help="purification rounds to average")
+    p.add_argument("--steps", type=_count, default=30, help="PGD steps")
+    p.add_argument("--trials", type=_count, default=3, help="purification rounds to average")
     p.add_argument("--out", help="accuracy table CSV")
     p.add_argument("--seed", type=int, help="override config seed")
 
     p = sub.add_parser("calibrate", help="clean/robust accuracy grid over (t, L)")
     p.add_argument("--config", required=True)
-    p.add_argument("--t-grid", required=True, help="comma list of depths")
-    p.add_argument("--L-grid", required=True, help="comma list of loop counts")
+    p.add_argument("--t-grid", type=_comma_list(_count), required=True,
+                   help="comma list of depths")
+    p.add_argument("--L-grid", type=_comma_list(_count), required=True,
+                   help="comma list of loop counts")
     p.add_argument("--eps", type=float, default=0.35)
-    p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--steps", type=_count, default=30)
+    p.add_argument("--trials", type=_count, default=3)
     p.add_argument("--out", help="grid CSV path")
     p.add_argument("--seed", type=int, help="override config seed")
 

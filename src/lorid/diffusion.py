@@ -14,7 +14,9 @@ All samplers operate elementwise on arrays of any shape; noise predictors see
 the trailing axis as the data dimension and broadcast over leading axes.
 
 Every stochastic operation takes an explicit ``numpy.random.Generator``;
-identical seeds reproduce runs bit-for-bit.
+identical seeds reproduce runs bit-for-bit.  :func:`diffuse` and
+:func:`reverse_ancestral` call only ``rng.standard_normal(shape)``, so the
+purifier can hand them a stream that makes those draws ahead of time.
 """
 
 from __future__ import annotations
@@ -319,7 +321,8 @@ class MlpDenoiser:
 
     The network input is the noisy signal concatenated with time features for
     t/T; the output is the predicted noise of the same dimension.  Parameters
-    are immutable after training; prediction is deterministic.
+    are immutable after training; prediction is deterministic.  The time
+    features of the steps t = 0..T are computed once, at construction.
     """
 
     def __init__(self, dim: int, hidden: Sequence[int], t_total: int, params: _nn.Params):
@@ -330,6 +333,7 @@ class MlpDenoiser:
         for w, b in params:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("non-finite parameters")
+        self._time_table = _time_features(np.arange(self.t_total + 1) / self.t_total)
 
     @classmethod
     def initialize(cls, dim: int, hidden: Sequence[int], t_total: int, rng: np.random.Generator):
@@ -337,7 +341,12 @@ class MlpDenoiser:
         return cls(dim, hidden, t_total, _nn.init_params(sizes, rng))
 
     def _features(self, x: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
-        return np.concatenate([x, _time_features(t_arr / self.t_total)], axis=-1)
+        steps = t_arr.astype(np.intp)
+        if np.all((steps == t_arr) & (steps >= 0) & (steps <= self.t_total)):
+            time = self._time_table[steps]
+        else:
+            time = _time_features(t_arr / self.t_total)
+        return np.concatenate([x, time], axis=-1)
 
     def _forward_batch(self, x: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
         out, _ = _nn.forward(self.params, self._features(x, t_arr))

@@ -86,6 +86,13 @@ class TestMmseGaussian:
         with pytest.raises(ValueError):
             mmse_gaussian(-0.1)
 
+    def test_nan_snr_raises_and_infinite_snr_is_the_limit(self):
+        with pytest.raises(ValueError):
+            mmse_gaussian(float("nan"))
+        with pytest.raises(ValueError):
+            mmse_gaussian(np.array([1.0, np.nan]))
+        assert mmse_gaussian(float("inf")) == 0.0
+
 
 class TestMmseBinary:
     def test_frozen_values(self):
@@ -123,6 +130,11 @@ class TestMmseBinary:
     def test_negative_snr_raises(self):
         with pytest.raises(ValueError):
             mmse_binary(np.array([0.5, -0.5]))
+
+    def test_non_finite_snr_raises(self):
+        for bad in (float("nan"), float("inf"), np.array([1.0, np.nan])):
+            with pytest.raises(ValueError):
+                mmse_binary(bad)
 
 
 class TestEffectiveSnr:

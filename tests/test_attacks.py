@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lorid import _nn
 from lorid.attacks import (
     TABLE_KEYS,
     AttackBudget,
@@ -11,7 +12,6 @@ from lorid.attacks import (
     ToyClassifier,
     classifier_grad_check,
     evaluate,
-    fgsm,
     format_accuracy_table,
     pgd,
     train_classifier,
@@ -123,28 +123,11 @@ class TestAttackBudget:
             AttackBudget(norm="linf", epsilon=0.1, step_size=0.0)
         with pytest.raises(ValueError):
             AttackBudget(norm="linf", epsilon=0.1, clip=(1.0, -1.0))
-
-
-class TestFgsm:
-    def test_zero_epsilon_is_identity(self, blob_data, blob_clf):
-        x, y = blob_data
-        out = fgsm(blob_clf, x, y, AttackBudget(norm="linf", epsilon=0.0))
-        np.testing.assert_array_equal(out, x)
-
-    def test_stays_in_linf_ball(self, blob_data, blob_clf):
-        x, y = blob_data
-        out = fgsm(blob_clf, x, y, AttackBudget(norm="linf", epsilon=0.25))
-        assert np.max(np.abs(out - x)) <= 0.25 + 1e-12
-
-    def test_degrades_accuracy(self, blob_data, blob_clf):
-        x, y = blob_data
-        out = fgsm(blob_clf, x, y, AttackBudget(norm="l2", epsilon=1.5))
-        assert blob_clf.accuracy(out, y) < blob_clf.accuracy(x, y)
-
-    def test_clip_respected(self, blob_data, blob_clf):
-        x, y = blob_data
-        out = fgsm(blob_clf, x, y, AttackBudget(norm="linf", epsilon=0.5, clip=(-2.0, 2.0)))
-        assert np.all(out >= -2.0) and np.all(out <= 2.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                AttackBudget(norm="linf", epsilon=bad)
+            with pytest.raises(ValueError):
+                AttackBudget(norm="linf", epsilon=0.1, step_size=bad)
 
 
 class TestPgd:
@@ -175,12 +158,14 @@ class TestPgd:
         np.testing.assert_array_equal(a, b)
 
     def test_no_weaker_than_fgsm(self, blob_data, blob_clf):
-        """Iterated projected steps should not lose to the single-step attack."""
+        """Iterated projected steps should not lose to the single full-budget
+        normalized-gradient step (FGSM's l2 form, built here)."""
         x, y = blob_data
         budget = AttackBudget(norm="l2", epsilon=1.5, steps=20)
-        one = AttackBudget(norm="l2", epsilon=1.5)
+        g = blob_clf.input_grad(x, y)
+        one_step = x + 1.5 * g / np.linalg.norm(g, axis=-1, keepdims=True)
         acc_pgd = blob_clf.accuracy(pgd(blob_clf, x, y, budget, np.random.default_rng(44)), y)
-        acc_fgsm = blob_clf.accuracy(fgsm(blob_clf, x, y, one), y)
+        acc_fgsm = blob_clf.accuracy(one_step, y)
         assert acc_pgd <= acc_fgsm + 0.02
 
 
@@ -215,6 +200,26 @@ class TestEvaluate:
             evaluate(clf, bundle, x, y, budget, trials=0, rng=np.random.default_rng(52))
         with pytest.raises(ValueError):
             evaluate(clf, bundle, x, y[:-5], budget, trials=1, rng=np.random.default_rng(53))
+
+    @pytest.mark.skipif(_nn._openblas_threads() is None, reason="numpy bundles no OpenBLAS")
+    def test_blas_held_to_one_thread_and_restored(self, eval_parts):
+        """Every purify inside evaluate runs with one BLAS thread, even below the
+        noise stream's size, and the count found before is back afterwards."""
+        clf, bundle, (x, y) = eval_parts
+        get, _ = _nn._openblas_threads()
+        seen = []
+
+        class Probe:
+            def predict_eps(self, x_t, t):
+                seen.append(get())
+                return bundle.denoiser.predict_eps(x_t, t)
+
+        probed = PurifierBundle(config=bundle.config, denoiser=Probe(), schedule=bundle.schedule)
+        before = get()
+        evaluate(clf, probed, x, y, AttackBudget(norm="l2", epsilon=0.5, steps=2), trials=1,
+                 rng=np.random.default_rng(54))
+        assert get() == before
+        assert seen and set(seen) == {1}
 
     def test_format_accuracy_table(self):
         table = {k: 0.5 for k in TABLE_KEYS}

@@ -81,6 +81,85 @@ class TestCurves:
         assert len(open(out).read().splitlines()) == 61
 
 
+@pytest.fixture(scope="module")
+def arg_files(tmp_path_factory):
+    """A config, a striped dataset and its labels, for commands to read."""
+    tmp = tmp_path_factory.mktemp("args")
+    cfg = write_config(tmp, T=120, t=20, L=2, eta=None, ranks=(2, 2, 8, 1))
+    data, labels = str(tmp / "data.lten"), str(tmp / "labels.lten")
+    assert main(["gen-data", "--task", "striped", "--n", "8", "--out", data,
+                 "--labels-out", labels]) == 0
+    return {"cfg": cfg, "data": data, "labels": labels}
+
+
+# Every count flag of every subcommand, with the other arguments it needs;
+# "{out}" is a path that must not be written.
+COUNT_FLAGS = [
+    (["gen-data", "--task", "gaussian", "--out", "{out}"], "--n"),
+    (["gen-data", "--task", "gaussian", "--n", "4", "--out", "{out}"], "--d"),
+    (["train-denoiser", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"], "--epochs"),
+    (["train-classifier", "--data", "{data}", "--labels", "{labels}", "--out", "{out}"],
+     "--epochs"),
+    (["curves", "--kind", "fig2", "--config", "{cfg}", "--out", "{out}"], "--l-max"),
+    (["curves", "--kind", "fig2", "--config", "{cfg}", "--out", "{out}"], "--effective-t"),
+    (["verify", "--theorem", "2", "--config", "{cfg}"], "--trials"),
+    (["verify", "--theorem", "1", "--config", "{cfg}"], "--pairs"),
+    (["verify", "--theorem", "4", "--config", "{cfg}"], "--effective-t"),
+    (["attack-eval", "--config", "{cfg}", "--out", "{out}"], "--steps"),
+    (["attack-eval", "--config", "{cfg}", "--out", "{out}"], "--trials"),
+    (["calibrate", "--config", "{cfg}", "--t-grid", "10", "--L-grid", "2", "--out", "{out}"],
+     "--steps"),
+    (["calibrate", "--config", "{cfg}", "--t-grid", "10", "--L-grid", "2", "--out", "{out}"],
+     "--trials"),
+    (["calibrate", "--config", "{cfg}", "--L-grid", "2", "--out", "{out}"], "--t-grid"),
+    (["calibrate", "--config", "{cfg}", "--t-grid", "10", "--out", "{out}"], "--L-grid"),
+]
+
+
+def _run_refused(argv, arg_files, tmp_path, capsys):
+    """Run argv; return its exit code, its stderr lines, and whether it wrote {out}."""
+    out = tmp_path / "out.file"
+    argv = [a.format(out=out, **arg_files) for a in argv]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err.splitlines(), out.exists()
+
+
+class TestHostileArguments:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("argv, flag", COUNT_FLAGS,
+                             ids=[f"{a[0]}{f}" for a, f in COUNT_FLAGS])
+    def test_count_below_one_or_not_an_integer(self, argv, flag, value, arg_files, tmp_path,
+                                               capsys):
+        """Exit 2 with one stderr line naming the flag, before any work."""
+        code, err, wrote = _run_refused(argv + [flag, value], arg_files, tmp_path, capsys)
+        assert code == 2
+        assert len(err) == 1 and f"argument {flag}: expected an integer >= 1" in err[0], err
+        assert not wrote
+
+    @pytest.mark.parametrize("argv", [
+        ["attack-eval", "--config", "{cfg}", "--out", "{out}", "--eps", "nan"],
+        ["attack-eval", "--config", "{cfg}", "--out", "{out}", "--eps", "inf"],
+        ["calibrate", "--config", "{cfg}", "--t-grid", "10", "--L-grid", "2", "--out", "{out}",
+         "--eps", "nan"],
+        ["calibrate", "--config", "{cfg}", "--t-grid", "10", "--L-grid", "2", "--out", "{out}",
+         "--eps", "inf"],
+        ["curves", "--kind", "mmse", "--config", "{cfg}", "--out", "{out}", "--snr-grid", "nan"],
+        ["curves", "--kind", "mmse", "--config", "{cfg}", "--out", "{out}",
+         "--snr-grid", "1,inf"],
+    ], ids=["attack-eval-eps-nan", "attack-eval-eps-inf", "calibrate-eps-nan",
+            "calibrate-eps-inf", "curves-snr-nan", "curves-snr-inf"])
+    def test_non_finite_value(self, argv, arg_files, tmp_path, capsys):
+        code, err, wrote = _run_refused(argv, arg_files, tmp_path, capsys)
+        assert code == 2
+        name = "snr" if argv[0] == "curves" else "epsilon"
+        assert len(err) == 1 and err[0].startswith(f"error: {name} must be"), err
+        assert not wrote
+
+
 class TestVerify:
     def test_theorem_4_honest_at_low_depth(self, tmp_path):
         cfg = write_config(tmp_path, T=1000, t=400, L=4)

@@ -19,6 +19,7 @@ from lorid.diffusion import (
     reverse_skip,
     train_mlp_denoiser,
 )
+from lorid.diffusion import _time_features
 
 # Hand-checked cumulative products of (1 - beta) for the default linear
 # schedule, computed independently with mpmath at 30 digits and rounded.
@@ -361,6 +362,31 @@ class TestMlpDenoiser:
         out = model.predict_eps(batch, 20)
         for i in range(5):
             np.testing.assert_allclose(out[i], model.predict_eps(batch[i], 20), rtol=1e-14)
+
+    @pytest.mark.parametrize("T", [8, 250, 1000])
+    def test_time_table_matches_per_call_features(self, T):
+        """The per-step table holds the bits the features computed on every
+        call had, for one step per batch and for mixed steps.  Should this ever
+        fail, the table goes: it exists only to save time."""
+        model = MlpDenoiser.initialize(2, (4,), T, np.random.default_rng(10))
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint64)
+
+        for t in range(T + 1):
+            for n in (1, 7, 200):
+                t_arr = np.full(n, float(t))
+                table = model._features(np.zeros((n, 2)), t_arr)[:, 2:]
+                np.testing.assert_array_equal(bits(table), bits(_time_features(t_arr / T)))
+        t_arr = np.random.default_rng(11).integers(0, T + 1, size=64).astype(float)
+        table = model._features(np.zeros((64, 2)), t_arr)[:, 2:]
+        np.testing.assert_array_equal(bits(table), bits(_time_features(t_arr / T)))
+
+    def test_steps_off_the_table_are_computed(self):
+        model = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(12))
+        t_arr = np.array([-1.0, 2.5, 11.0])
+        feats = model._features(np.zeros((3, 2)), t_arr)[:, 2:]
+        np.testing.assert_array_equal(feats, _time_features(t_arr / 10))
 
     def test_non_finite_params_rejected(self):
         model = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(9))

@@ -1,14 +1,26 @@
-"""The iterated diffuse/denoise purifier and the perturbation helpers."""
+"""The iterated diffuse/denoise purifier, its noise stream and the perturbation helpers."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from lorid.diffusion import GaussianOracleDenoiser, default_schedule, make_linear_schedule
+from lorid import _nn
+from lorid.diffusion import (
+    GaussianOracleDenoiser,
+    MlpDenoiser,
+    default_schedule,
+    diffuse,
+    make_linear_schedule,
+    reverse_ancestral,
+    reverse_skip,
+)
 from lorid.purify import (
+    STREAM_MIN_VALUES,
     LoridConfig,
-    add_adversarial,
+    _noise_source,
     lorid_purify,
     misaligned_noise,
     uniform_sign_noise,
@@ -163,31 +175,157 @@ class TestPurifyWithProjection:
         np.testing.assert_allclose(trace.distances[0], expected, rtol=1e-12)
 
 
+def _serial_purify(x, denoiser, sched, cfg, rng):
+    """The purifier's loops built from the public samplers, every draw made
+    from ``rng`` on this thread: the reference the noise stream must match."""
+    flat = tf_apply(x, cfg.basis).reshape(x.shape[0], -1) if cfg.basis is not None else x
+    t = cfg.per_loop_t
+    for _ in range(cfg.L):
+        noisy, _ = diffuse(flat, t, sched, rng)
+        if cfg.sampler == "ancestral":
+            flat = reverse_ancestral(noisy, t, denoiser, sched, rng)
+        else:
+            flat = reverse_skip(noisy, t, cfg.skip_k, denoiser, sched)
+    return flat.reshape(x.shape)
+
+
+class _Probe:
+    """Passes calls to a denoiser, recording the live thread count at each and
+    raising on call number ``fail_at``."""
+
+    def __init__(self, inner, fail_at=None):
+        self.inner = inner
+        self.fail_at = fail_at
+        self.threads = []
+
+    def predict_eps(self, x_t, t):
+        self.threads.append(threading.active_count())
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError("denoiser failed")
+        return self.inner.predict_eps(x_t, t)
+
+
+@pytest.fixture(scope="module")
+def mlp(setup):
+    _, _, sched, _ = setup
+    return MlpDenoiser.initialize(256, (32,), sched.T, np.random.default_rng(440))
+
+
+class TestNoiseStream:
+    @pytest.mark.parametrize("sampler", ["ancestral", "skip"])
+    @pytest.mark.parametrize("with_basis", [False, True])
+    @pytest.mark.parametrize("n_images", [8, 16])  # 2048 and 4096 values per draw
+    def test_matches_serial_reference(self, setup, mlp, sampler, with_basis, n_images):
+        images, basis, sched, _ = setup
+        x = images[:n_images] if with_basis else images[:n_images].reshape(n_images, -1)
+        # At least four draws (L=4 for skip), so the helper, two draws ahead,
+        # is still running at the first denoiser call.
+        cfg = LoridConfig(t=12, L=4, basis=basis if with_basis else None, sampler=sampler,
+                          skip_k=2)
+        probe = _Probe(mlp)
+        before = threading.active_count()
+        rng_stream, rng_serial = np.random.default_rng(441), np.random.default_rng(441)
+        out, _ = lorid_purify(x, probe, sched, cfg, rng_stream)
+        ref = _serial_purify(x, mlp, sched, cfg, rng_serial)
+        assert out.tobytes() == ref.tobytes()
+        assert rng_stream.bit_generator.state == rng_serial.bit_generator.state
+        assert rng_stream.standard_normal(4).tobytes() == rng_serial.standard_normal(4).tobytes()
+        streamed = n_images * 256 >= STREAM_MIN_VALUES
+        assert probe.threads[0] == before + streamed and min(probe.threads) == before
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_images", [8, 16])
+    def test_denoiser_error_propagates_and_thread_ends(self, setup, mlp, n_images):
+        images, _, sched, _ = setup
+        x = images[:n_images].reshape(n_images, -1)
+        before = threading.active_count()
+        probe = _Probe(mlp, fail_at=5)
+        with pytest.raises(RuntimeError, match="denoiser failed"):
+            lorid_purify(x, probe, sched, LoridConfig(t=12, L=3), np.random.default_rng(442))
+        assert len(probe.threads) == 5
+        assert threading.active_count() == before
+
+    def test_projection_error_leaves_generator_untouched(self, setup):
+        """The helper makes no draw before the sampler asks for one."""
+        _, basis, sched, oracle = setup
+        wrong_layout = np.zeros((16, 8, 32, 1))  # 4096 values, not the basis's 16x16x1
+        rng = np.random.default_rng(445)
+        state = rng.bit_generator.state
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            lorid_purify(wrong_layout, oracle, sched, LoridConfig(t=6, L=2, basis=basis), rng)
+        assert rng.bit_generator.state == state
+        assert threading.active_count() == before
+
+    def test_stream_must_be_drained_exactly(self):
+        shape = (64, 64)
+        before = threading.active_count()
+        rng = np.random.default_rng(443)
+        with pytest.raises(RuntimeError, match="untaken"):
+            with _noise_source(rng, shape, 3) as noise:
+                noise.standard_normal(shape)
+        with pytest.raises(RuntimeError, match="more draws"):
+            with _noise_source(rng, shape, 1) as noise:
+                noise.standard_normal(shape)
+                noise.standard_normal(shape)
+        with pytest.raises(ValueError, match="shape"):
+            with _noise_source(rng, shape, 1) as noise:
+                noise.standard_normal((64, 63))
+        assert threading.active_count() == before
+
+    def test_concurrent_purifies_match_serial_reference(self, setup, mlp):
+        """Four streaming purifies at once, with a short switch interval: each
+        gives its serial result, and the BLAS thread count comes back."""
+        images, _, sched, _ = setup
+        x = images[:16].reshape(16, -1)
+        cfg = LoridConfig(t=12, L=4)
+        api = _nn._openblas_threads()
+        before = api[0]() if api else None
+        seeds = range(450, 454)
+        results = {}
+
+        def work(seed):
+            results[seed] = lorid_purify(x, mlp, sched, cfg, np.random.default_rng(seed))[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for seed in seeds:
+            ref = _serial_purify(x, mlp, sched, cfg, np.random.default_rng(seed))
+            assert results[seed].tobytes() == ref.tobytes()
+        if api is not None:
+            assert api[0]() == before
+
+    @pytest.mark.skipif(_nn._openblas_threads() is None, reason="numpy bundles no OpenBLAS")
+    def test_blas_held_to_one_thread_while_streaming(self, setup, mlp):
+        images, _, sched, _ = setup
+        get, _ = _nn._openblas_threads()
+        before = get()
+        counts = {}
+        for n_images in (8, 16):
+            seen = []
+
+            class Blas:
+                def predict_eps(self, x_t, t):
+                    seen.append(get())
+                    return mlp.predict_eps(x_t, t)
+
+            lorid_purify(images[:n_images].reshape(n_images, -1), Blas(), sched,
+                         LoridConfig(t=6, L=2), np.random.default_rng(444))
+            counts[n_images] = set(seen)
+            assert get() == before
+        assert counts == {8: {before}, 16: {1}}
+
+
 class TestPerturbations:
-    def test_add_adversarial_norms(self):
-        x = np.zeros((4, 4, 1))
-        eps = np.full((4, 4, 1), 0.5)
-        out, pert = add_adversarial(x, eps)
-        np.testing.assert_array_equal(out, eps)
-        assert pert.linf == 0.5
-        np.testing.assert_allclose(pert.l2, 0.5 * 4.0, rtol=1e-15)
-        np.testing.assert_allclose(pert.rms, 0.5, rtol=1e-15)
-
-    def test_l2_budget_rescaling(self):
-        rng = np.random.default_rng(430)
-        x = rng.standard_normal(10)
-        eps = rng.standard_normal(10)
-        _, pert = add_adversarial(x, eps, budget_l2=0.25)
-        np.testing.assert_allclose(pert.l2, 0.25, rtol=1e-12)
-
-    def test_zero_eps_budget_raises(self):
-        with pytest.raises(ValueError):
-            add_adversarial(np.zeros(3), np.zeros(3), budget_l2=1.0)
-        with pytest.raises(ValueError):
-            add_adversarial(np.zeros(3), np.ones(3), budget_l2=-0.1)
-        with pytest.raises(ValueError):
-            add_adversarial(np.zeros(3), np.ones(4))
-
     def test_uniform_sign_noise(self):
         rng = np.random.default_rng(431)
         noise = uniform_sign_noise((64,), 0.1, rng)

@@ -1,4 +1,4 @@
-"""Unfold/fold round trips, mode products, and the Jacobi SVD against LAPACK."""
+"""Unfold/fold round trips, mode products, and the checked SVD wrapper."""
 
 import numpy as np
 import pytest
@@ -88,7 +88,10 @@ class TestModeProduct:
 
 
 class TestJacobiSvd:
-    """Hand-rolled one-sided Jacobi SVD checked against the LAPACK factorization."""
+    """The checked LAPACK SVD wrapper: its factors, shapes and input checks.
+
+    The class keeps the name of the hand-rolled Jacobi SVD it once tested, so
+    its test ids stay stable; ``tensorops.svd`` now wraps LAPACK."""
 
     def _check_factorization(self, a, res, atol=1e-12):
         k = min(a.shape)
