@@ -16,7 +16,6 @@ from .analysis import (
     CurvePoint,
     effective_snr,
     kl_gaussian_curve,
-    kl_gaussian_forward,
     kl_quadrature_forward,
     loop_bound_curve,
     mmse_binary,

@@ -1,9 +1,10 @@
 """Minimal dense-network plumbing shared by the trained denoiser and the toy classifier.
 
-Hand-rolled forward/backward passes for a tanh MLP with a linear head, plus the
-pack/unpack helpers used for finite-difference gradient checking, and the scope
-that holds numpy's BLAS to one thread.  Kept private: the public surfaces live
-in :mod:`lorid.diffusion` and :mod:`lorid.attacks`.
+Hand-rolled forward/backward passes for a tanh MLP with a linear head, the one
+minibatch SGD loop both networks train with, the pack/unpack helpers used for
+finite-difference gradient checking, and the scope that holds numpy's BLAS to
+one thread.  Kept private: the public surfaces live in :mod:`lorid.diffusion`
+and :mod:`lorid.attacks`.
 """
 
 from __future__ import annotations
@@ -69,26 +70,48 @@ def backward(params: Params, cache: list[np.ndarray], dout: np.ndarray) -> tuple
     return grads, delta
 
 
-def zero_velocity(params: Params) -> Params:
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+# SGD momentum of every network trained here.
+MOMENTUM = 0.9
 
 
-def sgd_momentum_step(
+def sgd_train(
     params: Params,
-    grads: Params,
-    velocity: Params,
+    n: int,
+    batch_size: int,
+    epochs: int,
     lr: float,
-    momentum: float,
-) -> tuple[Params, Params]:
-    """One SGD-with-momentum update; returns new (params, velocity)."""
-    new_params: Params = []
-    new_vel: Params = []
-    for (w, b), (dw, db), (vw, vb) in zip(params, grads, velocity):
-        vw = momentum * vw - lr * dw
-        vb = momentum * vb - lr * db
-        new_params.append((w + vw, b + vb))
-        new_vel.append((vw, vb))
-    return new_params, new_vel
+    lr_decay: float,
+    rng: np.random.Generator,
+    loss_and_grads: Callable[[np.ndarray], tuple[float, Params]],
+) -> list[float]:
+    """Minibatch SGD with momentum over ``n`` samples, updating ``params`` in place.
+
+    Each epoch draws one permutation of the samples from ``rng`` and calls
+    ``loss_and_grads(idx)`` on each batch of indices in turn; the velocity and
+    the parameters are then updated in place (v = MOMENTUM v - lr g, then
+    p += v).  The rate is multiplied by ``lr_decay`` after every epoch.
+    Returns the per-epoch mean batch losses; a non-finite loss raises
+    RuntimeError.
+    """
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    batch = max(1, min(batch_size, n))
+    epoch_losses: list[float] = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch):
+            loss, grads = loss_and_grads(order[start : start + batch])
+            if not np.isfinite(loss):
+                raise RuntimeError(f"training diverged (loss {loss})")
+            for layer, layer_grads, layer_velocity in zip(params, grads, velocity):
+                for p, g, v in zip(layer, layer_grads, layer_velocity):
+                    v *= MOMENTUM
+                    v -= lr * g
+                    p += v
+            losses.append(loss)
+        epoch_losses.append(float(np.mean(losses)))
+        lr *= lr_decay
+    return epoch_losses
 
 
 def pack(params: Params) -> np.ndarray:
@@ -112,17 +135,16 @@ def gradient_check(
     params: Params,
     analytic: Params,
     rng: np.random.Generator,
-    n_coords: int = 10,
-    h: float = 1e-5,
 ) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    Probes ``n_coords`` randomly chosen parameter coordinates; the relative
-    error for one coordinate is |g_a - g_fd| / max(|g_a|, |g_fd|, 1e-12).
+    Probes 10 randomly chosen parameter coordinates with step 1e-5; the
+    relative error for one coordinate is |g_a - g_fd| / max(|g_a|, |g_fd|, 1e-12).
     """
+    h = 1e-5
     theta = pack(params)
     grad_flat = pack(analytic)
-    idx = rng.choice(theta.size, size=min(n_coords, theta.size), replace=False)
+    idx = rng.choice(theta.size, size=min(10, theta.size), replace=False)
     worst = 0.0
     for i in idx:
         orig = theta[i]

@@ -44,7 +44,6 @@ __all__ = [
     "effective_snr",
     "CurvePoint",
     "loop_bound_curve",
-    "kl_gaussian_forward",
     "kl_gaussian_curve",
     "kl_quadrature_forward",
     "BoundSetup",
@@ -99,13 +98,13 @@ def _binary_integral(snr: np.ndarray, nodes: int) -> np.ndarray:
     return integrand @ w
 
 
-def mmse_binary(snr, *, _check_tol: float = 1e-9):
+def mmse_binary(snr):
     """MMSE for a uniform {-1, +1} input, by quadrature.  Scalar or array.
 
     Equals 1 - E_Y[tanh(snr - sqrt(snr) Y)] with Y standard normal; exactly 1
     at snr = 0 (the integrand vanishes identically), and never larger than the
     Gaussian-input value at the same snr.  Raises if halving the node count
-    moves the result by more than ``_check_tol`` (quadrature not converged).
+    moves the result by more than 1e-9 (quadrature not converged).
     The quadrature cannot evaluate snr = inf, so a non-finite or negative snr
     raises ValueError.
     """
@@ -117,7 +116,7 @@ def mmse_binary(snr, *, _check_tol: float = 1e-9):
     full = 1.0 - _binary_integral(arr, GRID_NODES)
     half = 1.0 - _binary_integral(arr, (GRID_NODES - 1) // 2 + 1)
     drift = np.max(np.abs(full - half))
-    if drift > _check_tol:
+    if drift > 1e-9:
         raise RuntimeError(f"quadrature not converged: half-resolution drift {drift:.3e}")
     out = np.clip(full, 0.0, 1.0)
     return float(out[0]) if scalar else out
@@ -232,11 +231,6 @@ def kl_gaussian_curve(p1, p2, schedule: Schedule, ts: Sequence[int]) -> np.ndarr
     _, logdet1 = np.linalg.slogdet(c1)
     _, logdet2 = np.linalg.slogdet(c2)
     return 0.5 * (trace + quad - d + logdet2 - logdet1)
-
-
-def kl_gaussian_forward(p1, p2, schedule: Schedule, t: int) -> float:
-    """Scalar case of :func:`kl_gaussian_curve` at a single depth."""
-    return float(kl_gaussian_curve(p1, p2, schedule, [int(t)])[0])
 
 
 # Rows of the push-forward kernel built at a time: 32 x 4801 doubles is 1.2 MB,

@@ -135,8 +135,6 @@ class ClassifierTrainConfig:
     lr: float = 0.05
     epochs: int = 150
     batch_size: int = 32
-    momentum: float = 0.9
-    lr_decay: float = 1.0
 
 
 def _ce_loss_and_grads(
@@ -159,7 +157,8 @@ def train_classifier(
     hyperparams: ClassifierTrainConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> ToyClassifier:
-    """Cross-entropy SGD training of the softmax MLP on flat feature vectors."""
+    """Cross-entropy training of the softmax MLP on flat feature vectors, at a
+    constant rate, by :func:`lorid._nn.sgd_train`."""
     cfg = hyperparams or ClassifierTrainConfig()
     if rng is None:
         rng = np.random.default_rng()
@@ -176,18 +175,10 @@ def train_classifier(
 
     d = x.shape[1]
     params = _nn.init_params([d, *cfg.hidden, int(classes.size)], rng)
-    velocity = _nn.zero_velocity(params)
-    lr = cfg.lr
-    n = x.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads = _ce_loss_and_grads(params, x[idx], y[idx])
-            if not math.isfinite(loss):
-                raise RuntimeError(f"classifier training diverged (loss {loss})")
-            params, velocity = _nn.sgd_momentum_step(params, grads, velocity, lr, cfg.momentum)
-        lr *= cfg.lr_decay
+    _nn.sgd_train(
+        params, x.shape[0], cfg.batch_size, cfg.epochs, cfg.lr, 1.0, rng,
+        lambda idx: _ce_loss_and_grads(params, x[idx], y[idx])
+    )
     return ToyClassifier(params=params, input_dim=d, n_classes=int(classes.size))
 
 
@@ -209,11 +200,10 @@ def _attack_steps(
     x: np.ndarray,
     y: np.ndarray,
     budget: AttackBudget,
-    n_steps: int,
 ) -> np.ndarray:
     step = budget.effective_step
     flagged = False
-    for _ in range(n_steps):
+    for _ in range(budget.steps):
         g = clf.input_grad(x, y)
         dead = np.all(g == 0.0, axis=-1)
         if np.any(dead) and not flagged:
@@ -261,7 +251,7 @@ def pgd(
         start = x0 + radius * direction
     if budget.clip is not None:
         start = np.clip(start, budget.clip[0], budget.clip[1])
-    out = _attack_steps(clf, x0, start, np.asarray(y, dtype=np.int64), budget, budget.steps)
+    out = _attack_steps(clf, x0, start, np.asarray(y, dtype=np.int64), budget)
     return out.reshape(orig_shape)
 
 

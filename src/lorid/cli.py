@@ -10,6 +10,7 @@ check failed (margins printed), 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -132,20 +133,15 @@ class ToyArtifacts:
     test_labels: np.ndarray
 
 
-def toy_task_artifacts(
-    cfg: RunConfig,
-    n_train: int = 512,
-    n_test: int = 200,
-    denoiser_epochs: int = 60,
-    classifier_epochs: int = 150,
-) -> ToyArtifacts:
-    """Generate striped data, fit the basis, train denoiser and classifier.
+def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
+    """Generate striped data (512 training and 200 test images), fit the basis,
+    train the denoiser (60 epochs) and the classifier (150 epochs).
 
     Deterministic in ``cfg.seed``; the four stages consume fixed child seeds.
     """
     schedule = build_schedule(cfg)
-    train_images, train_labels = gen_striped_images(n_train, seed=cfg.seed)
-    test_images, test_labels = gen_striped_images(n_test, seed=cfg.seed + 1)
+    train_images, train_labels = gen_striped_images(512, seed=cfg.seed)
+    test_images, test_labels = gen_striped_images(200, seed=cfg.seed + 1)
     layout = TensorizationLayout(
         height=train_images.shape[1],
         width=train_images.shape[2],
@@ -153,17 +149,17 @@ def toy_task_artifacts(
         patch=cfg.patch,
     )
     basis = fit_basis(train_images, layout, _rank_policy(cfg))
-    flat_train = train_images.reshape(n_train, -1)
+    flat_train = train_images.reshape(train_images.shape[0], -1)
     denoiser, _ = train_mlp_denoiser(
         flat_train,
         schedule,
-        MlpTrainConfig(hidden=(64, 64), epochs=denoiser_epochs),
+        MlpTrainConfig(hidden=(64, 64), epochs=60),
         np.random.default_rng(cfg.seed + 2),
     )
     clf = train_classifier(
         flat_train,
         train_labels,
-        ClassifierTrainConfig(hidden=(32,), epochs=classifier_epochs),
+        ClassifierTrainConfig(hidden=(32,), epochs=150),
         np.random.default_rng(cfg.seed + 3),
     )
     return ToyArtifacts(
@@ -287,8 +283,7 @@ def _cmd_train_denoiser(args) -> int:
     schedule = build_schedule(cfg)
     data = read_tensor(args.data)
     data = data.reshape(data.shape[0], -1)
-    hidden = tuple(int(h) for h in args.hidden.split(","))
-    train_cfg = MlpTrainConfig(hidden=hidden, epochs=args.epochs, lr=args.lr)
+    train_cfg = MlpTrainConfig(hidden=tuple(args.hidden), epochs=args.epochs, lr=args.lr)
     denoiser, report = train_mlp_denoiser(
         data, schedule, train_cfg, np.random.default_rng(cfg.seed)
     )
@@ -303,11 +298,10 @@ def _cmd_train_denoiser(args) -> int:
 def _cmd_train_classifier(args) -> int:
     data = read_tensor(args.data)
     labels = read_tensor(args.labels).astype(np.int64)
-    hidden = tuple(int(h) for h in args.hidden.split(","))
     clf = train_classifier(
         data.reshape(data.shape[0], -1),
         labels,
-        ClassifierTrainConfig(hidden=hidden, epochs=args.epochs, lr=args.lr),
+        ClassifierTrainConfig(hidden=tuple(args.hidden), epochs=args.epochs, lr=args.lr),
         np.random.default_rng(args.seed),
     )
     write_classifier(args.out, clf)
@@ -320,6 +314,10 @@ def _cmd_purify(args) -> int:
     cfg = _load_config(args.config, args.seed)
     schedule = build_schedule(cfg)
     denoiser = read_mlp(args.denoiser)
+    if denoiser.t_total != schedule.T:
+        raise ConfigError(
+            f"denoiser was trained for T={denoiser.t_total} but the config has T={schedule.T}"
+        )
     x = read_tensor(args.input)
     basis = None
     if cfg.use_tucker:
@@ -603,6 +601,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """Argument type of a learning rate: a finite float > 0."""
+    refusal = argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise refusal from None
+    if not (math.isfinite(value) and value > 0):
+        raise refusal
+    return value
+
+
 def _comma_list(item):
     """Argument type of a comma list whose entries each parse with ``item``."""
 
@@ -633,18 +643,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training tensor (n, d) or images")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output container path")
-    p.add_argument("--hidden", default="64,64")
+    p.add_argument("--hidden", type=_comma_list(_count), default=[64, 64],
+                   help="comma list of hidden-layer widths")
     p.add_argument("--epochs", type=_count, default=40)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=_positive_float, default=0.05)
     p.add_argument("--seed", type=int, help="override config seed")
 
     p = sub.add_parser("train-classifier", help="train the softmax MLP classifier")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden", default="32")
+    p.add_argument("--hidden", type=_comma_list(_count), default=[32],
+                   help="comma list of hidden-layer widths")
     p.add_argument("--epochs", type=_count, default=150)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=_positive_float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("purify", help="run the purifier on a stored tensor")

@@ -54,23 +54,26 @@ DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """Variance schedule triple (beta_t, alpha_t, abar_t) for t = 1..T."""
+    """Variance schedule for t = 1..T, built from beta_1..beta_T alone.
 
-    T: int
-    beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
+    ``T``, ``alpha`` = 1 - beta and ``alpha_bar`` (the cumulative product of
+    alpha) are derived from ``beta`` here, so they always agree with it.
+    """
 
-    def __post_init__(self) -> None:
-        if self.T < 1 or len(self.beta) != self.T:
-            raise ValueError("schedule length does not match T")
-        if not (np.all(self.beta > 0.0) and np.all(self.beta < 1.0)):
+    def __init__(self, beta) -> None:
+        beta = np.array(beta, dtype=np.float64)
+        if beta.ndim != 1 or beta.size < 1:
+            raise ValueError("beta must be a nonempty vector")
+        if not (np.all(beta > 0.0) and np.all(beta < 1.0)):
             raise ValueError("beta values must lie in (0, 1)")
+        self.beta = beta
+        self.T = beta.size
+        self.alpha = 1.0 - beta
+        self.alpha_bar = np.cumprod(self.alpha)
         if self.alpha_bar[-1] <= 0.0:
             raise ValueError("alpha_bar underflowed to zero at t = T")
-        if self.T > 1 and not np.all(np.diff(self.alpha_bar) < 0.0):
+        if not np.all(np.diff(self.alpha_bar) < 0.0):
             raise ValueError("alpha_bar must be strictly decreasing")
 
     def _check_step(self, t: int, low: int) -> int:
@@ -97,9 +100,7 @@ def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> Schedule
         raise ValueError("T must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
-    beta = np.linspace(beta_start, beta_end, T)
-    alpha = 1.0 - beta
-    return Schedule(T=T, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+    return Schedule(np.linspace(beta_start, beta_end, T))
 
 
 def default_schedule() -> Schedule:
@@ -296,10 +297,6 @@ class GaussianOracleDenoiser:
             solved = ((centered @ src.eigvecs) / denom) @ src.eigvecs.T
         return math.sqrt(1.0 - ab) * solved
 
-    def mmse_per_dim(self, t: int) -> float:
-        """Analytic per-dimension posterior MSE of the induced clean-signal estimate."""
-        return self.source.mmse_per_dim(self.schedule.alpha_bar_at(t))
-
 
 _TIME_FREQS = (1.0, 2.0, 4.0, 8.0)
 
@@ -322,7 +319,8 @@ class MlpDenoiser:
     The network input is the noisy signal concatenated with time features for
     t/T; the output is the predicted noise of the same dimension.  Parameters
     are immutable after training; prediction is deterministic.  The time
-    features of the steps t = 0..T are computed once, at construction.
+    features of the steps t = 0..T are computed once, at construction, and a
+    step off that table is refused.
     """
 
     def __init__(self, dim: int, hidden: Sequence[int], t_total: int, params: _nn.Params):
@@ -341,12 +339,9 @@ class MlpDenoiser:
         return cls(dim, hidden, t_total, _nn.init_params(sizes, rng))
 
     def _features(self, x: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
-        steps = t_arr.astype(np.intp)
-        if np.all((steps == t_arr) & (steps >= 0) & (steps <= self.t_total)):
-            time = self._time_table[steps]
-        else:
-            time = _time_features(t_arr / self.t_total)
-        return np.concatenate([x, time], axis=-1)
+        if not np.all((t_arr >= 0) & (t_arr <= self.t_total) & (np.floor(t_arr) == t_arr)):
+            raise ValueError(f"time steps must be integers in [0, {self.t_total}]")
+        return np.concatenate([x, self._time_table[t_arr.astype(np.intp)]], axis=-1)
 
     def _forward_batch(self, x: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
         out, _ = _nn.forward(self.params, self._features(x, t_arr))
@@ -368,7 +363,6 @@ class MlpTrainConfig:
     lr: float = 0.05
     epochs: int = 40
     batch_size: int = 64
-    momentum: float = 0.9
     lr_decay: float = 1.0  # multiplicative per-epoch factor
 
 
@@ -406,9 +400,10 @@ def train_mlp_denoiser(
     """Fit the noise predictor by minibatch SGD on the denoising regression loss.
 
     The loss is E || eps - eps_hat(x_t, t) ||^2 with t drawn uniformly from
-    1..T per sample and x_t formed by the forward corruption.  Backpropagation
-    is implemented by hand; the report carries a central-finite-difference
-    gradient check evaluated at initialization (before any update).
+    1..T per sample and x_t formed by the forward corruption, and the update
+    is :func:`lorid._nn.sgd_train`'s.  Backpropagation is implemented by hand;
+    the report carries a central-finite-difference gradient check evaluated at
+    initialization (before any update).
     """
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim == 1:
@@ -433,26 +428,16 @@ def train_mlp_denoiser(
     grad_err = _nn.gradient_check(chk_loss, model.params, chk_grads, rng)
 
     params = model.params
-    velocity = _nn.zero_velocity(params)
-    lr = hyperparams.lr
-    epoch_losses: list[float] = []
-    batch = max(1, min(hyperparams.batch_size, n))
-    for _ in range(hyperparams.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            x0 = data[idx]
-            t_arr = rng.integers(1, schedule.T + 1, size=len(idx)).astype(float)
-            eps = rng.standard_normal((len(idx), d))
-            loss, grads = _denoiser_loss_and_grads(model, params, x0, t_arr, eps, schedule)
-            if not math.isfinite(loss):
-                raise RuntimeError("denoiser training diverged: non-finite loss")
-            params, velocity = _nn.sgd_momentum_step(params, grads, velocity, lr, hyperparams.momentum)
-            losses.append(loss)
-        epoch_losses.append(float(np.mean(losses)))
-        lr *= hyperparams.lr_decay
 
+    def batch_loss(idx: np.ndarray) -> tuple[float, _nn.Params]:
+        t_arr = rng.integers(1, schedule.T + 1, size=len(idx)).astype(float)
+        eps = rng.standard_normal((len(idx), d))
+        return _denoiser_loss_and_grads(model, params, data[idx], t_arr, eps, schedule)
+
+    epoch_losses = _nn.sgd_train(
+        params, n, hyperparams.batch_size, hyperparams.epochs, hyperparams.lr,
+        hyperparams.lr_decay, rng, batch_loss
+    )
     trained = MlpDenoiser(d, hyperparams.hidden, schedule.T, params)
     final = epoch_losses[-1] if epoch_losses else _denoiser_loss_and_grads(
         model, params, x0_chk, t_chk, eps_chk, schedule

@@ -405,16 +405,14 @@ def gen_gaussian_dataset(d: int, n: int, seed: int) -> np.ndarray:
     return rng.standard_normal((n, d))
 
 
-def gen_two_gaussian_classes(
-    n: int, seed: int, d: int = 2, separation: float = 3.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced two-class blobs at +-separation/2 along the first axis."""
+def gen_two_gaussian_classes(n: int, seed: int, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced two-class unit-variance blobs at -1.5 and +1.5 along the first axis."""
     if n < 2:
         raise ValueError("need n >= 2 for two classes")
     rng = np.random.default_rng(seed)
     y = np.arange(n) % 2
     centers = np.zeros((n, d))
-    centers[:, 0] = np.where(y == 0, -separation / 2.0, separation / 2.0)
+    centers[:, 0] = np.where(y == 0, -1.5, 1.5)
     x = centers + rng.standard_normal((n, d))
     perm = rng.permutation(n)
     return x[perm], y[perm]

@@ -52,8 +52,7 @@ class LoridConfig:
     ``t`` is the total diffusion depth split across ``L`` loops.  A fitted
     ``basis`` switches on the frozen low-rank projection.
     ``sampler`` picks the reverse pass: step-by-step ancestral sampling or the
-    deterministic stride-``skip_k`` jump sampler.  ``clip`` optionally clamps
-    the final output to a box, e.g. ``(-1.0, 1.0)`` for centered images.
+    deterministic stride-``skip_k`` jump sampler.
     """
 
     t: int
@@ -61,7 +60,6 @@ class LoridConfig:
     basis: TuckerBasis | None = None
     sampler: str = "ancestral"
     skip_k: int = 1
-    clip: tuple[float, float] | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -75,8 +73,6 @@ class LoridConfig:
             raise ValueError(f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}")
         if self.skip_k < 1:
             raise ValueError(f"skip stride {self.skip_k} must be >= 1")
-        if self.clip is not None and not self.clip[0] < self.clip[1]:
-            raise ValueError(f"clip box {self.clip} must be increasing")
 
     @property
     def per_loop_t(self) -> int:
@@ -234,11 +230,8 @@ def lorid_purify(
             if clean_ref is not None:
                 trace.distances.append(frobenius_norm(flat - ref))
 
-    out = flat.reshape(orig_shape)
-    if config.clip is not None:
-        out = np.clip(out, config.clip[0], config.clip[1])
     trace.wall_time_s = time.perf_counter() - start
-    return out, trace
+    return flat.reshape(orig_shape), trace
 
 
 def uniform_sign_noise(
@@ -255,16 +248,16 @@ def misaligned_noise(
     basis: TuckerBasis,
     budget_l2: float,
     rng: np.random.Generator,
-    max_tries: int = 64,
 ) -> np.ndarray:
     """A perturbation entirely outside the retained low-rank subspace.
 
     Built as delta - TF(delta) for Gaussian delta, so the projection maps it to
-    zero exactly; rescaled to the requested l2 norm.
+    zero exactly; rescaled to the requested l2 norm.  Gives up after 64 draws
+    that all lie in the subspace.
     """
     if budget_l2 < 0:
         raise ValueError("l2 budget must be nonnegative")
-    for _ in range(max_tries):
+    for _ in range(64):
         delta = rng.standard_normal(shape)
         resid = delta - tf_apply(delta, basis)
         norm = frobenius_norm(resid.reshape(-1))

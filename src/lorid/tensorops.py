@@ -27,7 +27,6 @@ __all__ = [
     "mode_product",
     "svd",
     "frobenius_norm",
-    "mse",
 ]
 
 class SvdResult(NamedTuple):
@@ -108,12 +107,3 @@ def svd(m) -> SvdResult:
 def frobenius_norm(x) -> float:
     """Square root of the sum of squared entries."""
     return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel()))
-
-
-def mse(a, b) -> float:
-    """Mean of squared entrywise differences."""
-    aa = np.asarray(a, dtype=np.float64)
-    bb = np.asarray(b, dtype=np.float64)
-    if aa.shape != bb.shape:
-        raise ValueError(f"shape mismatch: {aa.shape} vs {bb.shape}")
-    return float(np.mean((aa - bb) ** 2))

@@ -12,7 +12,6 @@ from lorid.analysis import (
     BoundViolation,
     effective_snr,
     kl_gaussian_curve,
-    kl_gaussian_forward,
     kl_quadrature_forward,
     loop_bound_curve,
     mmse_binary,
@@ -227,7 +226,7 @@ class TestKlGaussian:
     def test_known_univariate_value(self):
         """KL(N(1,1) || N(0,1)) = 1/2 at t = 0."""
         sched = default_schedule()
-        kl = kl_gaussian_forward((1.0, 1.0), (0.0, 1.0), sched, 0)
+        kl = kl_gaussian_curve((1.0, 1.0), (0.0, 1.0), sched, [0])[0]
         np.testing.assert_allclose(kl, 0.5, rtol=1e-12)
 
     def test_nonnegative_and_asymmetric(self):
@@ -235,8 +234,8 @@ class TestKlGaussian:
         rng = np.random.default_rng(510)
         p1 = (rng.standard_normal(4), 1.5)
         p2 = (rng.standard_normal(4), 0.5)
-        a = kl_gaussian_forward(p1, p2, sched, 50)
-        b = kl_gaussian_forward(p2, p1, sched, 50)
+        a = kl_gaussian_curve(p1, p2, sched, [50])[0]
+        b = kl_gaussian_curve(p2, p1, sched, [50])[0]
         assert a >= 0 and b >= 0 and not math.isclose(a, b)
 
     def test_curve_non_increasing(self):
@@ -255,21 +254,21 @@ class TestKlGaussian:
     def test_dimension_mismatch_raises(self):
         sched = default_schedule()
         with pytest.raises(ValueError):
-            kl_gaussian_forward((np.zeros(2), 1.0), (np.zeros(3), 1.0), sched, 10)
+            kl_gaussian_curve((np.zeros(2), 1.0), (np.zeros(3), 1.0), sched, [10])
 
     def test_non_pd_covariance_raises(self):
         sched = default_schedule()
         with pytest.raises(ValueError):
-            kl_gaussian_forward((np.zeros(2), np.array([1.0, 0.0])), (np.zeros(2), 1.0), sched, 10)
+            kl_gaussian_curve((np.zeros(2), np.array([1.0, 0.0])), (np.zeros(2), 1.0), sched, [10])
 
     def test_asymmetric_covariance_rejected(self):
         """An asymmetric matrix is refused, not silently replaced by its symmetric part."""
         sched = default_schedule()
         asym = np.array([[1.0, 0.5], [0.1, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            kl_gaussian_forward((np.zeros(2), asym), (np.zeros(2), 1.0), sched, 10)
+            kl_gaussian_curve((np.zeros(2), asym), (np.zeros(2), 1.0), sched, [10])
         with pytest.raises(ValueError, match="symmetric"):
-            kl_gaussian_forward((np.zeros(2), 1.0), (np.zeros(2), asym), sched, 10)
+            kl_gaussian_curve((np.zeros(2), 1.0), (np.zeros(2), asym), sched, [10])
 
 
 class TestKlQuadrature:
@@ -287,7 +286,7 @@ class TestKlQuadrature:
         sched = default_schedule()
         for t in (50, 300, 700):
             quad = kl_quadrature_forward(self._gauss(0.8, 1.2), self._gauss(-0.5, 0.7), sched, t)
-            exact = kl_gaussian_forward((0.8, 1.2), (-0.5, 0.7), sched, t)
+            exact = kl_gaussian_curve((0.8, 1.2), (-0.5, 0.7), sched, [t])[0]
             np.testing.assert_allclose(quad, exact, rtol=1e-5, atol=1e-9)
 
     def test_bimodal_sequence_non_increasing(self):
@@ -303,11 +302,11 @@ class TestKlQuadrature:
         mistaken for it, even right after the linear schedule was used."""
         linear = default_schedule()
         b = np.linspace(math.sqrt(1e-4), math.sqrt(0.02), 1000) ** 2
-        quadratic = Schedule(T=1000, beta=b, alpha=1.0 - b, alpha_bar=np.cumprod(1.0 - b))
+        quadratic = Schedule(b)
         p, q = self._gauss(0.5, 1.0), self._gauss(-0.5, 1.0)
         for sched in (linear, quadratic):
             quad = kl_quadrature_forward(p, q, sched, 200)
-            exact = kl_gaussian_forward((0.5, 1.0), (-0.5, 1.0), sched, 200)
+            exact = kl_gaussian_curve((0.5, 1.0), (-0.5, 1.0), sched, [200])[0]
             np.testing.assert_allclose(quad, exact, rtol=1e-5)
 
     def test_peak_memory_stays_small(self):

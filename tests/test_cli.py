@@ -98,8 +98,11 @@ COUNT_FLAGS = [
     (["gen-data", "--task", "gaussian", "--out", "{out}"], "--n"),
     (["gen-data", "--task", "gaussian", "--n", "4", "--out", "{out}"], "--d"),
     (["train-denoiser", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"], "--epochs"),
+    (["train-denoiser", "--data", "{data}", "--config", "{cfg}", "--out", "{out}"], "--hidden"),
     (["train-classifier", "--data", "{data}", "--labels", "{labels}", "--out", "{out}"],
      "--epochs"),
+    (["train-classifier", "--data", "{data}", "--labels", "{labels}", "--out", "{out}"],
+     "--hidden"),
     (["curves", "--kind", "fig2", "--config", "{cfg}", "--out", "{out}"], "--l-max"),
     (["curves", "--kind", "fig2", "--config", "{cfg}", "--out", "{out}"], "--effective-t"),
     (["verify", "--theorem", "2", "--config", "{cfg}"], "--trials"),
@@ -113,6 +116,14 @@ COUNT_FLAGS = [
      "--trials"),
     (["calibrate", "--config", "{cfg}", "--L-grid", "2", "--out", "{out}"], "--t-grid"),
     (["calibrate", "--config", "{cfg}", "--t-grid", "10", "--out", "{out}"], "--L-grid"),
+]
+
+# The commands that take a learning rate.
+RATE_COMMANDS = [
+    ["train-denoiser", "--data", "{data}", "--config", "{cfg}", "--out", "{out}",
+     "--epochs", "2"],
+    ["train-classifier", "--data", "{data}", "--labels", "{labels}", "--out", "{out}",
+     "--epochs", "2"],
 ]
 
 
@@ -138,6 +149,15 @@ class TestHostileArguments:
         code, err, wrote = _run_refused(argv + [flag, value], arg_files, tmp_path, capsys)
         assert code == 2
         assert len(err) == 1 and f"argument {flag}: expected an integer >= 1" in err[0], err
+        assert not wrote
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("argv", RATE_COMMANDS, ids=[a[0] for a in RATE_COMMANDS])
+    def test_rate_not_finite_and_positive(self, argv, value, arg_files, tmp_path, capsys):
+        """Exit 2 with one stderr line naming --lr, before any training."""
+        code, err, wrote = _run_refused(argv + ["--lr", value], arg_files, tmp_path, capsys)
+        assert code == 2
+        assert len(err) == 1 and "argument --lr: expected a finite number > 0" in err[0], err
         assert not wrote
 
     @pytest.mark.parametrize("argv", [
@@ -272,6 +292,19 @@ class TestWorkflow:
                    "--out", str(tmp_path / "x.lten"), "--fit-basis-from", data])
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_denoiser_trained_for_another_T_is_usage_error(self, workdir, tmp_path, capsys):
+        """A T=120 denoiser under a T=1000 config exits 2 with one line and writes
+        nothing, although every step of its 100-step loops is on the denoiser's table."""
+        tmp, cfg, data, labels, deno = workdir
+        other = write_config(tmp_path, T=1000, t=400, L=4)
+        out = tmp_path / "x.lten"
+        rc = main(["purify", "--input", data, "--denoiser", deno, "--config", other,
+                   "--out", str(out), "--fit-basis-from", data])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "T=120" in err and "T=1000" in err, err
+        assert not out.exists()
 
     def test_seed_override_changes_output(self, workdir):
         tmp, cfg, data, labels, deno = workdir

@@ -87,8 +87,19 @@ class TestSchedule:
             make_linear_schedule(10, 0.0, 0.02)
         with pytest.raises(ValueError):
             make_linear_schedule(10, 0.02, 1e-4)  # start > end
-        with pytest.raises(ValueError):
-            Schedule(T=3, beta=np.array([0.1, 0.2]), alpha=np.zeros(2), alpha_bar=np.zeros(2))
+        for beta in (np.array([]), np.full((2, 2), 0.1), np.array([0.1, 1.0]),
+                     np.array([0.1, 0.0]), np.array([0.1, np.nan])):
+            with pytest.raises(ValueError):
+                Schedule(beta)
+
+    def test_derived_from_beta(self):
+        """T, alpha and alpha_bar come from beta alone, for a non-linear beta too."""
+        beta = np.linspace(0.01, 0.1, 20) ** 2
+        sched = Schedule(beta)
+        assert sched.T == 20
+        np.testing.assert_array_equal(sched.beta, beta)
+        np.testing.assert_array_equal(sched.alpha, 1.0 - beta)
+        np.testing.assert_array_equal(sched.alpha_bar, np.cumprod(1.0 - beta))
 
 
 class TestDiffuse:
@@ -144,7 +155,7 @@ class TestOneShotRecover:
         x_t = math.sqrt(ab) * x0 + math.sqrt(1 - ab) * eps
         x0_hat = one_shot_recover(x_t, t, oracle, sched)
         measured = np.mean((x0_hat - x0) ** 2)
-        np.testing.assert_allclose(measured, oracle.mmse_per_dim(t), rtol=0.03)
+        np.testing.assert_allclose(measured, oracle.source.mmse_per_dim(ab), rtol=0.03)
 
 
 class TestReverseAncestral:
@@ -249,15 +260,19 @@ class TestGaussianOracle:
         np.testing.assert_allclose(
             full.predict_eps(x, t), v @ diag.predict_eps(v.T @ x, t), rtol=1e-10, atol=1e-12
         )
-        np.testing.assert_allclose(full.mmse_per_dim(t), diag.mmse_per_dim(t), rtol=1e-12)
+        ab = sched.alpha_bar_at(t)
+        np.testing.assert_allclose(
+            full.source.mmse_per_dim(ab), diag.source.mmse_per_dim(ab), rtol=1e-12
+        )
 
     def test_mmse_formula_unit_white(self):
-        """mmse_per_dim equals 1 - abar, i.e. 1/(1 + snr), for unit-variance data."""
+        """The oracle's source MMSE equals 1 - abar, i.e. 1/(1 + snr), for
+        unit-variance data."""
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(3), 1.0, sched)
         for t in (50, 500, 1000):
             ab = sched.alpha_bar_at(t)
-            np.testing.assert_allclose(oracle.mmse_per_dim(t), 1.0 - ab, rtol=1e-13)
+            np.testing.assert_allclose(oracle.source.mmse_per_dim(ab), 1.0 - ab, rtol=1e-13)
 
     def test_nonzero_mean_centering(self):
         """At the data mean's diffused image the predicted noise is zero."""
@@ -383,10 +398,15 @@ class TestMlpDenoiser:
         np.testing.assert_array_equal(bits(table), bits(_time_features(t_arr / T)))
 
     def test_steps_off_the_table_are_computed(self):
+        """A step off the 0..T table is refused, never extrapolated: alone,
+        mixed with steps on it, and through predict_eps."""
         model = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(12))
-        t_arr = np.array([-1.0, 2.5, 11.0])
-        feats = model._features(np.zeros((3, 2)), t_arr)[:, 2:]
-        np.testing.assert_array_equal(feats, _time_features(t_arr / 10))
+        for t_arr in ([-1.0], [2.5], [11.0], [3.0, 11.0], [np.nan], [np.inf]):
+            with pytest.raises(ValueError, match=r"integers in \[0, 10\]"):
+                model._features(np.zeros((len(t_arr), 2)), np.array(t_arr))
+        with pytest.raises(ValueError):
+            model.predict_eps(np.zeros(2), 11)
+        model.predict_eps(np.zeros(2), 10)
 
     def test_non_finite_params_rejected(self):
         model = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(9))

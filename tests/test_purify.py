@@ -60,8 +60,6 @@ class TestConfig:
             LoridConfig(t=10, sampler="euler")
         with pytest.raises(ValueError):
             LoridConfig(t=10, skip_k=0)
-        with pytest.raises(ValueError):
-            LoridConfig(t=10, clip=(1.0, -1.0))
 
     def test_depth_beyond_schedule_rejected(self, sched):
         cfg = LoridConfig(t=2000)
@@ -108,12 +106,6 @@ class TestPurify:
         a, _ = lorid_purify(x, oracle, sched, cfg, np.random.default_rng(5))
         b, _ = lorid_purify(x.reshape(12), oracle_flat, sched, cfg, np.random.default_rng(5))
         np.testing.assert_allclose(a.reshape(12), b, rtol=0, atol=1e-12)
-
-    def test_clip_bounds_final_output(self, sched, white_oracle):
-        x = 5.0 * np.random.default_rng(405).standard_normal(8)
-        cfg = LoridConfig(t=400, L=1, clip=(-0.5, 0.5), seed=2)
-        out, _ = lorid_purify(x, white_oracle, sched, cfg)
-        assert np.all(out >= -0.5) and np.all(out <= 0.5)
 
     def test_skip_sampler_accepted(self, sched, white_oracle):
         x = np.random.default_rng(407).standard_normal(8)

@@ -7,7 +7,6 @@ from lorid.tensorops import (
     fold,
     frobenius_norm,
     mode_product,
-    mse,
     svd,
     unfold,
 )
@@ -87,11 +86,8 @@ class TestModeProduct:
             mode_product(x, np.zeros((2, 5)), 0)
 
 
-class TestJacobiSvd:
-    """The checked LAPACK SVD wrapper: its factors, shapes and input checks.
-
-    The class keeps the name of the hand-rolled Jacobi SVD it once tested, so
-    its test ids stay stable; ``tensorops.svd`` now wraps LAPACK."""
+class TestSvd:
+    """The checked LAPACK SVD wrapper: its factors, shapes and input checks."""
 
     def _check_factorization(self, a, res, atol=1e-12):
         k = min(a.shape)
@@ -166,13 +162,3 @@ class TestNorms:
         for shape in [(4,), (3, 5), (2, 3, 4)]:
             x = rng.standard_normal(shape)
             np.testing.assert_allclose(frobenius_norm(x), np.linalg.norm(x.ravel()), rtol=1e-15)
-
-    def test_mse_basic(self):
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([1.0, 2.0, 5.0])
-        np.testing.assert_allclose(mse(a, b), 4.0 / 3.0, rtol=1e-15)
-        assert mse(a, a) == 0.0
-
-    def test_mse_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            mse(np.zeros(3), np.zeros(4))
