@@ -39,8 +39,9 @@ x0 = rng.standard_normal((4000, 8))
 oracle = GaussianOracleDenoiser(np.zeros(8), 1.0, sched)
 for L in (1, 2, 4, 8):
     per_loop = 400 // L
-    jump_cfg = LoridConfig(t=400, L=L, sampler="skip", skip_k=per_loop, seed=30 + L)
-    jumped, _ = lorid_purify(x0, oracle, sched, jump_cfg)
-    walked, _ = lorid_purify(x0, oracle, sched, LoridConfig(t=400, L=L, seed=30 + L))
+    jump_cfg = LoridConfig(t=400, L=L, sampler="skip", skip_k=per_loop)
+    jumped, _ = lorid_purify(x0, oracle, sched, jump_cfg, np.random.default_rng(30 + L))
+    walk_cfg = LoridConfig(t=400, L=L)
+    walked, _ = lorid_purify(x0, oracle, sched, walk_cfg, np.random.default_rng(30 + L))
     print(f"  L={L}: jump-per-loop mse {np.mean((jumped - x0) ** 2):.4f} "
           f"(bound {curves[400][L - 1]:.4f}) | ancestral mse {np.mean((walked - x0) ** 2):.4f}")

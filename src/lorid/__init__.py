@@ -26,7 +26,6 @@ from .analysis import (
 from .attacks import (
     AttackBudget,
     ClassifierTrainConfig,
-    PurifierBundle,
     ToyClassifier,
     classifier_grad_check,
     evaluate,

@@ -74,6 +74,8 @@ def backward(params: Params, cache: list[np.ndarray], dout: np.ndarray) -> tuple
 MOMENTUM = 0.9
 
 
+# A diverging run ends in the loss check; its overflow warnings would only repeat it.
+@np.errstate(all="ignore")
 def sgd_train(
     params: Params,
     n: int,
@@ -91,7 +93,7 @@ def sgd_train(
     the parameters are then updated in place (v = MOMENTUM v - lr g, then
     p += v).  The rate is multiplied by ``lr_decay`` after every epoch.
     Returns the per-epoch mean batch losses; a non-finite loss raises
-    RuntimeError.
+    ValueError, as the rate or the data is then at fault.
     """
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
     batch = max(1, min(batch_size, n))
@@ -102,7 +104,7 @@ def sgd_train(
         for start in range(0, n, batch):
             loss, grads = loss_and_grads(order[start : start + batch])
             if not np.isfinite(loss):
-                raise RuntimeError(f"training diverged (loss {loss})")
+                raise ValueError(f"training diverged (loss {loss}); try a smaller rate")
             for layer, layer_grads, layer_velocity in zip(params, grads, velocity):
                 for p, g, v in zip(layer, layer_grads, layer_velocity):
                     v *= MOMENTUM

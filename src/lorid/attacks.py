@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ __all__ = [
     "train_classifier",
     "classifier_grad_check",
     "pgd",
-    "PurifierBundle",
+    "purified_accuracy",
     "evaluate",
     "format_accuracy_table",
     "TABLE_KEYS",
@@ -143,7 +144,7 @@ def _ce_loss_and_grads(
     out, cache = _nn.forward(params, x)
     p = _softmax(out)
     n = x.shape[0]
-    loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), y], 1e-300))))
+    loss = float(-np.mean(np.log(p[np.arange(n), y])))  # inf once a label's p underflows
     dlogits = p.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
@@ -164,7 +165,12 @@ def train_classifier(
         rng = np.random.default_rng()
     x = np.asarray(dataset, dtype=np.float64)
     x = x.reshape(x.shape[0], -1)
-    y = np.asarray(labels, dtype=np.int64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("training data holds non-finite values")
+    y = np.asarray(labels)
+    if not (np.all(np.isfinite(y)) and np.all(y == np.round(y))):
+        raise ValueError("labels must be finite integers")
+    y = y.astype(np.int64)
     if x.shape[0] != y.size:
         raise ValueError(f"{x.shape[0]} samples but {y.size} labels")
     classes = np.unique(y)
@@ -255,22 +261,37 @@ def pgd(
     return out.reshape(orig_shape)
 
 
-@dataclass(frozen=True, eq=False)
-class PurifierBundle:
-    """Everything needed to run the purification defense during evaluation."""
+def purified_accuracy(
+    clf: ToyClassifier,
+    denoiser: Denoiser,
+    schedule: Schedule,
+    config: LoridConfig,
+    inputs: Sequence[np.ndarray],
+    labels: np.ndarray,
+    trials: int,
+    rng: np.random.Generator,
+) -> list[float]:
+    """Accuracy of the classifier on each of ``inputs`` after purification,
+    averaged over ``trials`` rounds.
 
-    config: LoridConfig
-    denoiser: Denoiser
-    schedule: Schedule
-
-
-def _flatten_samples(x: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).reshape(-1, dim)
+    Each round purifies every input in turn, each with the next draws of
+    ``rng``, so every input of a round sees its own noise.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    accs = [[] for _ in inputs]
+    for _ in range(trials):
+        for x_in, input_accs in zip(inputs, accs):
+            purified, _ = lorid_purify(x_in, denoiser, schedule, config, rng)
+            input_accs.append(clf.accuracy(purified, labels))
+    return [float(np.mean(a)) for a in accs]
 
 
 def evaluate(
     clf: ToyClassifier,
-    purifier: PurifierBundle,
+    denoiser: Denoiser,
+    schedule: Schedule,
+    config: LoridConfig,
     dataset: np.ndarray,
     labels: np.ndarray,
     budget: AttackBudget,
@@ -285,43 +306,35 @@ def evaluate(
     ``single`` (one loop at full depth, no projection), ``loop_only`` (the
     configured loop count, no projection), and ``lorid`` (the full configured
     purifier).  Stochastic defenses are averaged over ``trials`` independent
-    purification rounds.  BLAS runs on one thread throughout (see
-    :func:`lorid._nn.one_blas_thread`).
+    purification rounds by :func:`purified_accuracy`.  BLAS runs on one thread
+    throughout (see :func:`lorid._nn.one_blas_thread`).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    cfg = purifier.config
     y = np.asarray(labels, dtype=np.int64)
     images = np.asarray(dataset, dtype=np.float64)
-    flat = _flatten_samples(images, clf.input_dim)
+    flat = images.reshape(-1, clf.input_dim)
     if flat.shape[0] != y.size:
         raise ValueError(f"{flat.shape[0]} samples but {y.size} labels")
 
-    def averaged(config: LoridConfig, x_in: np.ndarray) -> float:
-        accs = []
-        for _ in range(trials):
-            purified, _ = lorid_purify(x_in, purifier.denoiser, purifier.schedule, config, rng)
-            accs.append(clf.accuracy(_flatten_samples(purified, clf.input_dim), y))
-        return float(np.mean(accs))
+    def averaged(run_config: LoridConfig, x_in: np.ndarray) -> float:
+        (acc,) = purified_accuracy(clf, denoiser, schedule, run_config, [x_in], y, trials, rng)
+        return acc
 
     with one_blas_thread():
         table = {"standard": clf.accuracy(flat, y)}
         adv_flat = pgd(clf, flat, y, budget, rng)
         table["attacked"] = clf.accuracy(adv_flat, y)
 
-        basis = cfg.basis
+        basis = config.basis
         if basis is not None:
-            adv_images = adv_flat.reshape(images.shape)
-            tf_flat = _flatten_samples(tf_apply(adv_images, basis), clf.input_dim)
-            table["tf_only"] = clf.accuracy(tf_flat, y)
+            table["tf_only"] = clf.accuracy(tf_apply(adv_flat.reshape(images.shape), basis), y)
         else:
             table["tf_only"] = table["attacked"]
 
-        loop_cfg = replace(cfg, basis=None)
+        loop_cfg = replace(config, basis=None)
         table["single"] = averaged(replace(loop_cfg, L=1), adv_flat)
         table["loop_only"] = averaged(loop_cfg, adv_flat)
         adv_in = adv_flat if basis is None else adv_flat.reshape(images.shape)
-        table["lorid"] = averaged(cfg, adv_in)
+        table["lorid"] = averaged(config, adv_in)
     return table
 
 

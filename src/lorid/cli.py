@@ -31,11 +31,11 @@ from .analysis import (
 from .attacks import (
     AttackBudget,
     ClassifierTrainConfig,
-    PurifierBundle,
     ToyClassifier,
     evaluate,
     format_accuracy_table,
     pgd,
+    purified_accuracy,
     train_classifier,
 )
 from .diffusion import (
@@ -98,7 +98,6 @@ def lorid_config_from(cfg: RunConfig, basis: TuckerBasis | None) -> LoridConfig:
         basis=basis if cfg.use_tucker else None,
         sampler=cfg.sampler,
         skip_k=cfg.skip_k,
-        seed=cfg.seed,
     )
 
 
@@ -110,8 +109,14 @@ def _load_config(path: str, seed_override: int | None) -> RunConfig:
     return cfg
 
 
-def _rank_policy(cfg: RunConfig):
-    return cfg.eta if cfg.eta is not None else cfg.ranks
+def _fit_basis(images: np.ndarray, cfg: RunConfig) -> TuckerBasis:
+    """The basis of ``cfg`` (its patch and rank policy) fitted on (N, H, W, C) images."""
+    if images.ndim != 4:
+        raise ConfigError("--fit-basis-from needs an (N, H, W, C) tensor, "
+                          f"got shape {images.shape}")
+    _, height, width, channels = images.shape
+    layout = TensorizationLayout(height=height, width=width, channels=channels, patch=cfg.patch)
+    return fit_basis(images, layout, cfg.eta if cfg.eta is not None else cfg.ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +132,6 @@ class ToyArtifacts:
     basis: TuckerBasis
     denoiser: MlpDenoiser
     clf: ToyClassifier
-    train_images: np.ndarray
-    train_labels: np.ndarray
     test_images: np.ndarray
     test_labels: np.ndarray
 
@@ -142,13 +145,7 @@ def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
     schedule = build_schedule(cfg)
     train_images, train_labels = gen_striped_images(512, seed=cfg.seed)
     test_images, test_labels = gen_striped_images(200, seed=cfg.seed + 1)
-    layout = TensorizationLayout(
-        height=train_images.shape[1],
-        width=train_images.shape[2],
-        channels=train_images.shape[3],
-        patch=cfg.patch,
-    )
-    basis = fit_basis(train_images, layout, _rank_policy(cfg))
+    basis = _fit_basis(train_images, cfg)
     flat_train = train_images.reshape(train_images.shape[0], -1)
     denoiser, _ = train_mlp_denoiser(
         flat_train,
@@ -167,8 +164,6 @@ def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
         basis=basis,
         denoiser=denoiser,
         clf=clf,
-        train_images=train_images,
-        train_labels=train_labels,
         test_images=test_images,
         test_labels=test_labels,
     )
@@ -187,12 +182,9 @@ def run_attack_eval(
 ) -> dict[str, float]:
     """Accuracy ladder of the striped task under PGD, per the config's purifier."""
     art = artifacts or toy_task_artifacts(cfg)
-    purifier = PurifierBundle(
-        config=lorid_config_from(cfg, art.basis), denoiser=art.denoiser, schedule=art.schedule
-    )
-    rng = np.random.default_rng(cfg.seed + 4)
     return evaluate(
-        art.clf, purifier, art.test_images, art.test_labels, budget, trials, rng
+        art.clf, art.denoiser, art.schedule, lorid_config_from(cfg, art.basis),
+        art.test_images, art.test_labels, budget, trials, np.random.default_rng(cfg.seed + 4)
     )
 
 
@@ -209,12 +201,14 @@ def run_calibration(
     Returns (rows, (t, L)) where rows are (t, L, clean_acc, robust_acc) and
     the recommendation maximizes robust accuracy subject to clean accuracy
     within 3 points of the grid's best clean accuracy (ties: smaller t, then
-    smaller L).  BLAS runs on one thread throughout (see
+    smaller L).  Every grid point is checked as a config before any model is
+    trained.  BLAS runs on one thread throughout (see
     :func:`lorid._nn.one_blas_thread`).
     """
-    art = artifacts or toy_task_artifacts(cfg)
     if not t_grid or not L_grid:
         raise ConfigError("calibration grids must be nonempty")
+    grid = [replace(cfg, t=int(t), L=int(L)) for t in t_grid for L in L_grid]
+    art = artifacts or toy_task_artifacts(cfg)
     flat_test = art.test_images.reshape(art.test_images.shape[0], -1)
     rows = []
     with one_blas_thread():
@@ -222,28 +216,13 @@ def run_calibration(
             art.clf, flat_test, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)
         )
         adv_images = adv_flat.reshape(art.test_images.shape)
-        for t in t_grid:
-            for L in L_grid:
-                if t // L < 1:
-                    raise ConfigError(f"grid point t={t}, L={L} gives zero-depth loops")
-                run_cfg = replace(cfg, t=int(t), L=int(L))
-                purifier_cfg = lorid_config_from(run_cfg, art.basis)
-                rng = np.random.default_rng(cfg.seed + 6)
-                clean_accs, robust_accs = [], []
-                for _ in range(trials):
-                    clean_pure, _ = lorid_purify(
-                        art.test_images, art.denoiser, art.schedule, purifier_cfg, rng
-                    )
-                    robust_pure, _ = lorid_purify(
-                        adv_images, art.denoiser, art.schedule, purifier_cfg, rng
-                    )
-                    n = art.test_labels.size
-                    clean_accs.append(
-                        art.clf.accuracy(clean_pure.reshape(n, -1), art.test_labels))
-                    robust_accs.append(
-                        art.clf.accuracy(robust_pure.reshape(n, -1), art.test_labels))
-                rows.append(
-                    (int(t), int(L), float(np.mean(clean_accs)), float(np.mean(robust_accs))))
+        for run_cfg in grid:
+            clean, robust = purified_accuracy(
+                art.clf, art.denoiser, art.schedule, lorid_config_from(run_cfg, art.basis),
+                [art.test_images, adv_images], art.test_labels, trials,
+                np.random.default_rng(cfg.seed + 6),
+            )
+            rows.append((run_cfg.t, run_cfg.L, clean, robust))
 
     best_clean = max(r[2] for r in rows)
     eligible = [r for r in rows if r[2] >= best_clean - 0.03]
@@ -257,22 +236,20 @@ def run_calibration(
 
 
 def _cmd_gen_data(args) -> int:
+    if args.task in ("two-gaussians", "striped") and args.labels_out is None:
+        raise ConfigError(f"{args.task} task requires --labels-out")
     if args.task == "gaussian":
         data = gen_gaussian_dataset(d=args.d, n=args.n, seed=args.seed)
         write_tensor(args.out, data)
     elif args.task == "two-gaussians":
         x, y = gen_two_gaussian_classes(n=args.n, seed=args.seed, d=args.d)
         write_tensor(args.out, x)
-        if args.labels_out is None:
-            raise ConfigError("two-gaussians task requires --labels-out")
         write_tensor(args.labels_out, y.astype(float))
     elif args.task == "two-point":
         write_tensor(args.out, gen_two_point_dataset(n=args.n, seed=args.seed))
     else:  # striped
         images, y = gen_striped_images(n=args.n, seed=args.seed)
         write_tensor(args.out, images)
-        if args.labels_out is None:
-            raise ConfigError("striped task requires --labels-out")
         write_tensor(args.labels_out, y.astype(float))
     print(f"wrote {args.task} dataset (n={args.n}) to {args.out}")
     return 0
@@ -297,7 +274,7 @@ def _cmd_train_denoiser(args) -> int:
 
 def _cmd_train_classifier(args) -> int:
     data = read_tensor(args.data)
-    labels = read_tensor(args.labels).astype(np.int64)
+    labels = read_tensor(args.labels)
     clf = train_classifier(
         data.reshape(data.shape[0], -1),
         labels,
@@ -324,18 +301,7 @@ def _cmd_purify(args) -> int:
         if args.basis is not None:
             basis = read_basis(args.basis)
         elif args.fit_basis_from is not None:
-            fit_data = read_tensor(args.fit_basis_from)
-            if fit_data.ndim != 4:
-                raise ConfigError(
-                    f"--fit-basis-from needs an (N, H, W, C) tensor, got shape {fit_data.shape}"
-                )
-            layout = TensorizationLayout(
-                height=fit_data.shape[1],
-                width=fit_data.shape[2],
-                channels=fit_data.shape[3],
-                patch=cfg.patch,
-            )
-            basis = fit_basis(fit_data, layout, _rank_policy(cfg))
+            basis = _fit_basis(read_tensor(args.fit_basis_from), cfg)
             if args.save_basis is not None:
                 write_basis(args.save_basis, basis)
         else:

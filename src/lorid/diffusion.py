@@ -410,6 +410,8 @@ def train_mlp_denoiser(
         data = data[:, None]
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("dataset must be a nonempty (n, d) array")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("training data holds non-finite values")
     n, d = data.shape
 
     model = MlpDenoiser.initialize(d, hyperparams.hidden, schedule.T, rng)

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _nn
 from .attacks import ToyClassifier
-from .diffusion import N_TIME_FEATURES, MlpDenoiser
+from .diffusion import N_TIME_FEATURES, MlpDenoiser, make_linear_schedule
+from .purify import LoridConfig
 from .tucker import TensorizationLayout, TuckerBasis
 
 __all__ = [
@@ -167,15 +168,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         if (self.eta is None) == (self.ranks is None):
             raise ConfigError("exactly one of eta / ranks must be set")
-        if self.sampler not in ("ancestral", "skip"):
-            raise ConfigError(f"sampler must be ancestral or skip, got {self.sampler!r}")
-        for name in ("T", "t", "L", "skip_k", "patch"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        if self.patch < 1:
+            raise ConfigError("patch must be >= 1")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta {self.eta} outside (0, 1]")
         if self.ranks is not None and (len(self.ranks) != 4 or min(self.ranks) < 1):
             raise ConfigError(f"ranks must be four positive integers, got {self.ranks}")
+        try:  # the schedule and purifier rules live in make_linear_schedule and LoridConfig
+            schedule = make_linear_schedule(self.T, self.beta_start, self.beta_end)
+            purifier = LoridConfig(self.t, self.L, sampler=self.sampler, skip_k=self.skip_k)
+            purifier.validate(schedule)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 _REQUIRED_KEYS = (
@@ -267,8 +271,8 @@ def default_config(**overrides) -> RunConfig:
         t=100,
         L=4,
         use_tucker=True,
-        sampler="ancestral",
-        skip_k=1,
+        sampler=LoridConfig.sampler,
+        skip_k=LoridConfig.skip_k,
         patch=4,
         seed=0,
         eta=0.95,

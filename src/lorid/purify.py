@@ -60,15 +60,12 @@ class LoridConfig:
     basis: TuckerBasis | None = None
     sampler: str = "ancestral"
     skip_k: int = 1
-    seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"diffusion depth t={self.t} must be >= 1")
         if self.L < 1:
             raise ValueError(f"loop count L={self.L} must be >= 1")
         if self.t // self.L < 1:
-            raise ValueError(f"t={self.t} too small for L={self.L}: per-loop depth would be zero")
+            raise ValueError(f"t={self.t} too small for L={self.L}: per-loop depth would be < 1")
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}")
         if self.skip_k < 1:
@@ -179,7 +176,7 @@ def lorid_purify(
     denoiser: Denoiser,
     schedule: Schedule,
     config: LoridConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     clean_ref: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PurifyTrace]:
     """Purify one sample (any shape); returns the purified sample and a trace.
@@ -198,8 +195,6 @@ def lorid_purify(
     denoiser raises, the generator may have made up to two draws more.
     """
     start = time.perf_counter()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     config.validate(schedule)
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):

@@ -210,8 +210,8 @@ def test_criterion_4b_looping_beats_one_shot_empirically():
     x0 = np.random.default_rng(404).standard_normal((10_000, d))
     mses = {}
     for L in (1, 8):
-        cfg = LoridConfig(t=400, L=L, seed=440 + L)
-        purified, _ = lorid_purify(x0, oracle, sched, cfg)
+        cfg = LoridConfig(t=400, L=L)
+        purified, _ = lorid_purify(x0, oracle, sched, cfg, np.random.default_rng(440 + L))
         mses[L] = float(np.mean((purified - x0) ** 2))
     margin = mses[1] - mses[8]
     ok = margin > 0.01

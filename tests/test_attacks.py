@@ -8,7 +8,6 @@ from lorid.attacks import (
     TABLE_KEYS,
     AttackBudget,
     ClassifierTrainConfig,
-    PurifierBundle,
     ToyClassifier,
     classifier_grad_check,
     evaluate,
@@ -173,51 +172,49 @@ class TestPgd:
 def eval_parts(blob_data, blob_clf):
     sched = make_linear_schedule(60, 1e-3, 0.02)
     oracle = GaussianOracleDenoiser(np.zeros(2), 1.0, sched)
-    bundle = PurifierBundle(config=LoridConfig(t=10, L=2), denoiser=oracle, schedule=sched)
-    return blob_clf, bundle, blob_data
+    return blob_clf, (oracle, sched, LoridConfig(t=10, L=2)), blob_data
 
 
 class TestEvaluate:
     def test_table_complete_and_bounded(self, eval_parts):
-        clf, bundle, (x, y) = eval_parts
+        clf, purifier, (x, y) = eval_parts
         budget = AttackBudget(norm="l2", epsilon=1.0, steps=5)
-        table = evaluate(clf, bundle, x, y, budget, trials=2, rng=np.random.default_rng(50))
+        table = evaluate(clf, *purifier, x, y, budget, trials=2, rng=np.random.default_rng(50))
         assert set(table) == set(TABLE_KEYS)
         for v in table.values():
             assert 0.0 <= v <= 1.0
         assert table["attacked"] <= table["standard"]
 
     def test_no_basis_tf_only_degenerates_to_attacked(self, eval_parts):
-        clf, bundle, (x, y) = eval_parts
+        clf, purifier, (x, y) = eval_parts
         budget = AttackBudget(norm="l2", epsilon=0.8, steps=4)
-        table = evaluate(clf, bundle, x, y, budget, trials=1, rng=np.random.default_rng(51))
+        table = evaluate(clf, *purifier, x, y, budget, trials=1, rng=np.random.default_rng(51))
         assert table["tf_only"] == table["attacked"]
 
     def test_validation(self, eval_parts):
-        clf, bundle, (x, y) = eval_parts
+        clf, purifier, (x, y) = eval_parts
         budget = AttackBudget(norm="l2", epsilon=0.5)
         with pytest.raises(ValueError):
-            evaluate(clf, bundle, x, y, budget, trials=0, rng=np.random.default_rng(52))
+            evaluate(clf, *purifier, x, y, budget, trials=0, rng=np.random.default_rng(52))
         with pytest.raises(ValueError):
-            evaluate(clf, bundle, x, y[:-5], budget, trials=1, rng=np.random.default_rng(53))
+            evaluate(clf, *purifier, x, y[:-5], budget, trials=1, rng=np.random.default_rng(53))
 
     @pytest.mark.skipif(_nn._openblas_threads() is None, reason="numpy bundles no OpenBLAS")
     def test_blas_held_to_one_thread_and_restored(self, eval_parts):
         """Every purify inside evaluate runs with one BLAS thread, even below the
         noise stream's size, and the count found before is back afterwards."""
-        clf, bundle, (x, y) = eval_parts
+        clf, (denoiser, sched, cfg), (x, y) = eval_parts
         get, _ = _nn._openblas_threads()
         seen = []
 
         class Probe:
             def predict_eps(self, x_t, t):
                 seen.append(get())
-                return bundle.denoiser.predict_eps(x_t, t)
+                return denoiser.predict_eps(x_t, t)
 
-        probed = PurifierBundle(config=bundle.config, denoiser=Probe(), schedule=bundle.schedule)
         before = get()
-        evaluate(clf, probed, x, y, AttackBudget(norm="l2", epsilon=0.5, steps=2), trials=1,
-                 rng=np.random.default_rng(54))
+        evaluate(clf, Probe(), sched, cfg, x, y, AttackBudget(norm="l2", epsilon=0.5, steps=2),
+                 trials=1, rng=np.random.default_rng(54))
         assert get() == before
         assert seen and set(seen) == {1}
 

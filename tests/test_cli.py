@@ -5,10 +5,17 @@ import struct
 import numpy as np
 import pytest
 
+from lorid import cli
 from lorid.analysis import loop_bound_curve
 from lorid.cli import main
-from lorid.diffusion import make_linear_schedule
-from lorid.io_formats import default_config, format_config, read_tensor, write_tensor
+from lorid.diffusion import MlpDenoiser, make_linear_schedule
+from lorid.io_formats import (
+    default_config,
+    format_config,
+    read_tensor,
+    write_mlp,
+    write_tensor,
+)
 
 
 def write_config(tmp_path, **overrides):
@@ -28,9 +35,12 @@ class TestGenData:
         assert read_tensor(out).shape == (10, 3)
 
     def test_striped_requires_labels(self, tmp_path):
-        rc = main(["gen-data", "--task", "striped", "--n", "8",
-                   "--out", str(tmp_path / "x.lten")])
-        assert rc == 2
+        """Both labelled tasks refuse to run without --labels-out, before writing."""
+        for task in ("striped", "two-gaussians"):
+            out = tmp_path / f"{task}.lten"
+            rc = main(["gen-data", "--task", task, "--n", "8", "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
 
     def test_striped_with_labels(self, tmp_path):
         out, labels = str(tmp_path / "x.lten"), str(tmp_path / "y.lten")
@@ -89,7 +99,17 @@ def arg_files(tmp_path_factory):
     data, labels = str(tmp / "data.lten"), str(tmp / "labels.lten")
     assert main(["gen-data", "--task", "striped", "--n", "8", "--out", data,
                  "--labels-out", labels]) == 0
-    return {"cfg": cfg, "data": data, "labels": labels}
+    files = {"cfg": cfg, "data": data, "labels": labels}
+    images, classes = read_tensor(data), read_tensor(labels)
+    images[0, 3, 5, 0] = np.nan
+    bad = {"nan_data": images}
+    for name, value in (("nan_labels", np.nan), ("half_labels", 0.5)):
+        bad[name] = classes.copy()
+        bad[name][2] = value
+    for name, array in bad.items():
+        files[name] = str(tmp / f"{name}.lten")
+        write_tensor(files[name], array)
+    return files
 
 
 # Every count flag of every subcommand, with the other arguments it needs;
@@ -160,6 +180,36 @@ class TestHostileArguments:
         assert len(err) == 1 and "argument --lr: expected a finite number > 0" in err[0], err
         assert not wrote
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case, message", [
+        ("nan-data", "training data holds non-finite values"),
+        ("diverging-rate", "training diverged (loss inf)"),
+    ], ids=["nan-data", "diverging-rate"])
+    @pytest.mark.parametrize("argv", RATE_COMMANDS, ids=[a[0] for a in RATE_COMMANDS])
+    def test_bad_data_or_diverging_rate(self, argv, case, message, arg_files, tmp_path,
+                                        capsys):
+        """A NaN in the data is refused before training, and a legal rate that
+        diverges is a usage error: exit 2, one stderr line, no model, no warning."""
+        if case == "nan-data":
+            argv = [a.replace("{data}", "{nan_data}") for a in argv]
+        else:
+            argv = argv + ["--epochs", "3", "--lr", "1e150"]  # the last --epochs wins
+        code, err, wrote = _run_refused(argv, arg_files, tmp_path, capsys)
+        assert code == 2
+        assert len(err) == 1 and message in err[0], err
+        assert not wrote
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", ["nan_labels", "half_labels"])
+    def test_labels_not_finite_integers(self, labels, arg_files, tmp_path, capsys):
+        """A NaN label or a label of 0.5 is refused, not cast to a class."""
+        argv = ["train-classifier", "--data", "{data}", "--labels", f"{{{labels}}}",
+                "--out", "{out}", "--epochs", "2"]
+        code, err, wrote = _run_refused(argv, arg_files, tmp_path, capsys)
+        assert code == 2
+        assert len(err) == 1 and "labels must be finite integers" in err[0], err
+        assert not wrote
+
     @pytest.mark.parametrize("argv", [
         ["attack-eval", "--config", "{cfg}", "--out", "{out}", "--eps", "nan"],
         ["attack-eval", "--config", "{cfg}", "--out", "{out}", "--eps", "inf"],
@@ -177,6 +227,68 @@ class TestHostileArguments:
         assert code == 2
         name = "snr" if argv[0] == "curves" else "epsilon"
         assert len(err) == 1 and err[0].startswith(f"error: {name} must be"), err
+        assert not wrote
+
+
+# Configs that each break one rule of the schedule or the purifier, as key=value
+# overrides of a valid T=120 config, with what the one stderr line must say.
+BAD_CONFIGS = {
+    "t-past-T": ({"t": 200}, "t=200 exceeds schedule length 120"),
+    "beta-decreasing": ({"beta_start": 0.02, "beta_end": 0.001}, "beta_start <= beta_end"),
+    "sampler-euler": ({"sampler": "euler"}, "sampler must be one of"),
+    "t-below-L": ({"t": 2, "L": 4}, "per-loop depth would be < 1"),
+    "skip_k-0": ({"skip_k": 0}, "skip stride 0 must be >= 1"),
+}
+
+# Every command that reads a purifier config; "{out}" is a path that must not be written.
+CONFIG_COMMANDS = {
+    "attack-eval": ["attack-eval", "--config", "{cfg}", "--trials", "1", "--out", "{out}"],
+    "calibrate": ["calibrate", "--config", "{cfg}", "--t-grid", "10", "--L-grid", "2",
+                  "--trials", "1", "--out", "{out}"],
+    "purify": ["purify", "--input", "{input}", "--denoiser", "{denoiser}", "--config", "{cfg}",
+               "--out", "{out}"],
+    "verify": ["verify", "--theorem", "1", "--pairs", "1", "--config", "{cfg}"],
+}
+
+CONFIG_CASES = [(cmd, bad) for cmd in CONFIG_COMMANDS for bad in BAD_CONFIGS]
+
+
+@pytest.fixture(scope="module")
+def purify_files(tmp_path_factory):
+    """A valid input and a T=120 denoiser for it, so purify can fail only on its config."""
+    tmp = tmp_path_factory.mktemp("purify")
+    files = {"input": str(tmp / "x.lten"), "denoiser": str(tmp / "denoiser.lten")}
+    write_tensor(files["input"], np.zeros((4, 8)))
+    write_mlp(files["denoiser"], MlpDenoiser.initialize(8, (4,), 120, np.random.default_rng(0)))
+    return files
+
+
+class TestBadConfig:
+    @pytest.mark.parametrize("command, bad", CONFIG_CASES + [("calibrate", "grid-past-T")],
+                             ids=[f"{c}-{b}" for c, b in CONFIG_CASES] + ["calibrate-grid"])
+    def test_refused_before_any_training(self, command, bad, purify_files, tmp_path, capsys,
+                                         monkeypatch):
+        """Exit 2 with one stderr line and no output, before any model is trained."""
+
+        def trained(cfg):
+            raise AssertionError("a refused config reached training")
+
+        monkeypatch.setattr(cli, "toy_task_artifacts", trained)
+        argv = list(CONFIG_COMMANDS[command])
+        if bad == "grid-past-T":
+            overrides, message = {}, "t=200 exceeds schedule length 120"
+            argv[argv.index("--t-grid") + 1] = "10,200"
+        else:
+            overrides, message = BAD_CONFIGS[bad]
+        keyed = dict(line.split("=", 1) for line in format_config(
+            default_config(T=120, t=20, L=2, use_tucker=False)).splitlines())
+        keyed.update({key: str(value) for key, value in overrides.items()})
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in keyed.items()))
+        code, err, wrote = _run_refused(argv, {"cfg": str(cfg), **purify_files}, tmp_path,
+                                        capsys)
+        assert code == 2
+        assert len(err) == 1 and message in err[0], err
         assert not wrote
 
 

@@ -397,7 +397,7 @@ class TestMlpDenoiser:
         table = model._features(np.zeros((64, 2)), t_arr)[:, 2:]
         np.testing.assert_array_equal(bits(table), bits(_time_features(t_arr / T)))
 
-    def test_steps_off_the_table_are_computed(self):
+    def test_steps_off_the_table_are_refused(self):
         """A step off the 0..T table is refused, never extrapolated: alone,
         mixed with steps on it, and through predict_eps."""
         model = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(12))

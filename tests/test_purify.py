@@ -70,24 +70,18 @@ class TestConfig:
 class TestPurify:
     def test_seeded_run_is_reproducible(self, sched, white_oracle):
         x = np.random.default_rng(401).standard_normal(8)
-        cfg = LoridConfig(t=100, L=4, seed=17)
-        a, _ = lorid_purify(x, white_oracle, sched, cfg)
-        b, _ = lorid_purify(x, white_oracle, sched, cfg)
-        np.testing.assert_array_equal(a, b)
-
-    def test_explicit_rng_overrides_seed(self, sched, white_oracle):
-        x = np.random.default_rng(402).standard_normal(8)
-        cfg = LoridConfig(t=50, L=2, seed=3)
-        a, _ = lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(9))
-        b, _ = lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(9))
-        c, _ = lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(10))
+        cfg = LoridConfig(t=100, L=4)
+        a, _ = lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(17))
+        b, _ = lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(17))
+        c, _ = lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(18))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_trace_counts_loops_and_distances(self, sched, white_oracle):
         x = np.random.default_rng(403).standard_normal(8)
-        cfg = LoridConfig(t=60, L=3, seed=0)
-        out, trace = lorid_purify(x, white_oracle, sched, cfg, clean_ref=x)
+        cfg = LoridConfig(t=60, L=3)
+        out, trace = lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(0),
+                                  clean_ref=x)
         assert trace.loops == 3
         assert len(trace.distances) == 4  # initial + one per loop
         assert trace.wall_time_s > 0.0
@@ -109,8 +103,8 @@ class TestPurify:
 
     def test_skip_sampler_accepted(self, sched, white_oracle):
         x = np.random.default_rng(407).standard_normal(8)
-        cfg = LoridConfig(t=100, L=2, sampler="skip", skip_k=10, seed=1)
-        out, trace = lorid_purify(x, white_oracle, sched, cfg)
+        cfg = LoridConfig(t=100, L=2, sampler="skip", skip_k=10)
+        out, trace = lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(1))
         assert trace.loops == 2
         assert np.all(np.isfinite(out))
 
@@ -147,22 +141,22 @@ class TestPurifyWithProjection:
         images, basis, sched, oracle = setup
         x = images[0]
         noise = misaligned_noise(x.shape, basis, budget_l2=2.0, rng=np.random.default_rng(420))
-        cfg = LoridConfig(t=1, L=1, basis=basis, seed=0)
+        cfg = LoridConfig(t=1, L=1, basis=basis)
         out_clean, _ = lorid_purify(x, oracle, sched, cfg, np.random.default_rng(7))
         out_pert, _ = lorid_purify(x + noise, oracle, sched, cfg, np.random.default_rng(7))
         np.testing.assert_allclose(out_pert, out_clean, rtol=0, atol=1e-9)
 
     def test_image_shape_round_trip(self, setup):
         images, basis, sched, oracle = setup
-        cfg = LoridConfig(t=10, L=1, basis=basis, seed=4)
-        out, _ = lorid_purify(images[:5], oracle, sched, cfg)
+        cfg = LoridConfig(t=10, L=1, basis=basis)
+        out, _ = lorid_purify(images[:5], oracle, sched, cfg, np.random.default_rng(4))
         assert out.shape == (5, 16, 16, 1)
 
     def test_trace_distance_starts_at_projection_error(self, setup):
         images, basis, sched, oracle = setup
         x = images[0]
-        cfg = LoridConfig(t=5, L=1, basis=basis, seed=1)
-        _, trace = lorid_purify(x, oracle, sched, cfg, clean_ref=x)
+        cfg = LoridConfig(t=5, L=1, basis=basis)
+        _, trace = lorid_purify(x, oracle, sched, cfg, np.random.default_rng(1), clean_ref=x)
         expected = frobenius_norm(tf_apply(x, basis) - x)
         np.testing.assert_allclose(trace.distances[0], expected, rtol=1e-12)
 
