@@ -72,6 +72,9 @@ def backward(params: Params, cache: list[np.ndarray], dout: np.ndarray) -> tuple
 
 # SGD momentum of every network trained here.
 MOMENTUM = 0.9
+# An epoch whose mean loss exceeds the first batch's loss by this factor has
+# diverged, even while the loss is still finite.
+DIVERGENCE_FACTOR = 1e6
 
 
 # A diverging run ends in the loss check; its overflow warnings would only repeat it.
@@ -92,7 +95,8 @@ def sgd_train(
     ``loss_and_grads(idx)`` on each batch of indices in turn; the velocity and
     the parameters are then updated in place (v = MOMENTUM v - lr g, then
     p += v).  The rate is multiplied by ``lr_decay`` after every epoch.
-    Returns the per-epoch mean batch losses; a non-finite loss raises
+    Returns the per-epoch mean batch losses.  A non-finite loss, or an epoch
+    mean over :data:`DIVERGENCE_FACTOR` times the first batch's loss, raises
     ValueError, as the rate or the data is then at fault.
     """
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
@@ -111,7 +115,15 @@ def sgd_train(
                     v -= lr * g
                     p += v
             losses.append(loss)
-        epoch_losses.append(float(np.mean(losses)))
+        if not epoch_losses:
+            first = losses[0]
+        mean = float(np.mean(losses))
+        if mean > DIVERGENCE_FACTOR * first:
+            raise ValueError(
+                f"training diverged (loss {mean:.3g}, over {DIVERGENCE_FACTOR:.0e} times "
+                f"the first batch's {first:.3g}); try a smaller rate"
+            )
+        epoch_losses.append(mean)
         lr *= lr_decay
     return epoch_losses
 

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._nn import one_blas_thread
 from .diffusion import Denoiser, GaussianSource, Schedule, diffuse, one_shot_recover
 from .tensorops import frobenius_norm
 from .tucker import TuckerBasis, tf_apply
@@ -145,7 +146,7 @@ def mmse_binary_monte_carlo(snr: float, trials: int, rng: np.random.Generator) -
 
 def effective_snr(schedule: Schedule, t: int) -> float:
     """Signal-to-noise ratio of the forward process at depth t: abar/(1-abar)."""
-    abar = schedule.alpha_bar_at(int(t))
+    abar = schedule.alpha_bar_at(t)
     if t < 1:
         raise ValueError(f"depth t={t} must be >= 1 (snr diverges at t=0)")
     return abar / (1.0 - abar)
@@ -219,8 +220,7 @@ def kl_gaussian_curve(p1, p2, schedule: Schedule, ts: Sequence[int]) -> np.ndarr
         raise ValueError(f"dimension mismatch: {src1.dim} vs {src2.dim}")
     d = src1.dim
     m1, s1, m2, s2 = src1.mean, src1.cov, src2.mean, src2.cov
-    ts = np.asarray(ts, dtype=np.int64)
-    abar = np.array([schedule.alpha_bar_at(int(t)) for t in ts])
+    abar = schedule.alpha_bar_at(np.asarray(ts))
     eye = np.eye(d)
     c1 = abar[:, None, None] * s1 + (1.0 - abar)[:, None, None] * eye
     c2 = abar[:, None, None] * s2 + (1.0 - abar)[:, None, None] * eye
@@ -238,20 +238,13 @@ def kl_gaussian_curve(p1, p2, schedule: Schedule, ts: Sequence[int]) -> np.ndarr
 _BLOCK_ROWS = 32
 
 
-def _push_forward(densities: np.ndarray, w: np.ndarray, x: np.ndarray, abar: float) -> np.ndarray:
-    """Apply K[j, i] = w_i * N(y_j - sqrt(abar) x_i; 1 - abar) to each column.
-
-    The weights w_i and the normalizer 1/sqrt(2 pi (1 - abar)) are folded into
-    the densities once, so each block of rows costs one subtract, square,
-    scale and exp in a reused buffer, then a matrix product with every column.
-    """
-    var = 1.0 - abar
-    weighted = densities * (w / math.sqrt(2.0 * math.pi * var))[:, None]
-    src = math.sqrt(abar) * x
-    scale = -0.5 / var
-    out = np.empty_like(densities)
+def _push_rows(
+    out: np.ndarray, weighted: np.ndarray, x: np.ndarray, src: np.ndarray, scale: float,
+    starts: range,
+) -> None:
+    """Fill the rows of ``out`` in the blocks that begin at ``starts``, in one buffer."""
     buf = np.empty((_BLOCK_ROWS, x.size))
-    for start in range(0, x.size, _BLOCK_ROWS):
+    for start in starts:
         rows = x[start : start + _BLOCK_ROWS]
         block = buf[: rows.size]
         np.subtract(rows[:, None], src[None, :], out=block)
@@ -259,6 +252,34 @@ def _push_forward(densities: np.ndarray, w: np.ndarray, x: np.ndarray, abar: flo
         block *= scale
         np.exp(block, out=block)
         np.matmul(block, weighted, out=out[start : start + rows.size])
+
+
+def _push_forward(densities: np.ndarray, w: np.ndarray, x: np.ndarray, abar: float) -> np.ndarray:
+    """Apply K[j, i] = w_i * N(y_j - sqrt(abar) x_i; 1 - abar) to each column.
+
+    The weights w_i and the normalizer 1/sqrt(2 pi (1 - abar)) are folded into
+    the densities once, so each block of rows costs one subtract, square,
+    scale and exp in a reused buffer, then a matrix product with every column.
+    The caller fills every other block and one helper thread the rest, each in
+    its own buffer; numpy releases the interpreter lock inside those calls, so
+    the two halves run on two cores.  Every block is computed as a serial loop
+    would compute it, BLAS held to one thread, so the bits do not depend on
+    the split.  An error in the helper's half is raised here after the join.
+    """
+    # Imported here: the CLI loads this module for every command, and only this
+    # function needs an executor.
+    from concurrent.futures import ThreadPoolExecutor
+
+    var = 1.0 - abar
+    weighted = densities * (w / math.sqrt(2.0 * math.pi * var))[:, None]
+    src = math.sqrt(abar) * x
+    scale = -0.5 / var
+    out = np.empty_like(densities)
+    starts = range(0, x.size, _BLOCK_ROWS)
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(_push_rows, out, weighted, x, src, scale, starts[1::2])
+        _push_rows(out, weighted, x, src, scale, starts[::2])
+        helper.result()
     return out
 
 
@@ -292,10 +313,12 @@ def kl_quadrature_forward(
     normalized there to within 1e-6).  Both are pushed through the depth-t
     channel together by Simpson quadrature against the scaled Gaussian kernel
     K[j, i] = w_i N(y_j - sqrt(abar_t) x_i; 1 - abar_t), built 32 rows at a
-    time in one reused buffer, so the 4801 x 4801 kernel is never held and
-    nothing is cached between calls.  Then p log(p/q) is integrated on the
-    same grid.  Raises if normalization drifts above 1e-6 at any stage (grid
-    too coarse for the inputs).
+    time, alternate blocks on the caller's thread and on one helper thread,
+    each in its own reused buffer.  So the 4801 x 4801 kernel is never held,
+    nothing is cached between calls, and the result is bit-identical to a
+    one-thread run.  Then p log(p/q) is integrated on the same grid.  Raises
+    if normalization drifts above 1e-6 at any stage (grid too coarse for the
+    inputs).
     """
     if t < 0:
         raise ValueError(f"depth t={t} must be >= 0")
@@ -308,7 +331,7 @@ def kl_quadrature_forward(
             raise ValueError(f"{name} mass {mass:.8f} drifts from 1 by more than 1e-6")
     if t == 0:
         return _grid_kl(p, q, w)
-    pushed = _push_forward(np.column_stack([p, q]), w, x, schedule.alpha_bar_at(int(t)))
+    pushed = _push_forward(np.column_stack([p, q]), w, x, schedule.alpha_bar_at(t))
     p_t, q_t = pushed[:, 0], pushed[:, 1]
     for name, vals in (("pushforward of density1", p_t), ("pushforward of density2", q_t)):
         mass = float(vals @ w)
@@ -364,6 +387,12 @@ class BoundReport:
             raise ValueError(f"non-finite bound report: {vals}")
 
 
+# Values (rows x dimension) diffused, recovered and scored at a time: 65 536
+# doubles is 512 KB per temporary, so a chunk stays in cache and a run never
+# builds a whole-trial array beyond its inputs and its errors.
+_CHUNK_VALUES = 65_536
+
+
 def _recovery_errors(
     x0: np.ndarray,
     x_in: np.ndarray,
@@ -372,10 +401,23 @@ def _recovery_errors(
     schedule: Schedule,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-trial per-dimension squared error of one-shot recovery from x_in."""
-    x_t, _ = diffuse(x_in, t, schedule, rng)
-    x_hat = one_shot_recover(x_t, t, denoiser, schedule)
-    return np.mean((x_hat - x0) ** 2, axis=-1)
+    """Per-trial per-dimension squared error of one-shot recovery from x_in.
+
+    Rows are diffused, recovered and scored :data:`_CHUNK_VALUES` // d at a
+    time (at least one), in order, into one array of per-trial errors.  The
+    chunks draw their noise in turn, so the generator yields the values one
+    full-size draw would, and each error is computed as it would be on the
+    whole array.
+    """
+    n, d = x_in.shape
+    rows = max(1, _CHUNK_VALUES // d)
+    err = np.empty(n)
+    for start in range(0, n, rows):
+        chunk = slice(start, start + rows)
+        x_t, _ = diffuse(x_in[chunk], t, schedule, rng)
+        x_hat = one_shot_recover(x_t, t, denoiser, schedule)
+        err[chunk] = np.mean((x_hat - x0[chunk]) ** 2, axis=-1)
+    return err
 
 
 def verify_bounds(

@@ -76,11 +76,22 @@ class Schedule:
         if not np.all(np.diff(self.alpha_bar) < 0.0):
             raise ValueError("alpha_bar must be strictly decreasing")
 
-    def _check_step(self, t: int, low: int) -> int:
-        t = int(t)
-        if not low <= t <= self.T:
+    def _check_step(self, t: int | np.ndarray, low: int) -> int | np.ndarray:
+        """``t`` as an int, or an array of steps as an index array.  A step that
+        is fractional, NaN or infinite, or outside [low, T], raises ValueError
+        rather than being truncated."""
+        if isinstance(t, np.ndarray):
+            steps = t.astype(np.float64)
+            bad = ~((np.floor(steps) == steps) & (low <= steps) & (steps <= self.T))
+            if bad.any():
+                self._check_step(t[bad][0], low)  # raises, naming the first bad step
+            return steps.astype(np.intp)
+        step = float(t)
+        if not step.is_integer():
+            raise ValueError(f"step {t} is not an integer")
+        if not low <= step <= self.T:
             raise ValueError(f"step {t} outside [{low}, {self.T}]")
-        return t
+        return int(step)
 
     def beta_at(self, t: int) -> float:
         return float(self.beta[self._check_step(t, 1) - 1])
@@ -88,10 +99,12 @@ class Schedule:
     def alpha_at(self, t: int) -> float:
         return float(self.alpha[self._check_step(t, 1) - 1])
 
-    def alpha_bar_at(self, t: int) -> float:
-        """abar_t with the convention abar_0 = 1."""
-        t = self._check_step(t, 0)
-        return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
+    def alpha_bar_at(self, t: int | np.ndarray) -> float | np.ndarray:
+        """abar_t with the convention abar_0 = 1; an array of steps reads an array."""
+        step = self._check_step(t, 0)
+        if isinstance(step, np.ndarray):
+            return np.concatenate(([1.0], self.alpha_bar))[step]
+        return 1.0 if step == 0 else float(self.alpha_bar[step - 1])
 
 
 def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> Schedule:
@@ -153,8 +166,7 @@ def reverse_ancestral(
     the final step (s = 1) adds no noise, so t = 1 is deterministic.
     """
     x = np.asarray(x_t, dtype=np.float64)
-    schedule._check_step(t, 1)
-    for s in range(t, 0, -1):
+    for s in range(schedule._check_step(t, 1), 0, -1):
         beta = schedule.beta_at(s)
         alpha = schedule.alpha_at(s)
         ab_s = schedule.alpha_bar_at(s)
@@ -246,10 +258,15 @@ class GaussianSource:
         return (self.eigvecs * self.eigvals) @ self.eigvecs.T
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """``n`` draws as an (n, d) array, from one ``standard_normal((n, d))`` call."""
+        """``n`` draws as an (n, d) array, from one ``standard_normal((n, d))`` call.
+
+        A diagonal covariance scales and shifts the draw in place.
+        """
         z = rng.standard_normal((n, self.dim))
         if self.eigvecs is None:
-            return self.mean + np.sqrt(self.eigvals) * z
+            z *= np.sqrt(self.eigvals)
+            z += self.mean
+            return z
         return self.mean + (z * np.sqrt(self.eigvals)) @ self.eigvecs.T
 
     def mmse_per_dim(self, abar: float) -> float:

@@ -2,11 +2,14 @@
 Monte Carlo bound verification."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from lorid import _nn, analysis
 from lorid.analysis import (
     BoundSetup,
     BoundViolation,
@@ -24,9 +27,12 @@ from lorid.diffusion import (
     GaussianOracleDenoiser,
     Schedule,
     default_schedule,
+    diffuse,
     make_linear_schedule,
+    one_shot_recover,
 )
 from lorid.purify import misaligned_noise
+from lorid.tensorops import frobenius_norm
 from lorid.tucker import TensorizationLayout, fit_basis
 
 # Quadrature results frozen after checking against the antithetic Monte Carlo
@@ -270,6 +276,21 @@ class TestKlGaussian:
         with pytest.raises(ValueError, match="symmetric"):
             kl_gaussian_curve((np.zeros(2), 1.0), (np.zeros(2), asym), sched, [10])
 
+    def test_steps_off_the_schedule_refused(self):
+        """A fractional, non-finite or out-of-range depth is refused, not truncated."""
+        sched = default_schedule()
+        p1, p2 = (np.zeros(2), 1.5), (np.ones(2), 0.5)
+        for t, message in ((2.5, "step 2.5 is not an integer"),
+                           (2.999, "step 2.999 is not an integer"),
+                           (math.nan, "step nan is not an integer"),
+                           (math.inf, "step inf is not an integer"),
+                           (-1, r"step -1 outside \[0, 1000\]"),
+                           (1001, r"step 1001 outside \[0, 1000\]")):
+            with pytest.raises(ValueError, match=message):
+                kl_gaussian_curve(p1, p2, sched, [0, t])
+        np.testing.assert_array_equal(kl_gaussian_curve(p1, p2, sched, [0.0, 2.0]),
+                                      kl_gaussian_curve(p1, p2, sched, [0, 2]))
+
 
 class TestKlQuadrature:
     @staticmethod
@@ -321,6 +342,64 @@ class TestKlQuadrature:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @staticmethod
+    def _blas_threads():
+        api = _nn._openblas_threads()
+        return None if api is None else api[0]()
+
+    def test_push_forward_matches_serial_loop(self):
+        """The two-thread push-forward equals a one-thread loop over the same
+        32-row blocks bit for bit, and leaves no thread and no BLAS setting behind."""
+        sched = default_schedule()
+        x, w = quadrature_grid()
+        dens = np.column_stack([self._gauss(0.8, 1.2)(x), self._gauss(-2.0, 0.3)(x)])
+        threads, blas = threading.active_count(), self._blas_threads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in (1, 50, 100, 500, 1000):
+                abar = sched.alpha_bar_at(t)
+                var = 1.0 - abar
+                weighted = dens * (w / math.sqrt(2.0 * math.pi * var))[:, None]
+                serial = np.empty_like(dens)
+                for start in range(0, x.size, 32):
+                    rows = x[start : start + 32]
+                    block = np.square(rows[:, None] - math.sqrt(abar) * x[None, :])
+                    block *= -0.5 / var
+                    serial[start : start + rows.size] = np.exp(block) @ weighted
+                pushed = analysis._push_forward(dens, w, x, abar)
+                assert pushed.tobytes() == serial.tobytes(), t
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert self._blas_threads() == blas
+
+    def test_error_in_helper_half_propagates(self, monkeypatch):
+        x, w = quadrature_grid()
+        dens = np.column_stack([self._gauss(0.0, 1.0)(x)] * 2)
+        push_rows = analysis._push_rows
+
+        def failing(out, weighted, x, src, scale, starts):
+            if starts[0] != 0:  # the caller fills the blocks from row 0
+                raise RuntimeError("helper failed")
+            push_rows(out, weighted, x, src, scale, starts)
+
+        monkeypatch.setattr(analysis, "_push_rows", failing)
+        threads, blas = threading.active_count(), self._blas_threads()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            analysis._push_forward(dens, w, x, 0.5)
+        assert threading.active_count() == threads
+        assert self._blas_threads() == blas
+
+    def test_fractional_depth_refused(self):
+        sched = default_schedule()
+        p, q = self._gauss(0.5, 1.0), self._gauss(-0.5, 1.0)
+        for t in (2.5, math.nan):
+            with pytest.raises(ValueError, match="not an integer"):
+                kl_quadrature_forward(p, q, sched, t)
+            with pytest.raises(ValueError, match="not an integer"):
+                effective_snr(sched, t)
 
     def test_unnormalized_density_rejected(self):
         sched = default_schedule()
@@ -405,6 +484,57 @@ class TestVerifyBounds:
         ab = sched.alpha_bar_at(200)
         mmse = float(np.mean(lam * (1 - ab) / (ab * lam + 1 - ab)))
         np.testing.assert_allclose(report.lower, mmse, rtol=1e-12)
+
+    def test_peak_memory_stays_small(self):
+        """100 000 trials in 8-d are recovered in chunks: beyond the draws
+        (6.4 MB) and the errors, no whole-trial array is built."""
+        sched = default_schedule()
+        oracle = GaussianOracleDenoiser(np.zeros(8), 1.0, sched)
+        setup = BoundSetup(mean=np.zeros(8), cov=np.ones(8), denoiser=oracle, schedule=sched)
+        tracemalloc.start()
+        try:
+            verify_bounds(setup, t=200, trials=100_000, rng=np.random.default_rng(529))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["clean", "eps_a"])
+    def test_chunked_run_matches_full_array_reference(self, perturbed):
+        """At a trial count that is not a multiple of the chunk, the report equals
+        one computed with whole-array draws, diffuse and one_shot_recover."""
+        d, t = 8, 300
+        sched = default_schedule()
+        mean = np.linspace(-1.0, 1.0, d)
+        cov = np.linspace(0.5, 2.0, d)
+        eps = 0.3 * np.cos(np.arange(d)) if perturbed else None
+        oracle = GaussianOracleDenoiser(mean, cov, sched)
+        setup = BoundSetup(mean=mean, cov=cov, denoiser=oracle, schedule=sched, eps_a=eps)
+        trials = 2 * (analysis._CHUNK_VALUES // d) + 123
+        report = verify_bounds(setup, t, trials, np.random.default_rng(530))
+
+        rng = np.random.default_rng(530)
+
+        def errors(x_in, x0):
+            x_t, _ = diffuse(x_in, t, sched, rng)
+            return np.mean((one_shot_recover(x_t, t, oracle, sched) - x0) ** 2, axis=-1)
+
+        x0 = mean + np.sqrt(cov) * rng.standard_normal((trials, d))
+        err = errors(x0, x0)
+        clean_mean, se = float(np.mean(err)), float(np.std(err) / math.sqrt(trials))
+        ab = sched.alpha_bar_at(t)
+        mmse = float(np.mean(cov * (1 - ab) / (ab * cov + 1 - ab)))
+        delta, empirical, gap = max(0.0, clean_mean - mmse), clean_mean, 0.0
+        if perturbed:
+            x0 = mean + np.sqrt(cov) * rng.standard_normal((trials, d))
+            err = errors(x0 + eps, x0)
+            empirical = float(np.mean(err))
+            se = math.hypot(float(np.std(err) / math.sqrt(trials)), se)
+            gap = frobenius_norm(eps) / math.sqrt(d)
+        assert report.empirical.hex() == empirical.hex()
+        assert report.delta_ddpm_est.hex() == delta.hex()
+        assert report.tolerance.hex() == (4.0 * se).hex()
+        assert report.upper == pytest.approx(mmse + delta + gap, rel=1e-12)
 
     def test_report_validation(self):
         sched = default_schedule()

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, file outputs, reproducibility."""
 
+import re
 import struct
 
 import numpy as np
@@ -147,6 +148,13 @@ RATE_COMMANDS = [
 ]
 
 
+# The two ways a training run diverges: a non-finite loss, or an epoch mean
+# loss over _nn.DIVERGENCE_FACTOR times the first batch's.
+LOSS_INF = re.escape("training diverged (loss inf); try a smaller rate")
+LOSS_FACTOR = (r"training diverged \(loss \S+, over 1e\+06 times the first batch's \S+\); "
+               r"try a smaller rate")
+
+
 def _run_refused(argv, arg_files, tmp_path, capsys):
     """Run argv; return its exit code, its stderr lines, and whether it wrote {out}."""
     out = tmp_path / "out.file"
@@ -181,22 +189,33 @@ class TestHostileArguments:
         assert not wrote
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("case, message", [
-        ("nan-data", "training data holds non-finite values"),
-        ("diverging-rate", "training diverged (loss inf)"),
-    ], ids=["nan-data", "diverging-rate"])
+    # Each row's extra arguments and the message each command must print: the
+    # denoiser's loss passes the factor before it overflows, the classifier's
+    # reaches inf first.
+    @pytest.mark.parametrize("case, extra, messages", [
+        ("nan-data", [], {"train-denoiser": re.escape("training data holds non-finite values"),
+                          "train-classifier": re.escape("training data holds non-finite values")}),
+        ("diverging-rate", ["--epochs", "3", "--lr", "1e150"],
+         {"train-denoiser": LOSS_FACTOR, "train-classifier": LOSS_INF}),
+        ("huge-finite-loss", ["--epochs", "2", "--lr", "1e150"],
+         {"train-denoiser": LOSS_FACTOR, "train-classifier": LOSS_INF}),
+        ("growing-loss", ["--epochs", "3", "--lr", "1e6"],
+         {"train-denoiser": LOSS_FACTOR, "train-classifier": LOSS_INF}),
+    ], ids=["nan-data", "diverging-rate", "huge-finite-loss", "growing-loss"])
     @pytest.mark.parametrize("argv", RATE_COMMANDS, ids=[a[0] for a in RATE_COMMANDS])
-    def test_bad_data_or_diverging_rate(self, argv, case, message, arg_files, tmp_path,
+    def test_bad_data_or_diverging_rate(self, argv, case, extra, messages, arg_files, tmp_path,
                                         capsys):
         """A NaN in the data is refused before training, and a legal rate that
-        diverges is a usage error: exit 2, one stderr line, no model, no warning."""
+        diverges, to a non-finite loss or to an epoch loss a million times the
+        first batch's, is a usage error: exit 2, one stderr line, no model, no
+        warning."""
+        message = messages[argv[0]]
         if case == "nan-data":
             argv = [a.replace("{data}", "{nan_data}") for a in argv]
-        else:
-            argv = argv + ["--epochs", "3", "--lr", "1e150"]  # the last --epochs wins
+        argv = argv + extra  # the last --epochs wins
         code, err, wrote = _run_refused(argv, arg_files, tmp_path, capsys)
         assert code == 2
-        assert len(err) == 1 and message in err[0], err
+        assert len(err) == 1 and re.search(message, err[0]), err
         assert not wrote
 
     @pytest.mark.filterwarnings("error")

@@ -80,6 +80,32 @@ class TestSchedule:
         with pytest.raises(ValueError):
             sched.alpha_bar_at(-1)
 
+    def test_fractional_steps_refused(self):
+        """A step that is not an integer is refused, not truncated to the one below;
+        integral floats and numpy integers are steps."""
+        sched = make_linear_schedule(10, 1e-4, 0.02)
+        for t in (2.5, 2.999, math.nan, math.inf, -math.inf):
+            for lookup in (sched.alpha_bar_at, sched.alpha_at, sched.beta_at):
+                with pytest.raises(ValueError):
+                    lookup(t)
+        for t in (2.0, np.int64(2), np.float64(2.0)):
+            assert sched.alpha_bar_at(t) == sched.alpha_bar_at(2)
+            assert sched.beta_at(t) == sched.beta_at(2)
+
+    def test_array_of_steps_read_at_once(self):
+        """An array of steps reads every abar_t in one go, under the scalar rule."""
+        sched = make_linear_schedule(10, 1e-4, 0.02)
+        steps = np.array([0, 2, 10, 2])
+        expected = [sched.alpha_bar_at(int(t)) for t in steps]
+        assert sched.alpha_bar_at(steps).tolist() == expected
+        assert sched.alpha_bar_at(steps.astype(np.float64)).tolist() == expected
+        for bad, message in ((2.5, "step 2.5 is not an integer"),
+                             (math.nan, "step nan is not an integer"),
+                             (math.inf, "step inf is not an integer"),
+                             (11.0, r"step 11.0 outside \[0, 10\]")):
+            with pytest.raises(ValueError, match=message):
+                sched.alpha_bar_at(np.array([1.0, bad, 12.0]))
+
     def test_bad_construction(self):
         with pytest.raises(ValueError):
             make_linear_schedule(0, 1e-4, 0.02)
