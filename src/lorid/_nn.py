@@ -2,23 +2,28 @@
 
 Hand-rolled forward/backward passes for a tanh MLP with a linear head, the one
 minibatch SGD loop both networks train with, the pack/unpack helpers used for
-finite-difference gradient checking, and the scope that holds numpy's BLAS to
-one thread.  Kept private: the public surfaces live in :mod:`lorid.diffusion`
-and :mod:`lorid.attacks`.
+finite-difference gradient checking, the scope that holds numpy's BLAS to
+one thread, and the fork that trains two networks in two processes.  Kept
+private: the public surfaces live in :mod:`lorid.diffusion` and
+:mod:`lorid.attacks`.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
+import pickle
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 Params = list[tuple[np.ndarray, np.ndarray]]  # [(W, b), ...] with W: (fan_in, fan_out)
+A = TypeVar("A")
+B = TypeVar("B")
 
 
 def init_params(sizes: Sequence[int], rng: np.random.Generator) -> Params:
@@ -240,3 +245,63 @@ def one_blas_thread() -> Iterator[None]:
             hold.open -= 1
             if hold.open == 0:
                 put(hold.found)
+
+
+def in_two_processes(here: Callable[[], A], there: Callable[[], B]) -> tuple[A, B]:
+    """``(here(), there())``, with ``there`` run in a forked child process.
+
+    The child sends its result, or the exception it raised, back pickled
+    through a pipe and leaves through ``os._exit`` on every path, so it never
+    returns into the caller's stack.  The parent runs ``here`` meanwhile, reads
+    the pipe to its end and only then reaps the child.  An error of ``here``
+    wins: the child is killed and reaped, and the error raised.  Otherwise the
+    child's exception is raised here with its type and message, and a child
+    that died without a result raises RuntimeError naming its exit status.
+    Both calls must depend only on what they were given, never on each other,
+    and ``there`` on no lock another thread holds, as the child copies only
+    the calling thread.  Where ``os.fork`` is missing the two run one after
+    the other in this process.
+    """
+    if not hasattr(os, "fork"):
+        return here(), there()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, there())
+            except BaseException as exc:  # raised again in the parent
+                outcome = (False, exc)
+            try:
+                data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = pickle.dumps((False, RuntimeError(
+                    f"the child process could not send its result: {exc!r}")))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            result = here()
+            data = pipe.read()
+    except BaseException:
+        import signal  # only an error here needs it
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(
+            f"the child process exited with status {os.waitstatus_to_exitcode(status)} "
+            "without a result"
+        )
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return result, value

@@ -236,21 +236,40 @@ def kl_gaussian_curve(p1, p2, schedule: Schedule, ts: Sequence[int]) -> np.ndarr
 # Rows of the push-forward kernel built at a time: 32 x 4801 doubles is 1.2 MB,
 # small enough to stay in cache while the block is exponentiated and applied.
 _BLOCK_ROWS = 32
+# exp of an argument below about -745.13 is exactly 0.0, and numpy's exp is
+# slowest where its result underflows, so arguments below this are not taken.
+_EXP_FLOOR = -750.0
 
 
 def _push_rows(
     out: np.ndarray, weighted: np.ndarray, x: np.ndarray, src: np.ndarray, scale: float,
     starts: range,
 ) -> None:
-    """Fill the rows of ``out`` in the blocks that begin at ``starts``, in one buffer."""
+    """Fill the rows of ``out`` in the blocks that begin at ``starts``, in one buffer.
+
+    ``x`` and ``src`` increase, so the kernel entries of a block that can be
+    nonzero lie in one band of columns, those within ``reach`` of its rows;
+    the rest are set to 0.0, the value their exp would give.
+    """
     buf = np.empty((_BLOCK_ROWS, x.size))
-    for start in starts:
+    reach = math.sqrt(_EXP_FLOOR / scale)
+    # Every block's band up front: Python work between the numpy calls of the
+    # loop holds the interpreter lock that the other half of the rows waits on.
+    first = np.asarray(starts, dtype=np.intp)
+    last = np.minimum(first + _BLOCK_ROWS, x.size) - 1
+    los = np.searchsorted(src, x[first] - reach).tolist()
+    his = np.searchsorted(src, x[last] + reach, side="right").tolist()
+    for start, lo, hi in zip(starts, los, his):
         rows = x[start : start + _BLOCK_ROWS]
         block = buf[: rows.size]
-        np.subtract(rows[:, None], src[None, :], out=block)
-        np.square(block, out=block)
-        block *= scale
-        np.exp(block, out=block)
+        if lo > 0 or hi < x.size:
+            block[:, :lo] = 0.0
+            block[:, hi:] = 0.0
+        band = block[:, lo:hi]
+        np.subtract(rows[:, None], src[None, lo:hi], out=band)
+        np.square(band, out=band)
+        band *= scale
+        np.exp(band, out=band)
         np.matmul(block, weighted, out=out[start : start + rows.size])
 
 
@@ -259,7 +278,8 @@ def _push_forward(densities: np.ndarray, w: np.ndarray, x: np.ndarray, abar: flo
 
     The weights w_i and the normalizer 1/sqrt(2 pi (1 - abar)) are folded into
     the densities once, so each block of rows costs one subtract, square,
-    scale and exp in a reused buffer, then a matrix product with every column.
+    scale and exp over the band of columns whose entries can be nonzero, in a
+    reused buffer, then a matrix product with every column.
     The caller fills every other block and one helper thread the rest, each in
     its own buffer; numpy releases the interpreter lock inside those calls, so
     the two halves run on two cores.  Every block is computed as a serial loop

@@ -64,7 +64,7 @@ from .io_formats import (
     write_mlp,
     write_tensor,
 )
-from ._nn import one_blas_thread
+from ._nn import in_two_processes, one_blas_thread
 from .purify import LoridConfig, lorid_purify
 from .tucker import TensorizationLayout, TuckerBasis, fit_basis
 
@@ -141,28 +141,39 @@ def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
     train the denoiser (60 epochs) and the classifier (150 epochs).
 
     Deterministic in ``cfg.seed``; the four stages consume fixed child seeds.
+    The two trainings share only the training set, so the classifier trains in
+    a forked child process while the denoiser trains here, each with BLAS held
+    to one thread (see :func:`lorid._nn.in_two_processes`); the results are
+    those of one training after the other.
     """
     schedule = build_schedule(cfg)
     train_images, train_labels = gen_striped_images(512, seed=cfg.seed)
     test_images, test_labels = gen_striped_images(200, seed=cfg.seed + 1)
     basis = _fit_basis(train_images, cfg)
     flat_train = train_images.reshape(train_images.shape[0], -1)
-    denoiser, _ = train_mlp_denoiser(
-        flat_train,
-        schedule,
-        MlpTrainConfig(hidden=(64, 64), epochs=60),
-        np.random.default_rng(cfg.seed + 2),
-    )
-    clf = train_classifier(
-        flat_train,
-        train_labels,
-        ClassifierTrainConfig(hidden=(32,), epochs=150),
-        np.random.default_rng(cfg.seed + 3),
-    )
+
+    def denoiser() -> MlpDenoiser:
+        return train_mlp_denoiser(
+            flat_train,
+            schedule,
+            MlpTrainConfig(hidden=(64, 64), epochs=60),
+            np.random.default_rng(cfg.seed + 2),
+        )[0]
+
+    def classifier() -> ToyClassifier:
+        return train_classifier(
+            flat_train,
+            train_labels,
+            ClassifierTrainConfig(hidden=(32,), epochs=150),
+            np.random.default_rng(cfg.seed + 3),
+        )
+
+    with one_blas_thread():
+        trained_denoiser, clf = in_two_processes(denoiser, classifier)
     return ToyArtifacts(
         schedule=schedule,
         basis=basis,
-        denoiser=denoiser,
+        denoiser=trained_denoiser,
         clf=clf,
         test_images=test_images,
         test_labels=test_labels,

@@ -302,7 +302,18 @@ def read_basis(path: str) -> TuckerBasis:
             raise TensorFormatError(f"bad basis meta block shape {meta.shape}")
         layout = TensorizationLayout(*(int(v) for v in meta))
         factors = tuple(_read_block(fh) for _ in range(4))
+        for mode, (u, dim) in enumerate(zip(factors, layout.tensor_shape)):
+            if u.ndim != 2 or u.shape[0] != dim or not 1 <= u.shape[1] <= dim:
+                raise TensorFormatError(
+                    f"basis factor {mode} has shape {u.shape}, expected {dim} rows "
+                    f"and 1 to {dim} columns"
+                )
         energy = _read_block(fh)
+        if energy.shape != (4,) or not np.all(np.isfinite(energy) & (energy >= 0.0)):
+            raise TensorFormatError(
+                "basis discarded energies must be 4 finite nonnegative values, "
+                f"got a block of shape {energy.shape}"
+            )
         if fh.read(1):
             raise TensorFormatError("trailing bytes after basis container")
     return TuckerBasis(

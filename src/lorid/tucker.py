@@ -79,9 +79,13 @@ class TuckerBasis:
         for u, r, dim in zip(self.factors, self.ranks, self.layout.tensor_shape):
             if u.shape != (dim, r):
                 raise ValueError(f"factor shape {u.shape} inconsistent with (I_n, r_n) = ({dim}, {r})")
+            # Entries of a column-orthonormal factor lie in [-1, 1]; checked
+            # before u.T @ u, which a huge entry would overflow.  NaN fails too.
+            if not np.all(np.abs(u) <= 1.0 + 1e-10):
+                raise ValueError("factor entries must be finite and at most 1 in magnitude")
             if not np.allclose(u.T @ u, np.eye(r), atol=1e-10):
                 raise ValueError("factor columns are not orthonormal")
-        if any(e < 0.0 for e in self.discarded_energy):
+        if not all(e >= 0.0 for e in self.discarded_energy):  # NaN fails too
             raise ValueError("discarded energies must be nonnegative")
 
     @property

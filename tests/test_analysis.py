@@ -358,7 +358,7 @@ class TestKlQuadrature:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for t in (1, 50, 100, 500, 1000):
+            for t in (1, 10, 50, 100, 150, 500, 1000):
                 abar = sched.alpha_bar_at(t)
                 var = 1.0 - abar
                 weighted = dens * (w / math.sqrt(2.0 * math.pi * var))[:, None]

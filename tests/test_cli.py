@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: exit codes, file outputs, reproducibility."""
 
+import os
 import re
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from lorid import cli
+from lorid import _nn, cli
 from lorid.analysis import loop_bound_curve
 from lorid.cli import main
 from lorid.diffusion import MlpDenoiser, make_linear_schedule
@@ -424,6 +427,39 @@ class TestWorkflow:
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("block, change", [
+        (1, lambda u: u.ravel()),
+        (5, lambda e: e[None, :]),
+        (5, lambda e: np.where(np.arange(4) == 1, np.nan, e)),
+        (3, lambda u: np.where(u == u.flat[0], 1e308, u)),
+    ], ids=["1-d-factor", "2-d-energy", "nan-energy", "huge-factor"])
+    def test_malformed_basis_is_usage_error(self, block, change, workdir, tmp_path, capsys):
+        """A basis block of the wrong shape or with a value no fit gives exits 2
+        with one line, writes nothing and warns of nothing."""
+        tmp, cfg, data, labels, deno = workdir
+        good = str(tmp_path / "basis.lten")
+        assert main(["purify", "--input", data, "--denoiser", deno, "--config", cfg,
+                     "--out", str(tmp_path / "first.lten"), "--fit-basis-from", data,
+                     "--save-basis", good]) == 0
+        with open(good, "rb") as fh:
+            blocks = []
+            while fh.peek(1):
+                blocks.append(read_tensor(fh))
+        bad = str(tmp_path / "bad.lten")
+        with open(bad, "wb") as fh:
+            for i, b in enumerate(blocks):
+                write_tensor(fh, change(b) if i == block else b)
+        capsys.readouterr()
+        out = tmp_path / "x.lten"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["purify", "--input", data, "--denoiser", deno, "--config", cfg,
+                       "--out", str(out), "--basis", bad])
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+        assert not caught, [str(w.message) for w in caught]
+
     def test_denoiser_trained_for_another_T_is_usage_error(self, workdir, tmp_path, capsys):
         """A T=120 denoiser under a T=1000 config exits 2 with one line and writes
         nothing, although every step of its 100-step loops is on the denoiser's table."""
@@ -479,3 +515,90 @@ class TestRobustnessCommands:
         lines = open(out).read().splitlines()
         assert lines[0] == "t,L,clean_acc,robust_acc"
         assert len(lines) == 3
+
+
+class TestToyTaskTraining:
+    """``toy_task_artifacts`` trains the classifier in a forked child process."""
+
+    CFG = default_config(T=250, t=160, L=4, eta=None, ranks=(2, 2, 8, 1), seed=1)
+
+    @staticmethod
+    def _blas_threads():
+        api = _nn._openblas_threads()
+        return None if api is None else api[0]()
+
+    @pytest.fixture
+    def leaves_nothing(self):
+        """After the test: no child process, alive or unreaped, and the thread
+        count and BLAS setting found before it."""
+        threads, blas = threading.active_count(), self._blas_threads()
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == threads
+        assert self._blas_threads() == blas
+
+    @staticmethod
+    def _bits(art) -> list[bytes]:
+        arrays = [p for layer in art.denoiser.params + art.clf.params for p in layer]
+        arrays += [*art.basis.factors, np.array(art.basis.discarded_energy)]
+        return [a.tobytes() for a in arrays]
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "without-fork"])
+    def test_matches_serial_training(self, fork, monkeypatch, leaves_nothing):
+        """Both paths give the float64 bits of one training after the other."""
+        cfg = self.CFG
+        train_images, train_labels = cli.gen_striped_images(512, seed=cfg.seed)
+        flat = train_images.reshape(512, -1)
+        reference = cli.ToyArtifacts(
+            schedule=cli.build_schedule(cfg),
+            basis=cli._fit_basis(train_images, cfg),
+            denoiser=cli.train_mlp_denoiser(
+                flat, cli.build_schedule(cfg), cli.MlpTrainConfig(hidden=(64, 64), epochs=60),
+                np.random.default_rng(cfg.seed + 2))[0],
+            clf=cli.train_classifier(
+                flat, train_labels, cli.ClassifierTrainConfig(hidden=(32,), epochs=150),
+                np.random.default_rng(cfg.seed + 3)),
+            test_images=None, test_labels=None,
+        )
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        assert self._bits(cli.toy_task_artifacts(cfg)) == self._bits(reference)
+
+    def test_error_in_child_is_raised_here(self, monkeypatch, tmp_path, capsys,
+                                           leaves_nothing):
+        """Raised with its type and message; the CLI exits 2 with its one line."""
+        def failing(*args, **kwargs):
+            raise ValueError("x")
+
+        monkeypatch.setattr(cli, "train_classifier", failing)
+        with pytest.raises(ValueError, match="^x$"):
+            cli.toy_task_artifacts(self.CFG)
+        cfg = write_config(tmp_path, T=120, t=20, L=2, eta=None, ranks=(2, 2, 8, 1))
+        assert main(["attack-eval", "--config", cfg, "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: x\n"
+
+    def test_error_here_wins_and_child_is_reaped(self, monkeypatch, leaves_nothing):
+        """The parent's error is raised after the child is reaped; the parent
+        trained on one BLAS thread."""
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(self._blas_threads())
+            raise ArithmeticError("denoiser failed")
+
+        monkeypatch.setattr(cli, "train_mlp_denoiser", failing)
+        with pytest.raises(ArithmeticError, match="denoiser failed"):
+            cli.toy_task_artifacts(self.CFG)
+        assert seen == [None if self._blas_threads() is None else 1]
+
+    def test_child_that_dies_names_its_status(self, monkeypatch, leaves_nothing):
+        monkeypatch.setattr(cli, "train_classifier", lambda *args, **kwargs: os._exit(3))
+        with pytest.raises(RuntimeError, match="status 3 "):
+            cli.toy_task_artifacts(self.CFG)
+
+    def test_result_that_cannot_be_pickled(self, leaves_nothing):
+        """The child still leaves through its pipe, with an error in place of
+        the result it could not send."""
+        with pytest.raises(RuntimeError, match="could not send its result"):
+            _nn.in_two_processes(lambda: 1, lambda: (lambda: 2))

@@ -1,5 +1,7 @@
 """Patch tensorization, truncated HOSVD, and the low-rank projection operator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,17 +162,29 @@ class TestFitBasis:
             fit_basis(np.zeros((4, 8, 8, 1)), LAYOUT_16)
 
     def test_basis_validation(self):
-        """Non-orthonormal factors are rejected at construction."""
+        """Non-orthonormal or non-finite factors, and energies that are negative
+        or NaN, are rejected at construction, without a numpy warning."""
         images, _ = gen_striped_images(32, seed=9)
         good = fit_basis(images, LAYOUT_16, rank_policy=(1, 1, 2, 1))
-        bad = tuple(2.0 * u for u in good.factors)
-        with pytest.raises(ValueError):
-            TuckerBasis(
-                factors=bad,
-                ranks=good.ranks,
-                layout=good.layout,
-                discarded_energy=good.discarded_energy,
-            )
+        first = good.factors[0]
+        cases = [
+            (tuple(2.0 * u for u in good.factors), good.discarded_energy),
+            ((np.where(first == first.flat[0], np.nan, first), *good.factors[1:]),
+             good.discarded_energy),
+            ((np.where(first == first.flat[0], 1e308, first), *good.factors[1:]),
+             good.discarded_energy),
+            (good.factors, (-1.0, *good.discarded_energy[1:])),
+            (good.factors, (np.nan, *good.discarded_energy[1:])),
+        ]
+        for factors, energy in cases:
+            with warnings.catch_warnings(), pytest.raises(ValueError):
+                warnings.simplefilter("error")
+                TuckerBasis(
+                    factors=factors,
+                    ranks=good.ranks,
+                    layout=good.layout,
+                    discarded_energy=energy,
+                )
 
 
 @pytest.fixture(scope="module")
