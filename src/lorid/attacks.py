@@ -155,14 +155,11 @@ def _ce_loss_and_grads(
 def train_classifier(
     dataset: np.ndarray,
     labels: np.ndarray,
-    hyperparams: ClassifierTrainConfig | None = None,
-    rng: np.random.Generator | None = None,
+    hyperparams: ClassifierTrainConfig,
+    rng: np.random.Generator,
 ) -> ToyClassifier:
     """Cross-entropy training of the softmax MLP on flat feature vectors, at a
     constant rate, by :func:`lorid._nn.sgd_train`."""
-    cfg = hyperparams or ClassifierTrainConfig()
-    if rng is None:
-        rng = np.random.default_rng()
     x = np.asarray(dataset, dtype=np.float64)
     x = x.reshape(x.shape[0], -1)
     if not np.all(np.isfinite(x)):
@@ -180,9 +177,9 @@ def train_classifier(
         raise ValueError("labels must be 0..K-1")
 
     d = x.shape[1]
-    params = _nn.init_params([d, *cfg.hidden, int(classes.size)], rng)
+    params = _nn.init_params([d, *hyperparams.hidden, int(classes.size)], rng)
     _nn.sgd_train(
-        params, x.shape[0], cfg.batch_size, cfg.epochs, cfg.lr, 1.0, rng,
+        params, x.shape[0], hyperparams.batch_size, hyperparams.epochs, hyperparams.lr, 1.0, rng,
         lambda idx: _ce_loss_and_grads(params, x[idx], y[idx])
     )
     return ToyClassifier(params=params, input_dim=d, n_classes=int(classes.size))

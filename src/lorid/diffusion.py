@@ -58,7 +58,12 @@ class Schedule:
     """Variance schedule for t = 1..T, built from beta_1..beta_T alone.
 
     ``T``, ``alpha`` = 1 - beta and ``alpha_bar`` (the cumulative product of
-    alpha) are derived from ``beta`` here, so they always agree with it.
+    alpha) are derived from ``beta`` here, so they always agree with it.  So are
+    the samplers' per-step tables of plain floats, indexed by s = 0..T: ``_abar``
+    holds abar_s with abar_0 = 1 (``_abar_array`` as an array), ``_eps_coef``
+    beta_s / sqrt(1 - abar_s), ``_sqrt_alpha`` sqrt(alpha_s) and ``_sigma``
+    sqrt(beta_s (1 - abar_{s-1}) / (1 - abar_s)), 0 at s = 1; the last three
+    hold NaN at s = 0.  A caller checks its depth once, then reads the tables.
     """
 
     def __init__(self, beta) -> None:
@@ -73,8 +78,14 @@ class Schedule:
         self.alpha_bar = np.cumprod(self.alpha)
         if self.alpha_bar[-1] <= 0.0:
             raise ValueError("alpha_bar underflowed to zero at t = T")
-        if not np.all(np.diff(self.alpha_bar) < 0.0):
-            raise ValueError("alpha_bar must be strictly decreasing")
+        self._abar_array = np.concatenate(([1.0], self.alpha_bar))
+        if not np.all(np.diff(self._abar_array) < 0.0):
+            raise ValueError("alpha_bar must be strictly decreasing from alpha_bar_0 = 1")
+        self._abar = self._abar_array.tolist()
+        ab_prev, ab = self._abar_array[:-1], self._abar_array[1:]
+        self._eps_coef = [math.nan, *(beta / np.sqrt(1.0 - ab)).tolist()]
+        self._sqrt_alpha = [math.nan, *np.sqrt(self.alpha).tolist()]
+        self._sigma = [math.nan, *np.sqrt(beta * (1.0 - ab_prev) / (1.0 - ab)).tolist()]
 
     def _check_step(self, t: int | np.ndarray, low: int) -> int | np.ndarray:
         """``t`` as an int, or an array of steps as an index array.  A step that
@@ -93,18 +104,12 @@ class Schedule:
             raise ValueError(f"step {t} outside [{low}, {self.T}]")
         return int(step)
 
-    def beta_at(self, t: int) -> float:
-        return float(self.beta[self._check_step(t, 1) - 1])
-
-    def alpha_at(self, t: int) -> float:
-        return float(self.alpha[self._check_step(t, 1) - 1])
-
     def alpha_bar_at(self, t: int | np.ndarray) -> float | np.ndarray:
         """abar_t with the convention abar_0 = 1; an array of steps reads an array."""
         step = self._check_step(t, 0)
         if isinstance(step, np.ndarray):
-            return np.concatenate(([1.0], self.alpha_bar))[step]
-        return 1.0 if step == 0 else float(self.alpha_bar[step - 1])
+            return self._abar_array[step]
+        return self._abar[step]
 
 
 def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> Schedule:
@@ -132,7 +137,7 @@ def diffuse(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Corrupt ``x0`` to step ``t``; returns ``(x_t, eps0)`` with the drawn noise."""
     x0 = np.asarray(x0, dtype=np.float64)
-    ab = schedule.alpha_bar_at(schedule._check_step(t, 1))
+    ab = schedule._abar[schedule._check_step(t, 1)]
     eps0 = rng.standard_normal(x0.shape)
     return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps0, eps0
 
@@ -146,7 +151,7 @@ def one_shot_recover(
     x0_hat = x_t / sqrt(abar_t) - sqrt(1 - abar_t) / sqrt(abar_t) * eps_hat.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
-    ab = schedule.alpha_bar_at(schedule._check_step(t, 1))
+    ab = schedule._abar[schedule._check_step(t, 1)]
     eps_hat = denoiser.predict_eps(x_t, t)
     return x_t / math.sqrt(ab) - math.sqrt((1.0 - ab) / ab) * eps_hat
 
@@ -167,15 +172,10 @@ def reverse_ancestral(
     """
     x = np.asarray(x_t, dtype=np.float64)
     for s in range(schedule._check_step(t, 1), 0, -1):
-        beta = schedule.beta_at(s)
-        alpha = schedule.alpha_at(s)
-        ab_s = schedule.alpha_bar_at(s)
         eps_hat = denoiser.predict_eps(x, s)
-        x = (x - beta / math.sqrt(1.0 - ab_s) * eps_hat) / math.sqrt(alpha)
+        x = (x - schedule._eps_coef[s] * eps_hat) / schedule._sqrt_alpha[s]
         if s > 1:
-            ab_prev = schedule.alpha_bar_at(s - 1)
-            sigma = math.sqrt(beta * (1.0 - ab_prev) / (1.0 - ab_s))
-            x = x + sigma * rng.standard_normal(x.shape)
+            x = x + schedule._sigma[s] * rng.standard_normal(x.shape)
     return x
 
 
@@ -199,8 +199,7 @@ def reverse_skip(
     s = schedule._check_step(t, 1)
     while s > 0:
         target = max(s - k, 0)
-        ab_s = schedule.alpha_bar_at(s)
-        ab_g = schedule.alpha_bar_at(target)
+        ab_s, ab_g = schedule._abar[s], schedule._abar[target]
         eps_hat = denoiser.predict_eps(x, s)
         coef = math.sqrt((1.0 - ab_g) / ab_g) - math.sqrt((1.0 - ab_s) / ab_s)
         x = math.sqrt(ab_g / ab_s) * x + math.sqrt(ab_g) * coef * eps_hat
@@ -397,7 +396,7 @@ def _denoiser_loss_and_grads(
     model: MlpDenoiser, params: _nn.Params, x0: np.ndarray, t_arr: np.ndarray, eps: np.ndarray,
     schedule: Schedule,
 ) -> tuple[float, _nn.Params]:
-    ab = np.where(t_arr == 0, 1.0, schedule.alpha_bar[np.maximum(t_arr, 1).astype(int) - 1])
+    ab = schedule.alpha_bar_at(t_arr)
     x_t = np.sqrt(ab)[:, None] * x0 + np.sqrt(1.0 - ab)[:, None] * eps
     feats = model._features(x_t, t_arr)
     out, cache = _nn.forward(params, feats)

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
 from . import _nn
 from .attacks import ToyClassifier
-from .diffusion import N_TIME_FEATURES, MlpDenoiser, make_linear_schedule
+from .diffusion import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, N_TIME_FEATURES,
+                        MlpDenoiser, make_linear_schedule)
 from .purify import LoridConfig
 from .tucker import TensorizationLayout, TuckerBasis
 
@@ -263,11 +264,12 @@ def format_config(cfg: RunConfig) -> str:
 
 
 def default_config(**overrides) -> RunConfig:
-    """The stock laboratory configuration; keyword overrides applied on top."""
-    cfg = RunConfig(
-        T=1000,
-        beta_start=1e-4,
-        beta_end=0.02,
+    """The stock laboratory configuration; keyword overrides applied on top,
+    so the config is built and validated once."""
+    fields = dict(
+        T=DEFAULT_T,
+        beta_start=DEFAULT_BETA_START,
+        beta_end=DEFAULT_BETA_END,
         t=100,
         L=4,
         use_tucker=True,
@@ -277,7 +279,7 @@ def default_config(**overrides) -> RunConfig:
         seed=0,
         eta=0.95,
     )
-    return replace(cfg, **overrides) if overrides else cfg
+    return RunConfig(**{**fields, **overrides})
 
 
 # ---------------------------------------------------------------------------

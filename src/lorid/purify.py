@@ -171,6 +171,16 @@ def _noise_source(
         raise RuntimeError(f"noise stream closed with {stream.left} of {count} draws untaken")
 
 
+def _distance(flat: np.ndarray, ref: np.ndarray) -> float:
+    """l2 distance of a purify stage to the clean reference; ValueError where
+    it overflows float64."""
+    with np.errstate(over="ignore"):
+        dist = frobenius_norm(flat - ref)
+    if not math.isfinite(dist):
+        raise ValueError("distance to the clean reference overflows float64")
+    return dist
+
+
 def lorid_purify(
     x: np.ndarray,
     denoiser: Denoiser,
@@ -187,7 +197,9 @@ def lorid_purify(
     flattened after projecting.  When ``clean_ref`` is given (same shape as
     ``x``), ``trace.distances`` records the aggregate l2 distance to it after
     the projection stage and after every loop — handy for watching the
-    iterates approach the clean signal.  Non-finite input raises ValueError.
+    iterates approach the clean signal.  Non-finite input, a clean reference
+    that is non-finite or of another shape, and a distance that overflows
+    float64 raise ValueError; the first two before any draw.
 
     The noise draws run on a second thread when each holds at least
     :data:`STREAM_MIN_VALUES` values (see :class:`_NoiseStream`); the output
@@ -204,6 +216,14 @@ def lorid_purify(
         flat_shape = x.shape
     else:
         flat_shape = (*x.shape[:-3], math.prod(x.shape[-3:]))
+    if clean_ref is not None:
+        ref = np.asarray(clean_ref, dtype=np.float64)
+        if ref.shape != orig_shape:
+            raise ValueError(
+                f"clean reference shape {ref.shape} differs from the input's {orig_shape}")
+        if not np.all(np.isfinite(ref)):
+            raise ValueError("clean reference holds non-finite values")
+        ref = ref.reshape(flat_shape)
 
     trace = PurifyTrace()
     t_loop = config.per_loop_t
@@ -213,8 +233,7 @@ def lorid_purify(
     with _noise_source(rng, flat_shape, draws) as noise:
         flat = x if config.basis is None else tf_apply(x, config.basis).reshape(flat_shape)
         if clean_ref is not None:
-            ref = np.asarray(clean_ref, dtype=np.float64).reshape(flat_shape)
-            trace.distances.append(frobenius_norm(flat - ref))
+            trace.distances.append(_distance(flat, ref))
         for _ in range(config.L):
             noisy, _ = diffuse(flat, t_loop, schedule, noise)
             if ancestral:
@@ -223,7 +242,7 @@ def lorid_purify(
                 flat = reverse_skip(noisy, t_loop, config.skip_k, denoiser, schedule)
             trace.loops += 1
             if clean_ref is not None:
-                trace.distances.append(frobenius_norm(flat - ref))
+                trace.distances.append(_distance(flat, ref))
 
     trace.wall_time_s = time.perf_counter() - start
     return flat.reshape(orig_shape), trace

@@ -105,5 +105,13 @@ def svd(m) -> SvdResult:
 
 
 def frobenius_norm(x) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(x, dtype=np.float64).ravel()))
+    """Square root of the sum of squared entries.  Where that sum alone
+    overflows float64 the entries are scaled by their largest magnitude first,
+    so the result is inf only when the norm itself overflows; no warning."""
+    flat = np.asarray(x, dtype=np.float64).ravel()
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(flat))
+        if norm == math.inf and np.all(np.isfinite(flat)):
+            peak = float(np.max(np.abs(flat)))
+            norm = peak * float(np.linalg.norm(flat / peak))
+    return norm

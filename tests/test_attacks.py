@@ -85,10 +85,11 @@ class TestToyClassifier:
 
     def test_training_label_validation(self):
         x = np.zeros((10, 2))
-        with pytest.raises(ValueError):
-            train_classifier(x, np.zeros(10, dtype=int))  # single class
-        with pytest.raises(ValueError):
-            train_classifier(x, np.array([0, 2] * 5))  # gap in label range
+        cfg = ClassifierTrainConfig(hidden=(4,), epochs=1)
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            train_classifier(x, np.zeros(10, dtype=int), cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="0..K-1"):
+            train_classifier(x, np.array([0, 2] * 5), cfg, np.random.default_rng(0))
 
     def test_training_deterministic(self, blob_data):
         x, y = blob_data

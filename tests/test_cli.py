@@ -260,6 +260,7 @@ BAD_CONFIGS = {
     "sampler-euler": ({"sampler": "euler"}, "sampler must be one of"),
     "t-below-L": ({"t": 2, "L": 4}, "per-loop depth would be < 1"),
     "skip_k-0": ({"skip_k": 0}, "skip stride 0 must be >= 1"),
+    "beta_start-1e-20": ({"beta_start": 1e-20}, "strictly decreasing from alpha_bar_0 = 1"),
 }
 
 # Every command that reads a purifier config; "{out}" is a path that must not be written.
@@ -457,6 +458,33 @@ class TestWorkflow:
                        "--out", str(out), "--basis", bad])
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+        assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("make_ref, message", [
+        (lambda x: np.where(np.arange(x.size).reshape(x.shape) == 37, np.nan, x),
+         "clean reference holds non-finite values"),
+        (lambda x: np.full(x.shape, 1e308), "distance to the clean reference overflows"),
+        (lambda x: np.zeros((3, 256)), "clean reference shape (3, 256) differs"),
+    ], ids=["nan", "1e308", "shape-3x256"])
+    def test_bad_clean_reference_is_usage_error(self, make_ref, message, workdir, tmp_path,
+                                                capsys):
+        """A clean reference that is not finite, whose distance overflows or whose
+        shape is not the input's exits 2 with one line naming it, writes nothing
+        and warns of nothing."""
+        tmp, cfg, data, labels, deno = workdir
+        images = str(tmp_path / "x.lten")
+        write_tensor(images, read_tensor(data)[:8])
+        ref = str(tmp_path / "ref.lten")
+        write_tensor(ref, make_ref(read_tensor(images)))
+        out = tmp_path / "out.lten"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["purify", "--input", images, "--denoiser", deno, "--config", cfg,
+                       "--out", str(out), "--fit-basis-from", data, "--clean-ref", ref])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
         assert not out.exists()
         assert not caught, [str(w.message) for w in caught]
 

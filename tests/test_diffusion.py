@@ -59,9 +59,12 @@ class TestSchedule:
         assert default_schedule().alpha_bar_at(0) == 1.0
 
     def test_beta_endpoints(self):
+        """beta holds beta_1..beta_T: the ends are the linear schedule's ends."""
         sched = default_schedule()
-        np.testing.assert_allclose(sched.beta_at(1), 1e-4, rtol=1e-15)
-        np.testing.assert_allclose(sched.beta_at(1000), 0.02, rtol=1e-15)
+        assert sched.beta.shape == sched.alpha.shape == (1000,)
+        np.testing.assert_allclose(sched.beta[0], 1e-4, rtol=1e-15)
+        np.testing.assert_allclose(sched.beta[-1], 0.02, rtol=1e-15)
+        np.testing.assert_allclose(sched.alpha[[0, -1]], [1 - 1e-4, 1 - 0.02], rtol=1e-15)
 
     def test_alpha_bar_strictly_decreasing(self):
         sched = make_linear_schedule(250, 1e-4, 0.02)
@@ -72,25 +75,28 @@ class TestSchedule:
         np.testing.assert_allclose(sched.alpha_bar, np.cumprod(1.0 - sched.beta), rtol=1e-15)
 
     def test_step_bounds(self):
+        """alpha_bar_at reads steps 0..T and refuses the steps on either side."""
         sched = make_linear_schedule(10, 1e-4, 0.02)
-        with pytest.raises(ValueError):
-            sched.beta_at(0)
-        with pytest.raises(ValueError):
-            sched.beta_at(11)
-        with pytest.raises(ValueError):
-            sched.alpha_bar_at(-1)
+        assert sched.alpha_bar_at(10) == sched.alpha_bar[-1]
+        for t in (-1, 11):
+            with pytest.raises(ValueError, match=rf"step {t} outside \[0, 10\]"):
+                sched.alpha_bar_at(t)
 
     def test_fractional_steps_refused(self):
         """A step that is not an integer is refused, not truncated to the one below;
-        integral floats and numpy integers are steps."""
+        integral floats and numpy integers are steps, for alpha_bar_at and for the
+        per-step tables a sampler reads."""
         sched = make_linear_schedule(10, 1e-4, 0.02)
         for t in (2.5, 2.999, math.nan, math.inf, -math.inf):
-            for lookup in (sched.alpha_bar_at, sched.alpha_at, sched.beta_at):
-                with pytest.raises(ValueError):
-                    lookup(t)
+            with pytest.raises(ValueError, match="is not an integer"):
+                sched.alpha_bar_at(t)
+        x = np.random.default_rng(303).standard_normal(3)
         for t in (2.0, np.int64(2), np.float64(2.0)):
             assert sched.alpha_bar_at(t) == sched.alpha_bar_at(2)
-            assert sched.beta_at(t) == sched.beta_at(2)
+            np.testing.assert_array_equal(
+                reverse_ancestral(x, t, _EchoNoise(x), sched, np.random.default_rng(4)),
+                reverse_ancestral(x, 2, _EchoNoise(x), sched, np.random.default_rng(4)),
+            )
 
     def test_array_of_steps_read_at_once(self):
         """An array of steps reads every abar_t in one go, under the scalar rule."""
@@ -118,6 +124,13 @@ class TestSchedule:
             with pytest.raises(ValueError):
                 Schedule(beta)
 
+    def test_alpha_bar_1_rounding_to_one_refused(self):
+        """A beta_1 too small to move abar_1 off 1 in float64 would divide by
+        1 - abar_1 = 0 in the first reverse step; the schedule refuses it."""
+        for beta in ([1e-20, 0.1], [1e-17]):
+            with pytest.raises(ValueError, match="strictly decreasing from alpha_bar_0 = 1"):
+                Schedule(beta)
+
     def test_derived_from_beta(self):
         """T, alpha and alpha_bar come from beta alone, for a non-linear beta too."""
         beta = np.linspace(0.01, 0.1, 20) ** 2
@@ -126,6 +139,115 @@ class TestSchedule:
         np.testing.assert_array_equal(sched.beta, beta)
         np.testing.assert_array_equal(sched.alpha, 1.0 - beta)
         np.testing.assert_array_equal(sched.alpha_bar, np.cumprod(1.0 - beta))
+
+
+def _abar_ref(sched, s):
+    return 1.0 if s == 0 else float(sched.alpha_bar[s - 1])
+
+
+def _diffuse_ref(x0, t, sched, rng):
+    ab = _abar_ref(sched, t)
+    eps0 = rng.standard_normal(x0.shape)
+    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps0, eps0
+
+
+def _one_shot_ref(x_t, t, denoiser, sched):
+    ab = _abar_ref(sched, t)
+    return x_t / math.sqrt(ab) - math.sqrt((1.0 - ab) / ab) * denoiser.predict_eps(x_t, t)
+
+
+def _ancestral_ref(x, t, denoiser, sched, rng):
+    for s in range(t, 0, -1):
+        beta, alpha, ab_s = float(sched.beta[s - 1]), float(sched.alpha[s - 1]), _abar_ref(sched, s)
+        eps_hat = denoiser.predict_eps(x, s)
+        x = (x - beta / math.sqrt(1.0 - ab_s) * eps_hat) / math.sqrt(alpha)
+        if s > 1:
+            sigma = math.sqrt(beta * (1.0 - _abar_ref(sched, s - 1)) / (1.0 - ab_s))
+            x = x + sigma * rng.standard_normal(x.shape)
+    return x
+
+
+def _skip_ref(x, t, k, denoiser, sched):
+    s = t
+    while s > 0:
+        target = max(s - k, 0)
+        ab_s, ab_g = _abar_ref(sched, s), _abar_ref(sched, target)
+        eps_hat = denoiser.predict_eps(x, s)
+        coef = math.sqrt((1.0 - ab_g) / ab_g) - math.sqrt((1.0 - ab_s) / ab_s)
+        x = math.sqrt(ab_g / ab_s) * x + math.sqrt(ab_g) * coef * eps_hat
+        s = target
+    return x
+
+
+class TestStepTables:
+    """The samplers read per-step tables built once per schedule; these loops
+    compute every coefficient per step from beta, alpha and alpha_bar."""
+
+    @pytest.mark.parametrize("beta", [
+        np.linspace(1e-4, 0.02, 10), np.linspace(1e-4, 0.02, 250), np.linspace(1e-4, 0.02, 1000),
+        np.linspace(0.01, 0.14, 60) ** 2,
+    ], ids=["T10", "T250", "T1000", "quadratic-T60"])
+    def test_samplers_equal_per_step_formulas(self, beta):
+        sched = Schedule(beta)
+        T = sched.T
+        oracle = GaussianOracleDenoiser(np.linspace(-1.0, 1.0, 4), [0.3, 1.0, 2.0, 0.5], sched)
+        for t in sorted({1, 2, 3, 7, T // 2, T}):
+            x0 = np.random.default_rng([T, t]).standard_normal((3, 4))
+            x_t, eps0 = diffuse(x0, t, sched, np.random.default_rng(t))
+            ref_t, ref_eps = _diffuse_ref(x0, t, sched, np.random.default_rng(t))
+            np.testing.assert_array_equal(x_t, ref_t)
+            np.testing.assert_array_equal(eps0, ref_eps)
+            np.testing.assert_array_equal(one_shot_recover(x_t, t, oracle, sched),
+                                          _one_shot_ref(x_t, t, oracle, sched))
+            np.testing.assert_array_equal(
+                reverse_ancestral(x_t, t, oracle, sched, np.random.default_rng(t + 1)),
+                _ancestral_ref(x_t, t, oracle, sched, np.random.default_rng(t + 1)))
+            for k in sorted({1, 3, t}):
+                np.testing.assert_array_equal(reverse_skip(x_t, t, k, oracle, sched),
+                                              _skip_ref(x_t, t, k, oracle, sched))
+
+    @pytest.mark.parametrize("bad", [0, 11, 2.5, math.nan], ids=["0", "T+1", "2.5", "nan"])
+    def test_every_sampler_refuses_a_bad_depth(self, bad):
+        """Each sampler checks its depth against [1, T] once, naming the step."""
+        sched = make_linear_schedule(10, 1e-4, 0.02)
+        x = np.zeros(2)
+        calls = {
+            "diffuse": lambda: diffuse(x, bad, sched, np.random.default_rng(0)),
+            "one_shot_recover": lambda: one_shot_recover(x, bad, _ZeroNoise(), sched),
+            "reverse_ancestral": lambda: reverse_ancestral(
+                x, bad, _ZeroNoise(), sched, np.random.default_rng(0)),
+            "reverse_skip": lambda: reverse_skip(x, bad, 1, _ZeroNoise(), sched),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=rf"^step {bad} (outside|is not)"):
+                call()
+
+    def test_one_step_check_per_call(self, monkeypatch):
+        """A sampler call validates its depth once, however many steps it takes."""
+        sched = make_linear_schedule(50, 1e-4, 0.02)
+        seen = []
+        check = Schedule._check_step
+        monkeypatch.setattr(Schedule, "_check_step",
+                            lambda self, t, low: seen.append(t) or check(self, t, low))
+        x = np.zeros(2)
+        diffuse(x, 40, sched, np.random.default_rng(0))
+        one_shot_recover(x, 40, _ZeroNoise(), sched)
+        reverse_ancestral(x, 40, _ZeroNoise(), sched, np.random.default_rng(0))
+        reverse_skip(x, 40, 3, _ZeroNoise(), sched)
+        assert seen == [40, 40, 40, 40]
+
+    def test_training_loss_reads_alpha_bar_at(self, monkeypatch):
+        """The denoiser's loss reads abar through alpha_bar_at, the one home of
+        the abar_0 = 1 rule."""
+        sched = make_linear_schedule(30, 1e-3, 0.05)
+        seen = []
+        read = Schedule.alpha_bar_at
+        monkeypatch.setattr(Schedule, "alpha_bar_at",
+                            lambda self, t: seen.append(np.copy(t)) or read(self, t))
+        data = np.random.default_rng(305).standard_normal((16, 2))
+        train_mlp_denoiser(data, sched, MlpTrainConfig(hidden=(4,), epochs=1, batch_size=8),
+                           np.random.default_rng(6))
+        assert seen and all(np.ndim(t) == 1 for t in seen)
 
 
 class TestDiffuse:
@@ -194,9 +316,9 @@ class TestReverseAncestral:
         out1 = reverse_ancestral(x1, 1, _EchoNoise(eps_hat), sched, np.random.default_rng(1))
         out2 = reverse_ancestral(x1, 1, _EchoNoise(eps_hat), sched, np.random.default_rng(2))
         np.testing.assert_array_equal(out1, out2)
-        beta = sched.beta_at(1)
+        beta = float(sched.beta[0])
         ab1 = sched.alpha_bar_at(1)
-        expect = (x1 - beta / math.sqrt(1 - ab1) * eps_hat) / math.sqrt(sched.alpha_at(1))
+        expect = (x1 - beta / math.sqrt(1 - ab1) * eps_hat) / math.sqrt(float(sched.alpha[0]))
         np.testing.assert_allclose(out1, expect, rtol=0, atol=1e-15)
 
     def test_same_seed_same_trajectory(self):

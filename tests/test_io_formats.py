@@ -156,6 +156,14 @@ class TestRunConfig:
         back = parse_config(format_config(cfg))
         assert back == cfg
 
+    def test_default_config_text_frozen(self):
+        """The stock config, the default schedule's constants included, formats
+        to these bytes; config files written from it stay the same."""
+        assert format_config(default_config()) == (
+            "T=1000\nbeta_start=0.0001\nbeta_end=0.02\nt=100\nL=4\nuse_tucker=true\n"
+            "sampler=ancestral\nskip_k=1\npatch=4\nseed=0\neta=0.94999999999999996\n"
+        )
+
     def test_round_trip_with_ranks(self):
         cfg = default_config(eta=None, ranks=(2, 2, 8, 1))
         back = parse_config(format_config(cfg))

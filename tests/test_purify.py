@@ -87,6 +87,28 @@ class TestPurify:
         assert trace.wall_time_s > 0.0
         assert out.shape == x.shape
 
+    def test_bad_clean_reference_refused_before_any_draw(self, sched, white_oracle):
+        """A non-finite clean reference or one of another shape raises before the
+        generator moves; one far enough away that its distance overflows raises,
+        and one whose squared distance alone overflows does not, with no numpy
+        warning."""
+        x = np.random.default_rng(405).standard_normal((2, 8))
+        cfg = LoridConfig(t=20, L=2)
+        for ref, message in ((np.where(x > 0, np.inf, x), "non-finite"),
+                             (x[:1], r"shape \(1, 8\) differs from the input's \(2, 8\)")):
+            rng = np.random.default_rng(6)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match=message):
+                lorid_purify(x, white_oracle, sched, cfg, rng, clean_ref=ref)
+            assert rng.bit_generator.state == before
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="distance to the clean reference overflows"):
+                lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(6),
+                             clean_ref=np.full(x.shape, 1e308))
+            _, trace = lorid_purify(x, white_oracle, sched, cfg, np.random.default_rng(6),
+                                    clean_ref=np.full(x.shape, 1e300))
+        np.testing.assert_allclose(trace.distances, 4e300, rtol=1e-12)
+
     def test_batch_matches_state_evolution(self, sched):
         """A batch run visits the same states as the flat run of the stacked vector.
 

@@ -1,5 +1,7 @@
 """Unfold/fold round trips, mode products, and the checked SVD wrapper."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,16 @@ class TestSvd:
 
 
 class TestNorms:
+    def test_frobenius_norm_past_the_square_root_of_the_largest_float(self):
+        """Entries whose squares overflow still give the representable norm, with
+        no warning; a norm past the largest float is inf."""
+        with np.errstate(all="raise"):
+            np.testing.assert_allclose(frobenius_norm(np.full((8, 256), 1e200)),
+                                       1e200 * math.sqrt(2048), rtol=1e-14)
+            assert frobenius_norm(np.full(4, 1e308)) == math.inf
+            np.testing.assert_allclose(frobenius_norm(np.array([3e200, -4e200])), 5e200,
+                                       rtol=1e-15)
+
     def test_frobenius_matches_numpy(self):
         rng = np.random.default_rng(130)
         for shape in [(4,), (3, 5), (2, 3, 4)]:
