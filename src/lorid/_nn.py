@@ -100,6 +100,8 @@ def sgd_train(
     ``loss_and_grads(idx)`` on each batch of indices in turn; the velocity and
     the parameters are then updated in place (v = MOMENTUM v - lr g, then
     p += v).  The rate is multiplied by ``lr_decay`` after every epoch.
+    BLAS runs on one thread throughout, as a second one only busy-waits on
+    these small matmuls (see :func:`one_blas_thread`).
     Returns the per-epoch mean batch losses.  A non-finite loss, or an epoch
     mean over :data:`DIVERGENCE_FACTOR` times the first batch's loss, raises
     ValueError, as the rate or the data is then at fault.
@@ -107,29 +109,30 @@ def sgd_train(
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
     batch = max(1, min(batch_size, n))
     epoch_losses: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch):
-            loss, grads = loss_and_grads(order[start : start + batch])
-            if not np.isfinite(loss):
-                raise ValueError(f"training diverged (loss {loss}); try a smaller rate")
-            for layer, layer_grads, layer_velocity in zip(params, grads, velocity):
-                for p, g, v in zip(layer, layer_grads, layer_velocity):
-                    v *= MOMENTUM
-                    v -= lr * g
-                    p += v
-            losses.append(loss)
-        if not epoch_losses:
-            first = losses[0]
-        mean = float(np.mean(losses))
-        if mean > DIVERGENCE_FACTOR * first:
-            raise ValueError(
-                f"training diverged (loss {mean:.3g}, over {DIVERGENCE_FACTOR:.0e} times "
-                f"the first batch's {first:.3g}); try a smaller rate"
-            )
-        epoch_losses.append(mean)
-        lr *= lr_decay
+    with one_blas_thread():
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            losses = []
+            for start in range(0, n, batch):
+                loss, grads = loss_and_grads(order[start : start + batch])
+                if not np.isfinite(loss):
+                    raise ValueError(f"training diverged (loss {loss}); try a smaller rate")
+                for layer, layer_grads, layer_velocity in zip(params, grads, velocity):
+                    for p, g, v in zip(layer, layer_grads, layer_velocity):
+                        v *= MOMENTUM
+                        v -= lr * g
+                        p += v
+                losses.append(loss)
+            if not epoch_losses:
+                first = losses[0]
+            mean = float(np.mean(losses))
+            if mean > DIVERGENCE_FACTOR * first:
+                raise ValueError(
+                    f"training diverged (loss {mean:.3g}, over {DIVERGENCE_FACTOR:.0e} times "
+                    f"the first batch's {first:.3g}); try a smaller rate"
+                )
+            epoch_losses.append(mean)
+            lr *= lr_decay
     return epoch_losses
 
 

@@ -43,7 +43,6 @@ from .diffusion import (
     MlpDenoiser,
     MlpTrainConfig,
     Schedule,
-    make_linear_schedule,
     train_mlp_denoiser,
 )
 from .io_formats import (
@@ -71,7 +70,6 @@ from .tucker import TensorizationLayout, TuckerBasis, fit_basis
 __all__ = [
     "main",
     "CheckFailure",
-    "build_schedule",
     "lorid_config_from",
     "ToyArtifacts",
     "toy_task_artifacts",
@@ -83,10 +81,6 @@ __all__ = [
 
 class CheckFailure(Exception):
     """A numerical verification failed; message carries the margin report."""
-
-
-def build_schedule(cfg: RunConfig) -> Schedule:
-    return make_linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
 
 
 def lorid_config_from(cfg: RunConfig, basis: TuckerBasis | None) -> LoridConfig:
@@ -146,7 +140,6 @@ def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
     to one thread (see :func:`lorid._nn.in_two_processes`); the results are
     those of one training after the other.
     """
-    schedule = build_schedule(cfg)
     train_images, train_labels = gen_striped_images(512, seed=cfg.seed)
     test_images, test_labels = gen_striped_images(200, seed=cfg.seed + 1)
     basis = _fit_basis(train_images, cfg)
@@ -155,7 +148,7 @@ def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
     def denoiser() -> MlpDenoiser:
         return train_mlp_denoiser(
             flat_train,
-            schedule,
+            cfg.schedule,
             MlpTrainConfig(hidden=(64, 64), epochs=60),
             np.random.default_rng(cfg.seed + 2),
         )[0]
@@ -171,7 +164,7 @@ def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
     with one_blas_thread():
         trained_denoiser, clf = in_two_processes(denoiser, classifier)
     return ToyArtifacts(
-        schedule=schedule,
+        schedule=cfg.schedule,
         basis=basis,
         denoiser=trained_denoiser,
         clf=clf,
@@ -266,14 +259,21 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _read_rows(path: str) -> np.ndarray:
+    """The ``--data`` tensor at ``path`` as one flat row per sample; refused
+    when it holds no sample."""
+    data = read_tensor(path)
+    if data.ndim == 0 or data.size == 0:
+        raise ConfigError(f"--data needs at least one sample, got shape {data.shape}")
+    return data.reshape(data.shape[0], -1)
+
+
 def _cmd_train_denoiser(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    schedule = build_schedule(cfg)
-    data = read_tensor(args.data)
-    data = data.reshape(data.shape[0], -1)
+    data = _read_rows(args.data)
     train_cfg = MlpTrainConfig(hidden=tuple(args.hidden), epochs=args.epochs, lr=args.lr)
     denoiser, report = train_mlp_denoiser(
-        data, schedule, train_cfg, np.random.default_rng(cfg.seed)
+        data, cfg.schedule, train_cfg, np.random.default_rng(cfg.seed)
     )
     write_mlp(args.out, denoiser)
     print(
@@ -284,27 +284,26 @@ def _cmd_train_denoiser(args) -> int:
 
 
 def _cmd_train_classifier(args) -> int:
-    data = read_tensor(args.data)
+    data = _read_rows(args.data)
     labels = read_tensor(args.labels)
     clf = train_classifier(
-        data.reshape(data.shape[0], -1),
+        data,
         labels,
         ClassifierTrainConfig(hidden=tuple(args.hidden), epochs=args.epochs, lr=args.lr),
         np.random.default_rng(args.seed),
     )
     write_classifier(args.out, clf)
-    acc = clf.accuracy(data.reshape(data.shape[0], -1), labels)
+    acc = clf.accuracy(data, labels)
     print(f"trained classifier: clean accuracy {acc:.4f}")
     return 0
 
 
 def _cmd_purify(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    schedule = build_schedule(cfg)
     denoiser = read_mlp(args.denoiser)
-    if denoiser.t_total != schedule.T:
+    if denoiser.t_total != cfg.T:
         raise ConfigError(
-            f"denoiser was trained for T={denoiser.t_total} but the config has T={schedule.T}"
+            f"denoiser was trained for T={denoiser.t_total} but the config has T={cfg.T}"
         )
     x = read_tensor(args.input)
     basis = None
@@ -320,7 +319,7 @@ def _cmd_purify(args) -> int:
     purifier_cfg = lorid_config_from(cfg, basis)
     clean_ref = read_tensor(args.clean_ref) if args.clean_ref else None
     out, trace = lorid_purify(
-        x, denoiser, schedule, purifier_cfg, np.random.default_rng(cfg.seed), clean_ref
+        x, denoiser, cfg.schedule, purifier_cfg, np.random.default_rng(cfg.seed), clean_ref
     )
     write_tensor(args.out, out)
     msg = f"purified tensor of shape {tuple(x.shape)} with t={cfg.t}, L={cfg.L}"
@@ -334,25 +333,28 @@ def _cmd_purify(args) -> int:
 
 def _cmd_curves(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    schedule = build_schedule(cfg)
     if args.kind == "fig2":
         rows = []
         for t_eff in args.effective_t:
-            for pt in loop_bound_curve(schedule, t_eff, range(1, args.l_max + 1)):
+            for pt in loop_bound_curve(cfg.schedule, t_eff, range(1, args.l_max + 1)):
                 rows.append((t_eff, pt.L, pt.t_over_L, pt.value))
         write_csv(args.out, ("effective_t", "L", "t_over_L", "value"), rows)
     elif args.kind == "mmse":
         rows = [(s, mmse_gaussian(s), mmse_binary(s)) for s in args.snr_grid]
         write_csv(args.out, ("snr", "mmse_gaussian", "mmse_binary"), rows)
     else:  # snr
-        ts = range(1, schedule.T + 1)
-        rows = [(t, effective_snr(schedule, t)) for t in ts]
+        rows = [(t, effective_snr(cfg.schedule, t)) for t in range(1, cfg.T + 1)]
         write_csv(args.out, ("t", "snr"), rows)
     print(f"wrote {args.kind} curve to {args.out}")
     return 0
 
 
 _VERIFY_T_SET = (50, 200, 500, 800)
+# Depth of theorem 4's empirical looped-against-single-pass check.
+_THEOREM_4_T = 400
+# The fixed depths each theorem checks; a shorter schedule is refused before any output.
+_VERIFY_DEPTHS = {"2": _VERIFY_T_SET, "3": _VERIFY_T_SET, "4": (_THEOREM_4_T,),
+                  "5": _VERIFY_T_SET, "cor1": _VERIFY_T_SET}
 # Monte Carlo trials per theorem when --trials is not given (theorem 1 takes --pairs).
 _VERIFY_TRIALS = {"2": 100_000, "3": 10_000, "4": 10_000, "5": 1_000, "cor1": 100_000}
 
@@ -455,7 +457,7 @@ def _verify_theorem_4(
     print(f"theorem 4: curve at effective_t={effective_t} strictly decreasing over L=1..10 "
           f"({half_note})")
 
-    t = 400
+    t = _THEOREM_4_T
     oracle = GaussianOracleDenoiser(np.zeros(1), 1.0, schedule)
     errs = {}
     for L in (1, 8):
@@ -467,7 +469,7 @@ def _verify_theorem_4(
         raise CheckFailure(
             f"looped purification did not win: L=8 error {errs[8]:.4f} vs L=1 {errs[1]:.4f}"
         )
-    print(f"theorem 4: empirical t=400 error L=8 {errs[8]:.4f} < L=1 {errs[1]:.4f}")
+    print(f"theorem 4: empirical t={t} error L=8 {errs[8]:.4f} < L=1 {errs[1]:.4f}")
 
 
 def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
@@ -506,8 +508,11 @@ def _verify_cor1(schedule: Schedule, rng: np.random.Generator, trials: int) -> N
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    schedule = build_schedule(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    depths = _VERIFY_DEPTHS.get(args.theorem, ())
+    if max(depths, default=0) > cfg.T:
+        raise ConfigError(f"theorem {args.theorem} checks depths "
+                          f"{', '.join(map(str, depths))}, but the schedule has T={cfg.T}")
+    schedule, rng = cfg.schedule, np.random.default_rng(cfg.seed)
     trials = args.trials if args.trials is not None else _VERIFY_TRIALS.get(args.theorem)
     if args.theorem == "1":
         _verify_theorem_1(schedule, rng, pairs=args.pairs)

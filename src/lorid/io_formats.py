@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import _nn
 from .attacks import ToyClassifier
 from .diffusion import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, N_TIME_FEATURES,
-                        MlpDenoiser, make_linear_schedule)
+                        MlpDenoiser, Schedule, make_linear_schedule)
 from .purify import LoridConfig
 from .tucker import TensorizationLayout, TuckerBasis
 
@@ -165,6 +165,8 @@ class RunConfig:
     seed: int
     eta: float | None = None
     ranks: tuple[int, int, int, int] | None = None
+    # The Schedule of T, beta_start and beta_end, built once by the check below.
+    schedule: Schedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.eta is None) == (self.ranks is None):
@@ -181,6 +183,7 @@ class RunConfig:
             purifier.validate(schedule)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "schedule", schedule)
 
 
 _REQUIRED_KEYS = (

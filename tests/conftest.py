@@ -1,8 +1,24 @@
-"""Suite-wide checks."""
+"""Suite-wide checks and fixtures."""
 
 import os
 
 import pytest
+
+from lorid.diffusion import Schedule
+
+
+@pytest.fixture
+def schedule_builds(monkeypatch):
+    """The ``beta`` of every :class:`Schedule` built in this process during the test."""
+    builds = []
+    init = Schedule.__init__
+
+    def counted(self, beta):
+        builds.append(beta)
+        init(self, beta)
+
+    monkeypatch.setattr(Schedule, "__init__", counted)
+    return builds
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -106,7 +106,8 @@ def arg_files(tmp_path_factory):
     files = {"cfg": cfg, "data": data, "labels": labels}
     images, classes = read_tensor(data), read_tensor(labels)
     images[0, 3, 5, 0] = np.nan
-    bad = {"nan_data": images}
+    bad = {"nan_data": images, "scalar_data": np.array(3.0),
+           "empty_data": np.zeros((0, 16, 16, 1))}
     for name, value in (("nan_labels", np.nan), ("half_labels", 0.5)):
         bad[name] = classes.copy()
         bad[name][2] = value
@@ -167,7 +168,9 @@ def _run_refused(argv, arg_files, tmp_path, capsys):
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    return code, capsys.readouterr().err.splitlines(), out.exists()
+    captured = capsys.readouterr()
+    assert not captured.out, "a refused command printed a partial result"
+    return code, captured.err.splitlines(), out.exists()
 
 
 class TestHostileArguments:
@@ -198,23 +201,29 @@ class TestHostileArguments:
     @pytest.mark.parametrize("case, extra, messages", [
         ("nan-data", [], {"train-denoiser": re.escape("training data holds non-finite values"),
                           "train-classifier": re.escape("training data holds non-finite values")}),
+        ("scalar-data", [], {cmd: re.escape("--data needs at least one sample, got shape ()")
+                             for cmd in ("train-denoiser", "train-classifier")}),
+        ("empty-data", [], {cmd: re.escape("--data needs at least one sample, got shape "
+                                           "(0, 16, 16, 1)")
+                            for cmd in ("train-denoiser", "train-classifier")}),
         ("diverging-rate", ["--epochs", "3", "--lr", "1e150"],
          {"train-denoiser": LOSS_FACTOR, "train-classifier": LOSS_INF}),
         ("huge-finite-loss", ["--epochs", "2", "--lr", "1e150"],
          {"train-denoiser": LOSS_FACTOR, "train-classifier": LOSS_INF}),
         ("growing-loss", ["--epochs", "3", "--lr", "1e6"],
          {"train-denoiser": LOSS_FACTOR, "train-classifier": LOSS_INF}),
-    ], ids=["nan-data", "diverging-rate", "huge-finite-loss", "growing-loss"])
+    ], ids=["nan-data", "scalar-data", "empty-data", "diverging-rate", "huge-finite-loss",
+            "growing-loss"])
     @pytest.mark.parametrize("argv", RATE_COMMANDS, ids=[a[0] for a in RATE_COMMANDS])
     def test_bad_data_or_diverging_rate(self, argv, case, extra, messages, arg_files, tmp_path,
                                         capsys):
-        """A NaN in the data is refused before training, and a legal rate that
-        diverges, to a non-finite loss or to an epoch loss a million times the
-        first batch's, is a usage error: exit 2, one stderr line, no model, no
-        warning."""
+        """A NaN in the data and data with no sample are refused before
+        training, and a legal rate that diverges, to a non-finite loss or to an
+        epoch loss a million times the first batch's, is a usage error: exit 2,
+        one stderr line, no model, no warning."""
         message = messages[argv[0]]
-        if case == "nan-data":
-            argv = [a.replace("{data}", "{nan_data}") for a in argv]
+        if case.endswith("-data"):
+            argv = [a.replace("{data}", f"{{{case.replace('-', '_')}}}") for a in argv]
         argv = argv + extra  # the last --epochs wins
         code, err, wrote = _run_refused(argv, arg_files, tmp_path, capsys)
         assert code == 2
@@ -338,6 +347,39 @@ class TestVerify:
     def test_missing_config_is_usage_error(self, tmp_path):
         rc = main(["verify", "--theorem", "2", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
+
+    @pytest.mark.parametrize("theorem, extra, depths", [
+        ("2", [], "50, 200, 500, 800"),
+        ("3", [], "50, 200, 500, 800"),
+        ("4", ["--effective-t", "100"], "400"),
+        ("5", [], "50, 200, 500, 800"),
+        ("cor1", [], "50, 200, 500, 800"),
+    ], ids=["2", "3", "4", "5", "cor1"])
+    def test_depth_past_schedule_refused_before_output(self, theorem, extra, depths, tmp_path,
+                                                       capsys):
+        """On a T=120 schedule each theorem's fixed depths are refused up front:
+        exit 2, one stderr line, nothing printed."""
+        argv = ["verify", "--theorem", theorem, "--config", write_config(tmp_path, T=120),
+                "--trials", "100", *extra]
+        code, err, _ = _run_refused(argv, {}, tmp_path, capsys)
+        assert code == 2
+        assert err == [f"error: theorem {theorem} checks depths {depths}, "
+                       "but the schedule has T=120"]
+
+    @pytest.mark.parametrize("theorem, extra", [
+        ("1", ["--pairs", "2"]),
+        ("2", ["--trials", "20000"]),
+        ("3", ["--trials", "2000"]),
+        ("4", ["--effective-t", "400", "--trials", "2000"]),
+        ("5", ["--trials", "200"]),
+        ("cor1", ["--trials", "20000"]),
+    ], ids=["1", "2", "3", "4", "5", "cor1"])
+    def test_builds_one_schedule(self, theorem, extra, tmp_path, schedule_builds):
+        """The config's own schedule is the only one a verify command builds."""
+        cfg = write_config(tmp_path, T=1000)
+        schedule_builds.clear()
+        assert main(["verify", "--theorem", theorem, "--config", cfg, *extra]) == 0
+        assert len(schedule_builds) == 1
 
 
 @pytest.fixture(scope="module")
@@ -579,10 +621,10 @@ class TestToyTaskTraining:
         train_images, train_labels = cli.gen_striped_images(512, seed=cfg.seed)
         flat = train_images.reshape(512, -1)
         reference = cli.ToyArtifacts(
-            schedule=cli.build_schedule(cfg),
+            schedule=cfg.schedule,
             basis=cli._fit_basis(train_images, cfg),
             denoiser=cli.train_mlp_denoiser(
-                flat, cli.build_schedule(cfg), cli.MlpTrainConfig(hidden=(64, 64), epochs=60),
+                flat, cfg.schedule, cli.MlpTrainConfig(hidden=(64, 64), epochs=60),
                 np.random.default_rng(cfg.seed + 2))[0],
             clf=cli.train_classifier(
                 flat, train_labels, cli.ClassifierTrainConfig(hidden=(32,), epochs=150),
@@ -592,6 +634,14 @@ class TestToyTaskTraining:
         if not fork:
             monkeypatch.delattr(os, "fork")
         assert self._bits(cli.toy_task_artifacts(cfg)) == self._bits(reference)
+
+    def test_reads_the_config_schedule(self, schedule_builds, leaves_nothing):
+        """The toy task trains on ``cfg.schedule`` and builds no schedule of its own."""
+        cfg = self.CFG
+        schedule_builds.clear()
+        art = cli.toy_task_artifacts(cfg)
+        assert schedule_builds == []
+        assert art.schedule is cfg.schedule
 
     def test_error_in_child_is_raised_here(self, monkeypatch, tmp_path, capsys,
                                            leaves_nothing):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lorid import _nn
 from lorid.diffusion import (
     GaussianOracleDenoiser,
     GaussianSource,
@@ -577,6 +578,23 @@ class TestTraining:
         assert np.isfinite(report.final_loss)
         out = model.predict_eps(np.zeros(2), 50)
         assert out.shape == (2,)
+
+    @pytest.mark.skipif(_nn._openblas_threads() is None, reason="numpy bundles no OpenBLAS")
+    def test_sgd_train_holds_blas_to_one_thread(self):
+        """Every batch of the loop both networks train with runs on one BLAS
+        thread, and the count found before is back afterwards."""
+        get, _ = _nn._openblas_threads()
+        seen = []
+
+        def loss_and_grads(idx):
+            seen.append(get())
+            return 1.0, [(np.zeros((2, 1)), np.zeros(1))]
+
+        before = get()
+        _nn.sgd_train([(np.zeros((2, 1)), np.zeros(1))], n=8, batch_size=4, epochs=2, lr=0.1,
+                      lr_decay=1.0, rng=np.random.default_rng(0), loss_and_grads=loss_and_grads)
+        assert get() == before
+        assert seen == [1] * 4
 
     def test_training_is_seed_deterministic(self):
         sched = make_linear_schedule(60, 1e-3, 0.05)

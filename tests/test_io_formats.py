@@ -2,6 +2,7 @@
 
 import io
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,27 @@ class TestRunConfig:
             default_config(eta=1.5)
         with pytest.raises(ConfigError):
             default_config(eta=None, ranks=(1, 2, 3))
+
+    def test_carries_the_schedule_it_checked(self, schedule_builds):
+        """Parsing builds one schedule, the linear one of the config's keys."""
+        text = format_config(default_config(T=300, beta_end=0.03))
+        schedule_builds.clear()
+        cfg = parse_config(text)
+        assert len(schedule_builds) == 1
+        expected = make_linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
+        assert cfg.schedule.beta.tobytes() == expected.beta.tobytes()
+
+    def test_replace_rebuilds_the_schedule(self):
+        cfg = default_config(T=300)
+        shorter = replace(cfg, T=200)
+        assert (shorter.schedule.T, len(shorter.schedule.beta)) == (200, 200)
+        assert cfg.schedule.T == 300
+
+    def test_schedule_left_out_of_equality_hash_and_repr(self):
+        first, second = default_config(seed=4), default_config(seed=4)
+        assert first.schedule is not second.schedule
+        assert first == second and hash(first) == hash(second)
+        assert "schedule" not in repr(first)
 
     def test_bad_syntax_rejected(self):
         with pytest.raises(ConfigError):
