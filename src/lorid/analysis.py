@@ -218,88 +218,69 @@ def kl_gaussian_curve(p1, p2, schedule: Schedule, ts: Sequence[int]) -> np.ndarr
             raise ValueError(f"{name}: covariance must be positive definite")
     if src1.dim != src2.dim:
         raise ValueError(f"dimension mismatch: {src1.dim} vs {src2.dim}")
-    d = src1.dim
-    m1, s1, m2, s2 = src1.mean, src1.cov, src2.mean, src2.cov
-    abar = schedule.alpha_bar_at(np.asarray(ts))
-    eye = np.eye(d)
-    c1 = abar[:, None, None] * s1 + (1.0 - abar)[:, None, None] * eye
-    c2 = abar[:, None, None] * s2 + (1.0 - abar)[:, None, None] * eye
-    dm = np.sqrt(abar)[:, None] * (m2 - m1)
-    sol = np.linalg.solve(c2, c1)
-    trace = np.trace(sol, axis1=1, axis2=2)
-    quad = np.einsum("bi,bi->b", dm, np.linalg.solve(c2, dm[..., None])[..., 0])
-    _, logdet1 = np.linalg.slogdet(c1)
-    _, logdet2 = np.linalg.slogdet(c2)
-    return 0.5 * (trace + quad - d + logdet2 - logdet1)
+    # In the eigenbasis V2 of source 2 both depth-t covariances have the
+    # diagonal abar * g + 1 - abar, and the second is diagonal there.
+    v2 = np.eye(src2.dim) if src2.eigvecs is None else src2.eigvecs
+    g1 = np.einsum("ji,jk,ki->i", v2, src1.cov, v2)
+    dm2 = (v2.T @ (src2.mean - src1.mean)) ** 2
+    abar = schedule.alpha_bar_at(np.asarray(ts))[:, None]
+    c2 = abar * src2.eigvals + (1.0 - abar)
+    trace = np.sum((abar * g1 + (1.0 - abar)) / c2, axis=1)
+    quad = np.sum(abar * dm2 / c2, axis=1)
+    logdet1 = np.sum(np.log(abar * src1.eigvals + (1.0 - abar)), axis=1)
+    logdet2 = np.sum(np.log(c2), axis=1)
+    return 0.5 * (trace + quad - src1.dim + logdet2 - logdet1)
 
 
 # Rows of the push-forward kernel built at a time: 32 x 4801 doubles is 1.2 MB,
 # small enough to stay in cache while the block is exponentiated and applied.
 _BLOCK_ROWS = 32
-# exp of an argument below about -745.13 is exactly 0.0, and numpy's exp is
-# slowest where its result underflows, so arguments below this are not taken.
-_EXP_FLOOR = -750.0
-
-
-def _push_rows(
-    out: np.ndarray, weighted: np.ndarray, x: np.ndarray, src: np.ndarray, scale: float,
-    starts: range,
-) -> None:
-    """Fill the rows of ``out`` in the blocks that begin at ``starts``, in one buffer.
-
-    ``x`` and ``src`` increase, so the kernel entries of a block that can be
-    nonzero lie in one band of columns, those within ``reach`` of its rows;
-    the rest are set to 0.0, the value their exp would give.
-    """
-    buf = np.empty((_BLOCK_ROWS, x.size))
-    reach = math.sqrt(_EXP_FLOOR / scale)
-    # Every block's band up front: Python work between the numpy calls of the
-    # loop holds the interpreter lock that the other half of the rows waits on.
-    first = np.asarray(starts, dtype=np.intp)
-    last = np.minimum(first + _BLOCK_ROWS, x.size) - 1
-    los = np.searchsorted(src, x[first] - reach).tolist()
-    his = np.searchsorted(src, x[last] + reach, side="right").tolist()
-    for start, lo, hi in zip(starts, los, his):
-        rows = x[start : start + _BLOCK_ROWS]
-        block = buf[: rows.size]
-        if lo > 0 or hi < x.size:
-            block[:, :lo] = 0.0
-            block[:, hi:] = 0.0
-        band = block[:, lo:hi]
-        np.subtract(rows[:, None], src[None, lo:hi], out=band)
-        np.square(band, out=band)
-        band *= scale
-        np.exp(band, out=band)
-        np.matmul(block, weighted, out=out[start : start + rows.size])
+# numpy's exp slows down well above where its result underflows: per 32 x 4801
+# block, about 0.2 ms on [-50, 0] and on [-700, -690], 3 ms on [-708.39, -708]
+# and 22 ms on [-745, -708.4], where the result is subnormal.  So arguments
+# below this are not taken; the entries they would give are below e^-700.
+_EXP_FLOOR = -700.0
 
 
 def _push_forward(densities: np.ndarray, w: np.ndarray, x: np.ndarray, abar: float) -> np.ndarray:
     """Apply K[j, i] = w_i * N(y_j - sqrt(abar) x_i; 1 - abar) to each column.
 
-    The weights w_i and the normalizer 1/sqrt(2 pi (1 - abar)) are folded into
-    the densities once, so each block of rows costs one subtract, square,
-    scale and exp over the band of columns whose entries can be nonzero, in a
-    reused buffer, then a matrix product with every column.
-    The caller fills every other block and one helper thread the rest, each in
-    its own buffer; numpy releases the interpreter lock inside those calls, so
-    the two halves run on two cores.  Every block is computed as a serial loop
-    would compute it, BLAS held to one thread, so the bits do not depend on
-    the split.  An error in the helper's half is raised here after the join.
+    The grid ``x`` must be increasing and symmetric about 0 with symmetric
+    weights, as :func:`quadrature_grid` is: then row n-1-j of K is row j
+    reversed, so only the top n // 2 + 1 rows are built, and each one gives
+    row j against the densities and row n-1-j against them reversed.  The
+    weights and the normalizer 1/sqrt(2 pi (1 - abar)) are folded into the
+    densities once.  Rows are built 32 at a time in one reused buffer: one
+    subtract, square, scale and exp over the band of columns within reach of
+    the block, the rest set to 0.0, then one matrix product, BLAS held to one
+    thread.
     """
-    # Imported here: the CLI loads this module for every command, and only this
-    # function needs an executor.
-    from concurrent.futures import ThreadPoolExecutor
-
+    n, cols = densities.shape
     var = 1.0 - abar
     weighted = densities * (w / math.sqrt(2.0 * math.pi * var))[:, None]
+    both = np.hstack([weighted, weighted[::-1]])
     src = math.sqrt(abar) * x
     scale = -0.5 / var
+    reach = math.sqrt(_EXP_FLOOR / scale)
     out = np.empty_like(densities)
-    starts = range(0, x.size, _BLOCK_ROWS)
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool.submit(_push_rows, out, weighted, x, src, scale, starts[1::2])
-        _push_rows(out, weighted, x, src, scale, starts[::2])
-        helper.result()
+    buf = np.empty((_BLOCK_ROWS, n))
+    with one_blas_thread():
+        for start in range(0, n // 2 + 1, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            rows, block = x[start:stop], buf[: stop - start]
+            lo = int(np.searchsorted(src, rows[0] - reach))
+            hi = int(np.searchsorted(src, rows[-1] + reach, side="right"))
+            block[:, :lo] = 0.0
+            block[:, hi:] = 0.0
+            band = block[:, lo:hi]
+            np.subtract(rows[:, None], src[None, lo:hi], out=band)
+            np.square(band, out=band)
+            band *= scale
+            np.exp(band, out=band)
+            pushed = block @ both
+            out[start:stop] = pushed[:, :cols]
+            above = min(stop, n // 2) - start  # rows whose mirror lies below the middle
+            out[n - start - above : n - start] = pushed[:above][::-1, cols:]
     return out
 
 
@@ -332,13 +313,12 @@ def kl_quadrature_forward(
     Densities are given on the standard grid (as callables or value arrays,
     normalized there to within 1e-6).  Both are pushed through the depth-t
     channel together by Simpson quadrature against the scaled Gaussian kernel
-    K[j, i] = w_i N(y_j - sqrt(abar_t) x_i; 1 - abar_t), built 32 rows at a
-    time, alternate blocks on the caller's thread and on one helper thread,
-    each in its own reused buffer.  So the 4801 x 4801 kernel is never held,
-    nothing is cached between calls, and the result is bit-identical to a
-    one-thread run.  Then p log(p/q) is integrated on the same grid.  Raises
-    if normalization drifts above 1e-6 at any stage (grid too coarse for the
-    inputs).
+    K[j, i] = w_i N(y_j - sqrt(abar_t) x_i; 1 - abar_t), its top half built 32
+    rows at a time in one reused buffer, the bottom half read off by the
+    grid's symmetry.  So the 4801 x 4801 kernel is never held and nothing is
+    cached between calls.  Then p log(p/q) is integrated on the same grid.
+    Raises if normalization drifts above 1e-6 at any stage (grid too coarse
+    for the inputs).
     """
     if t < 0:
         raise ValueError(f"depth t={t} must be >= 0")

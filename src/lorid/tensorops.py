@@ -20,6 +20,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._nn import one_blas_thread
+
 __all__ = [
     "SvdResult",
     "unfold",
@@ -94,14 +96,17 @@ def svd(m) -> SvdResult:
 
     Singular values are sorted descending.  Both factors stay orthonormal for
     rank-deficient input: LAPACK fills the zero singular directions with
-    orthonormal vectors.
+    orthonormal vectors.  BLAS is held to one thread (see
+    :func:`lorid._nn.one_blas_thread`): on the package's unfoldings, up to
+    64 x 3072, a second thread slows the SVD down and changes no bit.
     """
     mat = np.asarray(m, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    return SvdResult(*np.linalg.svd(mat, full_matrices=False))
+    with one_blas_thread():
+        return SvdResult(*np.linalg.svd(mat, full_matrices=False))
 
 
 def frobenius_norm(x) -> float:

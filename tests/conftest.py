@@ -1,6 +1,7 @@
 """Suite-wide checks and fixtures."""
 
 import os
+import threading
 
 import pytest
 
@@ -22,26 +23,27 @@ def schedule_builds(monkeypatch):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Fail the run when a child process of the test process is still running
-    or has exited without being reaped: some code under test left it behind."""
+    """Fail the run when a thread other than the main one is still running, or
+    a child process of the test process is still running or has exited without
+    being reaped: some code under test left it behind."""
+    found = []
+    threads = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+    if threads:
+        found.append(f"{len(threads)} thread(s) running ({', '.join(threads)})")
     reaped = []
-    running = False
     while True:
         try:
             pid, _ = os.waitpid(-1, os.WNOHANG)
         except ChildProcessError:
             break
         if pid == 0:
-            running = True
+            found.append("a child process still running")
             break
         reaped.append(pid)
-    if not running and not reaped:
-        return
-    found = []
-    if running:
-        found.append("a child process still running")
     if reaped:
         found.append(f"{len(reaped)} child process(es) never reaped (pids {reaped})")
+    if not found:
+        return
     reporter = session.config.pluginmanager.get_plugin("terminalreporter")
     if reporter is not None:
         reporter.write("\n")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lorid import _nn
 from lorid.tensorops import (
     fold,
     frobenius_norm,
@@ -156,6 +157,29 @@ class TestSvd:
     def test_vector_input_raises(self):
         with pytest.raises(ValueError):
             svd(np.arange(3.0))
+
+    def test_one_blas_thread_changes_no_bit(self, monkeypatch):
+        """The SVD runs on one BLAS thread and equals numpy's under the thread
+        count found, on a CIFAR-shaped mode unfolding; that count is restored."""
+        api = _nn._openblas_threads()
+        if api is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        found = api[0]()
+        m = np.random.default_rng(123).standard_normal((64, 3072))
+        ref = np.linalg.svd(m, full_matrices=False)
+        inside = []
+        lapack = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            inside.append(api[0]())
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        res = svd(m)
+        assert inside == [1]
+        for got, want in zip(res, ref):
+            assert got.tobytes() == want.tobytes()
+        assert api[0]() == found
 
 
 class TestNorms:
