@@ -346,7 +346,8 @@ def kl_quadrature_forward(
 
 
 class BoundViolation(RuntimeError):
-    """Measured error escaped its guaranteed sandwich."""
+    """A numerical check failed, such as a measured error that escaped its
+    guaranteed sandwich; the message carries the margins."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,7 +69,6 @@ from .tucker import TensorizationLayout, TuckerBasis, fit_basis
 
 __all__ = [
     "main",
-    "CheckFailure",
     "lorid_config_from",
     "ToyArtifacts",
     "toy_task_artifacts",
@@ -77,10 +76,6 @@ __all__ = [
     "run_attack_eval",
     "run_calibration",
 ]
-
-
-class CheckFailure(Exception):
-    """A numerical verification failed; message carries the margin report."""
 
 
 def lorid_config_from(cfg: RunConfig, basis: TuckerBasis | None) -> LoridConfig:
@@ -352,11 +347,6 @@ def _cmd_curves(args) -> int:
 _VERIFY_T_SET = (50, 200, 500, 800)
 # Depth of theorem 4's empirical looped-against-single-pass check.
 _THEOREM_4_T = 400
-# The fixed depths each theorem checks; a shorter schedule is refused before any output.
-_VERIFY_DEPTHS = {"2": _VERIFY_T_SET, "3": _VERIFY_T_SET, "4": (_THEOREM_4_T,),
-                  "5": _VERIFY_T_SET, "cor1": _VERIFY_T_SET}
-# Monte Carlo trials per theorem when --trials is not given (theorem 1 takes --pairs).
-_VERIFY_TRIALS = {"2": 100_000, "3": 10_000, "4": 10_000, "5": 1_000, "cor1": 100_000}
 
 
 def _oracle_setup(schedule: Schedule, d: int = 8, eps_a=None, basis=None) -> BoundSetup:
@@ -372,7 +362,10 @@ def _oracle_setup(schedule: Schedule, d: int = 8, eps_a=None, basis=None) -> Bou
     )
 
 
-def _verify_theorem_1(schedule: Schedule, rng: np.random.Generator, pairs: int) -> None:
+def _verify_theorem_1(
+    schedule: Schedule, rng: np.random.Generator, trials: int | None, args
+) -> None:
+    pairs = args.pairs
     ts = np.arange(0, schedule.T + 1)
     worst = 0.0
     for _ in range(pairs):
@@ -384,7 +377,7 @@ def _verify_theorem_1(schedule: Schedule, rng: np.random.Generator, pairs: int) 
         kls = kl_gaussian_curve((m1, s1), (m2, s2), schedule, ts)
         worst = max(worst, float(np.max(np.diff(kls))))
     if worst > 1e-12:
-        raise CheckFailure(f"closed-form KL sequence increased by {worst:.3e} (> 1e-12)")
+        raise BoundViolation(f"closed-form KL sequence increased by {worst:.3e} (> 1e-12)")
 
     x_grid, _ = quadrature_grid()
     mix = 0.5 * (
@@ -395,32 +388,32 @@ def _verify_theorem_1(schedule: Schedule, rng: np.random.Generator, pairs: int) 
     for t in range(0, schedule.T + 1, 100):
         kl = kl_quadrature_forward(mix, uni, schedule, t)
         if prev is not None and kl > prev + 1e-6:
-            raise CheckFailure(f"quadrature KL rose {prev:.8f} -> {kl:.8f} at t={t}")
+            raise BoundViolation(f"quadrature KL rose {prev:.8f} -> {kl:.8f} at t={t}")
         prev = kl
     print(f"theorem 1: {pairs} Gaussian pairs + quadrature pair non-increasing "
           f"(worst closed-form step {worst:.2e})")
 
 
-def _verify_theorem_2(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
+def _verify_theorem_2(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
     setup = _oracle_setup(schedule)
     for t in _VERIFY_T_SET:
         report = verify_bounds(setup, t, trials, rng)
         mmse = mmse_gaussian(effective_snr(schedule, t))
         rel = abs(report.empirical - mmse) / mmse
         if rel > 0.03:
-            raise CheckFailure(
+            raise BoundViolation(
                 f"t={t}: empirical {report.empirical:.6f} vs analytic {mmse:.6f} "
                 f"({100 * rel:.2f}% > 3%)"
             )
         if report.delta_ddpm_est > 0.01 * mmse:
-            raise CheckFailure(
+            raise BoundViolation(
                 f"t={t}: denoiser slack {report.delta_ddpm_est:.6f} exceeds 1% of {mmse:.6f}"
             )
         print(f"theorem 2 t={t}: empirical {report.empirical:.6f} ~ analytic {mmse:.6f} "
               f"({100 * rel:.3f}% rel), slack {report.delta_ddpm_est:.2e}")
 
 
-def _verify_theorem_3(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
+def _verify_theorem_3(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
     d = 8
     for rms in (0.1, 0.5):
         direction = rng.standard_normal(d)
@@ -434,9 +427,8 @@ def _verify_theorem_3(schedule: Schedule, rng: np.random.Generator, trials: int)
             )
 
 
-def _verify_theorem_4(
-    schedule: Schedule, rng: np.random.Generator, trials: int, effective_t: int
-) -> None:
+def _verify_theorem_4(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
+    effective_t = args.effective_t
     points = loop_bound_curve(schedule, effective_t, range(1, 11))
     values = [p.value for p in points]
     rises = [
@@ -450,7 +442,7 @@ def _verify_theorem_4(
     if rises:
         detail = "; ".join(f"L={L}: {a:.6f} -> {b:.6f}" for L, a, b in rises)
         saturated = " < 1, so value(L=2) > 1 >= value(L=1)" if snr_half < 1 else ""
-        raise CheckFailure(
+        raise BoundViolation(
             f"curve at effective_t={effective_t} is not strictly decreasing in L ({detail}); "
             f"{half_note}{saturated}"
         )
@@ -466,13 +458,13 @@ def _verify_theorem_4(
         out, _ = lorid_purify(x0, oracle, schedule, cfg, rng)
         errs[L] = float(np.mean((out - x0) ** 2))
     if not errs[8] < errs[1]:
-        raise CheckFailure(
+        raise BoundViolation(
             f"looped purification did not win: L=8 error {errs[8]:.4f} vs L=1 {errs[1]:.4f}"
         )
     print(f"theorem 4: empirical t={t} error L=8 {errs[8]:.4f} < L=1 {errs[1]:.4f}")
 
 
-def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
+def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
     from .purify import misaligned_noise
 
     layout = TensorizationLayout(height=8, width=8, channels=1, patch=4)
@@ -491,13 +483,13 @@ def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int)
         )
 
 
-def _verify_cor1(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
+def _verify_cor1(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
     setup = _oracle_setup(schedule)
     for t in _VERIFY_T_SET:
         report = verify_bounds(setup, t, trials, rng)
         mmse = mmse_gaussian(effective_snr(schedule, t))
         if report.delta_ddpm_est > 0.01 * mmse:
-            raise CheckFailure(
+            raise BoundViolation(
                 f"t={t}: slack {report.delta_ddpm_est:.6f} above 1% of MMSE {mmse:.6f}"
             )
         print(
@@ -506,26 +498,27 @@ def _verify_cor1(schedule: Schedule, rng: np.random.Generator, trials: int) -> N
         )
 
 
+# Each theorem's check, the fixed depths it reads (a shorter schedule is refused
+# before any output) and its Monte Carlo trials when --trials is not given
+# (theorem 1 takes --pairs).  A check is called as check(schedule, rng, trials, args).
+_THEOREMS = {
+    "1": (_verify_theorem_1, (), None),
+    "2": (_verify_theorem_2, _VERIFY_T_SET, 100_000),
+    "3": (_verify_theorem_3, _VERIFY_T_SET, 10_000),
+    "4": (_verify_theorem_4, (_THEOREM_4_T,), 10_000),
+    "5": (_verify_theorem_5, _VERIFY_T_SET, 1_000),
+    "cor1": (_verify_cor1, _VERIFY_T_SET, 100_000),
+}
+
+
 def _cmd_verify(args) -> int:
+    check, depths, default_trials = _THEOREMS[args.theorem]
     cfg = _load_config(args.config, args.seed)
-    depths = _VERIFY_DEPTHS.get(args.theorem, ())
     if max(depths, default=0) > cfg.T:
         raise ConfigError(f"theorem {args.theorem} checks depths "
                           f"{', '.join(map(str, depths))}, but the schedule has T={cfg.T}")
-    schedule, rng = cfg.schedule, np.random.default_rng(cfg.seed)
-    trials = args.trials if args.trials is not None else _VERIFY_TRIALS.get(args.theorem)
-    if args.theorem == "1":
-        _verify_theorem_1(schedule, rng, pairs=args.pairs)
-    elif args.theorem == "2":
-        _verify_theorem_2(schedule, rng, trials)
-    elif args.theorem == "3":
-        _verify_theorem_3(schedule, rng, trials)
-    elif args.theorem == "4":
-        _verify_theorem_4(schedule, rng, trials, args.effective_t)
-    elif args.theorem == "5":
-        _verify_theorem_5(schedule, rng, trials)
-    else:
-        _verify_cor1(schedule, rng, trials)
+    trials = args.trials if args.trials is not None else default_trials
+    check(cfg.schedule, np.random.default_rng(cfg.seed), trials, args)
     print(f"theorem {args.theorem}: PASS")
     return 0
 
@@ -664,7 +657,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override config seed")
 
     p = sub.add_parser("verify", help="run a bound/monotonicity verification")
-    p.add_argument("--theorem", required=True, choices=["1", "2", "3", "4", "5", "cor1"])
+    p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=_count, help="Monte Carlo trials (default per theorem)")
     p.add_argument("--pairs", type=_count, default=100, help="Gaussian pairs (theorem 1)")
@@ -715,10 +708,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (CheckFailure, BoundViolation) as exc:
+    except BoundViolation as exc:
         print(f"CHECK FAILED: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, TensorFormatError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, TensorFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -324,6 +324,54 @@ class TestBadConfig:
         assert not wrote
 
 
+# Path arguments that name a directory ("{dir}"), or a path under a plain file
+# ("{file}/x"); "{out}" is a path that must not be written.
+PATH_CASES = {
+    "verify-config-dir": ["verify", "--theorem", "1", "--config", "{dir}"],
+    "gen-data-out-dir": ["gen-data", "--task", "gaussian", "--n", "4", "--out", "{dir}"],
+    "curves-out-dir": ["curves", "--kind", "snr", "--config", "{cfg}", "--out", "{dir}"],
+    "train-classifier-data-dir": ["train-classifier", "--data", "{dir}", "--labels", "{labels}",
+                                  "--out", "{out}"],
+    "purify-input-dir": ["purify", "--input", "{dir}", "--denoiser", "{denoiser}",
+                         "--config", "{cfg}", "--out", "{out}"],
+    "gen-data-out-under-file": ["gen-data", "--task", "gaussian", "--n", "4",
+                                "--out", "{file}/x"],
+    "curves-out-under-file": ["curves", "--kind", "snr", "--config", "{cfg}",
+                              "--out", "{file}/x"],
+}
+
+
+class TestPathArguments:
+    @pytest.mark.parametrize("case", PATH_CASES)
+    def test_unusable_path_is_usage_error(self, case, arg_files, purify_files, tmp_path, capsys):
+        """An ``OSError`` from opening a path is a usage error: exit 2, one
+        stderr line, nothing on stdout, no traceback."""
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_file").write_text("")
+        paths = {"dir": str(tmp_path / "a_dir"), "file": str(tmp_path / "a_file")}
+        code, err, wrote = _run_refused(PATH_CASES[case], {**arg_files, **purify_files, **paths},
+                                        tmp_path, capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: [Errno "), err
+        assert not wrote
+
+
+# Quick runs of each theorem on a T=1000 schedule: the trials or pairs that keep
+# them short, and theorem 4 at a depth where its curve check passes.
+VERIFY_QUICK = [
+    ("1", ["--pairs", "2"]),
+    ("2", ["--trials", "20000"]),
+    ("3", ["--trials", "2000"]),
+    ("4", ["--effective-t", "400", "--trials", "2000"]),
+    ("5", ["--trials", "200"]),
+    ("cor1", ["--trials", "20000"]),
+]
+
+
+class _Stop(Exception):
+    """Raised by a spy to end a run once it has seen what it records."""
+
+
 class TestVerify:
     def test_theorem_4_honest_at_low_depth(self, tmp_path):
         cfg = write_config(tmp_path, T=1000, t=400, L=4)
@@ -366,20 +414,56 @@ class TestVerify:
         assert err == [f"error: theorem {theorem} checks depths {depths}, "
                        "but the schedule has T=120"]
 
-    @pytest.mark.parametrize("theorem, extra", [
-        ("1", ["--pairs", "2"]),
-        ("2", ["--trials", "20000"]),
-        ("3", ["--trials", "2000"]),
-        ("4", ["--effective-t", "400", "--trials", "2000"]),
-        ("5", ["--trials", "200"]),
-        ("cor1", ["--trials", "20000"]),
-    ], ids=["1", "2", "3", "4", "5", "cor1"])
+    @pytest.mark.parametrize("theorem, extra", VERIFY_QUICK, ids=[t for t, _ in VERIFY_QUICK])
     def test_builds_one_schedule(self, theorem, extra, tmp_path, schedule_builds):
         """The config's own schedule is the only one a verify command builds."""
         cfg = write_config(tmp_path, T=1000)
         schedule_builds.clear()
         assert main(["verify", "--theorem", theorem, "--config", cfg, *extra]) == 0
         assert len(schedule_builds) == 1
+
+    @pytest.mark.parametrize("theorem, extra", VERIFY_QUICK, ids=[t for t, _ in VERIFY_QUICK])
+    def test_checks_call_through_cli_names(self, theorem, extra, tmp_path, monkeypatch):
+        """The checks call ``verify_bounds`` and ``kl_quadrature_forward`` by
+        their ``lorid.cli`` names, which the bench's tracer wraps: one round
+        of the six counts 20 and 11 calls."""
+        bounds, quadratures = {"1": (0, 11), "2": (4, 0), "3": (8, 0), "4": (0, 0),
+                               "5": (4, 0), "cor1": (4, 0)}[theorem]
+        calls = {"verify_bounds": bounds, "kl_quadrature_forward": quadratures}
+        counts = dict.fromkeys(calls, 0)
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        cfg = write_config(tmp_path, T=1000)
+        assert main(["verify", "--theorem", theorem, "--config", cfg, *extra]) == 0
+        assert counts == calls
+
+    @pytest.mark.parametrize("theorem, trials", [
+        ("2", 100_000), ("3", 10_000), ("4", 10_000), ("5", 1_000), ("cor1", 100_000),
+    ])
+    def test_default_trials(self, theorem, trials, tmp_path, monkeypatch):
+        """Without --trials each theorem draws its own default number of
+        Monte Carlo trials: the first ``verify_bounds`` call (theorem 4's
+        first ``lorid_purify`` call, in its rows) shows it."""
+        seen = []
+
+        def first_bound(setup, t, n, rng):
+            seen.append(n)
+            raise _Stop
+
+        def first_purify(x, *args):
+            seen.append(x.shape[0])
+            raise _Stop
+
+        monkeypatch.setattr(cli, "verify_bounds", first_bound)
+        monkeypatch.setattr(cli, "lorid_purify", first_purify)
+        cfg = write_config(tmp_path, T=1000)
+        with pytest.raises(_Stop):
+            main(["verify", "--theorem", theorem, "--config", cfg, "--effective-t", "400"])
+        assert seen == [trials]
 
 
 @pytest.fixture(scope="module")
