@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import (
+    BoundReport,
     BoundSetup,
     BoundViolation,
     effective_snr,
@@ -362,10 +363,12 @@ def _oracle_setup(schedule: Schedule, d: int = 8, eps_a=None, basis=None) -> Bou
     )
 
 
-def _verify_theorem_1(
-    schedule: Schedule, rng: np.random.Generator, trials: int | None, args
-) -> None:
-    pairs = args.pairs
+def _tolerance_note(report: BoundReport) -> str:
+    """The four-standard-error tolerance ``verify_bounds`` allowed the sandwich."""
+    return f", tolerance {report.tolerance:.6f} (4 s.e.)"
+
+
+def _verify_theorem_1(schedule: Schedule, rng: np.random.Generator, pairs: int) -> None:
     ts = np.arange(0, schedule.T + 1)
     worst = 0.0
     for _ in range(pairs):
@@ -394,7 +397,7 @@ def _verify_theorem_1(
           f"(worst closed-form step {worst:.2e})")
 
 
-def _verify_theorem_2(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
+def _verify_theorem_2(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
     setup = _oracle_setup(schedule)
     for t in _VERIFY_T_SET:
         report = verify_bounds(setup, t, trials, rng)
@@ -410,10 +413,11 @@ def _verify_theorem_2(schedule: Schedule, rng: np.random.Generator, trials: int,
                 f"t={t}: denoiser slack {report.delta_ddpm_est:.6f} exceeds 1% of {mmse:.6f}"
             )
         print(f"theorem 2 t={t}: empirical {report.empirical:.6f} ~ analytic {mmse:.6f} "
-              f"({100 * rel:.3f}% rel), slack {report.delta_ddpm_est:.2e}")
+              f"({100 * rel:.3f}% rel), slack {report.delta_ddpm_est:.2e}"
+              f"{_tolerance_note(report)}")
 
 
-def _verify_theorem_3(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
+def _verify_theorem_3(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
     d = 8
     for rms in (0.1, 0.5):
         direction = rng.standard_normal(d)
@@ -427,8 +431,9 @@ def _verify_theorem_3(schedule: Schedule, rng: np.random.Generator, trials: int,
             )
 
 
-def _verify_theorem_4(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
-    effective_t = args.effective_t
+def _verify_theorem_4(
+    schedule: Schedule, rng: np.random.Generator, trials: int, effective_t: int
+) -> None:
     points = loop_bound_curve(schedule, effective_t, range(1, 11))
     values = [p.value for p in points]
     rises = [
@@ -464,7 +469,7 @@ def _verify_theorem_4(schedule: Schedule, rng: np.random.Generator, trials: int,
     print(f"theorem 4: empirical t={t} error L=8 {errs[8]:.4f} < L=1 {errs[1]:.4f}")
 
 
-def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
+def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
     from .purify import misaligned_noise
 
     layout = TensorizationLayout(height=8, width=8, channels=1, patch=4)
@@ -483,7 +488,7 @@ def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int,
         )
 
 
-def _verify_cor1(schedule: Schedule, rng: np.random.Generator, trials: int, args) -> None:
+def _verify_cor1(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
     setup = _oracle_setup(schedule)
     for t in _VERIFY_T_SET:
         report = verify_bounds(setup, t, trials, rng)
@@ -495,30 +500,38 @@ def _verify_cor1(schedule: Schedule, rng: np.random.Generator, trials: int, args
         print(
             f"corollary 1 t={t}: error {report.empirical:.6f} in "
             f"[{report.lower:.6f}, {report.upper:.6f}], slack {report.delta_ddpm_est:.2e}"
+            f"{_tolerance_note(report)}"
         )
 
 
 # Each theorem's check, the fixed depths it reads (a shorter schedule is refused
-# before any output) and its Monte Carlo trials when --trials is not given
-# (theorem 1 takes --pairs).  A check is called as check(schedule, rng, trials, args).
+# before any output) and the flags it reads, with their defaults; any other of
+# _VERIFY_FLAGS is refused.  A check is called as check(schedule, rng, **flags).
 _THEOREMS = {
-    "1": (_verify_theorem_1, (), None),
-    "2": (_verify_theorem_2, _VERIFY_T_SET, 100_000),
-    "3": (_verify_theorem_3, _VERIFY_T_SET, 10_000),
-    "4": (_verify_theorem_4, (_THEOREM_4_T,), 10_000),
-    "5": (_verify_theorem_5, _VERIFY_T_SET, 1_000),
-    "cor1": (_verify_cor1, _VERIFY_T_SET, 100_000),
+    "1": (_verify_theorem_1, (), {"pairs": 100}),
+    "2": (_verify_theorem_2, _VERIFY_T_SET, {"trials": 100_000}),
+    "3": (_verify_theorem_3, _VERIFY_T_SET, {"trials": 10_000}),
+    "4": (_verify_theorem_4, (_THEOREM_4_T,), {"trials": 10_000, "effective_t": 600}),
+    "5": (_verify_theorem_5, _VERIFY_T_SET, {"trials": 1_000}),
+    "cor1": (_verify_cor1, _VERIFY_T_SET, {"trials": 100_000}),
 }
+_VERIFY_FLAGS = ("trials", "pairs", "effective_t")
 
 
 def _cmd_verify(args) -> int:
-    check, depths, default_trials = _THEOREMS[args.theorem]
+    check, depths, defaults = _THEOREMS[args.theorem]
+    for name in _VERIFY_FLAGS:
+        if getattr(args, name) is not None and name not in defaults:
+            reads = ", ".join("--" + flag.replace("_", "-") for flag in defaults)
+            raise ConfigError(f"theorem {args.theorem} does not read "
+                              f"--{name.replace('_', '-')} (it reads {reads})")
     cfg = _load_config(args.config, args.seed)
     if max(depths, default=0) > cfg.T:
         raise ConfigError(f"theorem {args.theorem} checks depths "
                           f"{', '.join(map(str, depths))}, but the schedule has T={cfg.T}")
-    trials = args.trials if args.trials is not None else default_trials
-    check(cfg.schedule, np.random.default_rng(cfg.seed), trials, args)
+    flags = {name: default if getattr(args, name) is None else getattr(args, name)
+             for name, default in defaults.items()}
+    check(cfg.schedule, np.random.default_rng(cfg.seed), **flags)
     print(f"theorem {args.theorem}: PASS")
     return 0
 
@@ -659,13 +672,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a bound/monotonicity verification")
     p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
     p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=_count, help="Monte Carlo trials (default per theorem)")
-    p.add_argument("--pairs", type=_count, default=100, help="Gaussian pairs (theorem 1)")
-    p.add_argument("--effective-t", type=_count, default=600,
+    p.add_argument("--trials", type=_count,
+                   help="Monte Carlo trials (theorems 2-5 and cor1; default per theorem)")
+    p.add_argument("--pairs", type=_count,
+                   help=f"Gaussian pairs (theorem 1; default {_THEOREMS['1'][2]['pairs']})")
+    p.add_argument("--effective-t", type=_count,
                    help="depth budget for the curve check (theorem 4); the curve can only "
                         "be strictly decreasing when the half-depth snr(t // 2) is >= 1, "
-                        "as at 200 or 400 on the default schedule; at the default 600 it "
-                        "is 0.657 and the check fails")
+                        "as at 200 or 400 on the default schedule; at the default "
+                        f"{_THEOREMS['4'][2]['effective_t']} it is 0.657 and the check fails")
     p.add_argument("--seed", type=int, help="override config seed")
 
     p = sub.add_parser("attack-eval", help="striped-task robustness ladder under PGD")

@@ -60,6 +60,49 @@ CURVE_FROZEN = {
 }
 
 
+# Whether numpy's longdouble carries more precision than float64 (the x87
+# 80-bit format does; on some platforms longdouble is float64 itself).
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+def _push_densities(x):
+    """The two densities the push-forward checks use, as grid columns."""
+    return np.column_stack([
+        np.exp(-0.5 * (x - 0.8) ** 2 / 1.2) / math.sqrt(2 * math.pi * 1.2),
+        np.exp(-0.5 * (x + 2.0) ** 2 / 0.3) / math.sqrt(2 * math.pi * 0.3),
+    ])
+
+
+def _longdouble_push(dens, w, x, abar, rows=slice(None)):
+    """Dense reference for ``analysis._push_forward`` on the output ``rows``.
+
+    Each kernel entry exp(-(x_j - sqrt(abar) x_i)^2 / (2 (1 - abar))) is built
+    from its own longdouble argument r + d, r the nearest float64, as
+    exp(r) (1 + d): numpy's float64 exp is within about an ulp (1e-16), and
+    the longdouble factor restores the up to 5.7e-14 that rounding the
+    argument lost.  The products with the weighted densities are summed in
+    longdouble, 128 rows at a time.
+    """
+    ld = np.longdouble
+    var = 1 - ld(abar)
+    src = np.sqrt(ld(abar)) * x.astype(ld)
+    weighted = dens.astype(ld) * (w.astype(ld) / np.sqrt(2 * ld(math.pi) * var))[:, None]
+    targets = x[rows].astype(ld)
+    out = np.empty((targets.size, dens.shape[1]), dtype=ld)
+    for start in range(0, targets.size, 128):
+        arg = np.square(targets[start : start + 128, None] - src) / (-2 * var)
+        r = arg.astype(np.float64)
+        out[start : start + 128] = (np.exp(r) * (1 + (arg - r))) @ weighted
+    return out
+
+
+def _assert_near_reference(pushed, ref):
+    """Relative error at most 5e-13 on every entry of ``ref`` above 1e-250."""
+    big = ref > 1e-250
+    rel = np.abs(pushed[big] - ref[big]) / ref[big]
+    assert rel.max() <= 5e-13, float(rel.max())
+
+
 class TestQuadratureGrid:
     def test_weights_integrate_constants(self):
         x, w = quadrature_grid()
@@ -377,13 +420,16 @@ class TestKlQuadrature:
         return None if api is None else api[0]()
 
     def test_push_forward_matches_dense_loop(self):
-        """The mirrored push-forward gives the top-half rows of a loop over the
-        dense kernel's 32-row blocks bit for bit, and every other row to 1e-13
-        of its column's peak; it starts no thread and restores BLAS."""
+        """The Toeplitz push-forward is within 5e-13 relative of a dense
+        longdouble reference on every entry above 1e-250 of every 7th row and
+        the last (7 is coprime to the 128-row block, so every row position of a
+        block is checked), and within 1e-13 of its column's peak of a loop over
+        the dense kernel's 32-row blocks on every row; it starts no thread and
+        restores BLAS."""
         sched = default_schedule()
         x, w = quadrature_grid()
-        top = x.size // 2 + 1
-        dens = np.column_stack([self._gauss(0.8, 1.2)(x), self._gauss(-2.0, 0.3)(x)])
+        checked = np.r_[0 : x.size : 7, x.size - 1]
+        dens = _push_densities(x)
         threads, blas = threading.active_count(), self._blas_threads()
         for t in (1, 10, 50, 100, 150, 500, 1000):
             abar = sched.alpha_bar_at(t)
@@ -396,10 +442,59 @@ class TestKlQuadrature:
                 block *= -0.5 / var
                 dense[start : start + rows.size] = np.exp(block) @ weighted
             pushed = analysis._push_forward(dens, w, x, abar)
-            assert pushed[:top].tobytes() == dense[:top].tobytes(), t
+            if EXTENDED:
+                _assert_near_reference(pushed[checked],
+                                       _longdouble_push(dens, w, x, abar, checked))
             assert np.all(np.abs(pushed - dense) <= 1e-13 * dense.max(axis=0)), t
         assert threading.active_count() == threads
         assert self._blas_threads() == blas
+
+    @pytest.mark.skipif(not EXTENDED, reason="longdouble is float64 here")
+    @pytest.mark.parametrize("n", [801, 2401, 4801])
+    def test_push_forward_grid_sizes(self, n):
+        """On every grid size the push-forward and its KL match the longdouble
+        reference at t=100.  This pins the grid step: with x[1] - x[0] in place
+        of np.linspace's step the relative error reaches 2.3e-12 or more and the
+        KL moves by 9e-14 or more."""
+        x, w = quadrature_grid(n)
+        dens = _push_densities(x)
+        abar = default_schedule().alpha_bar_at(100)
+        pushed = analysis._push_forward(dens, w, x, abar)
+        ref = _longdouble_push(dens, w, x, abar)
+        _assert_near_reference(pushed, ref)
+        kl = analysis._grid_kl(pushed[:, 0], pushed[:, 1], w)
+        assert abs(kl - float(analysis._grid_kl(ref[:, 0], ref[:, 1], w))) <= 1e-14
+
+    @pytest.mark.skipif(not EXTENDED, reason="longdouble is float64 here")
+    def test_push_forward_narrowest_kernel(self):
+        """At t=1 of a schedule from beta 1e-8, abar is 1 - 1e-8 and the kernel
+        (standard deviation 1e-4) is narrower than the grid step: the
+        push-forward still matches the reference, and kl_quadrature_forward
+        refuses the depth since the pushed mass drifts."""
+        sched = make_linear_schedule(1000, 1e-8, 0.02)
+        x, w = quadrature_grid()
+        dens = _push_densities(x)
+        abar = sched.alpha_bar_at(1)
+        pushed = analysis._push_forward(dens, w, x, abar)
+        ref = _longdouble_push(dens, w, x, abar)
+        _assert_near_reference(pushed, ref)
+        kl = analysis._grid_kl(pushed[:, 0], pushed[:, 1], w)
+        assert abs(kl - float(analysis._grid_kl(ref[:, 0], ref[:, 1], w))) <= 1e-14
+        with pytest.raises(ValueError, match="pushforward of density1 mass"):
+            kl_quadrature_forward(dens[:, 0], dens[:, 1], sched, 1)
+
+    @pytest.mark.skipif(not EXTENDED, reason="longdouble is float64 here")
+    def test_push_forward_widest_kernel(self):
+        """At t=T every block offset is applied; the push-forward and the KL
+        that kl_quadrature_forward returns match the reference."""
+        sched = default_schedule()
+        x, w = quadrature_grid()
+        dens = _push_densities(x)
+        abar = sched.alpha_bar_at(sched.T)
+        ref = _longdouble_push(dens, w, x, abar)
+        _assert_near_reference(analysis._push_forward(dens, w, x, abar), ref)
+        kl = kl_quadrature_forward(dens[:, 0], dens[:, 1], sched, sched.T)
+        assert abs(kl - float(analysis._grid_kl(ref[:, 0], ref[:, 1], w))) <= 1e-14
 
     def test_fractional_depth_refused(self):
         sched = default_schedule()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lorid import _nn, cli
-from lorid.analysis import loop_bound_curve
+from lorid.analysis import loop_bound_curve, verify_bounds
 from lorid.cli import main
 from lorid.diffusion import MlpDenoiser, make_linear_schedule
 from lorid.io_formats import (
@@ -461,9 +461,53 @@ class TestVerify:
         monkeypatch.setattr(cli, "verify_bounds", first_bound)
         monkeypatch.setattr(cli, "lorid_purify", first_purify)
         cfg = write_config(tmp_path, T=1000)
+        extra = ["--effective-t", "400"] if theorem == "4" else []
         with pytest.raises(_Stop):
-            main(["verify", "--theorem", theorem, "--config", cfg, "--effective-t", "400"])
+            main(["verify", "--theorem", theorem, "--config", cfg, *extra])
         assert seen == [trials]
+
+    @pytest.mark.parametrize("theorem, flag, value, reads", [
+        ("1", "--trials", "5", "--pairs"),
+        ("5", "--pairs", "3", "--trials"),
+        ("2", "--effective-t", "7", "--trials"),
+    ])
+    def test_unread_flag_refused(self, theorem, flag, value, reads, tmp_path, capsys):
+        """A flag the theorem does not read is refused: exit 2, one stderr
+        line, nothing printed."""
+        argv = ["verify", "--theorem", theorem, "--config", write_config(tmp_path, T=1000),
+                flag, value]
+        code, err, _ = _run_refused(argv, {}, tmp_path, capsys)
+        assert code == 2
+        assert err == [f"error: theorem {theorem} does not read {flag} (it reads {reads})"]
+
+    def test_theorem_4_reads_effective_t(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, T=1000)
+        assert main(["verify", "--theorem", "4", "--config", cfg, "--effective-t", "400"]) == 0
+        assert "effective_t=400" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("theorem", ["2", "cor1"])
+    def test_tolerance_printed(self, theorem, tmp_path, monkeypatch, capsys):
+        """Each theorem 2 and corollary 1 line ends with the four-standard-error
+        tolerance ``verify_bounds`` allowed, and the printed corollary 1 error
+        lies within the printed interval widened by it."""
+        reports = []
+
+        def recorded(*args):
+            reports.append(verify_bounds(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "verify_bounds", recorded)
+        cfg = write_config(tmp_path, T=1000)
+        assert main(["verify", "--theorem", theorem, "--config", cfg, "--trials", "20000"]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert len(lines) == len(reports) == 4
+        for line, report in zip(lines, reports):
+            tol = re.fullmatch(r".*, slack \S+, tolerance (\S+) \(4 s\.e\.\)", line).group(1)
+            assert tol == f"{report.tolerance:.6f}"
+            if theorem == "cor1":
+                err, lo, hi = map(float, re.search(r"error (\S+) in \[(\S+), (\S+)\]",
+                                                   line).groups())
+                assert lo - float(tol) - 2e-6 <= err <= hi + float(tol) + 2e-6, line
 
 
 @pytest.fixture(scope="module")
