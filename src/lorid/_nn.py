@@ -2,10 +2,14 @@
 
 Hand-rolled forward/backward passes for a tanh MLP with a linear head, the one
 minibatch SGD loop both networks train with, the pack/unpack helpers used for
-finite-difference gradient checking, the scope that holds numpy's BLAS to
-one thread, and the fork that trains two networks in two processes.  Kept
-private: the public surfaces live in :mod:`lorid.diffusion` and
-:mod:`lorid.attacks`.
+finite-difference gradient checking, and the fork that trains two networks
+in two processes.  Kept private: the public surfaces live in
+:mod:`lorid.diffusion` and :mod:`lorid.attacks`.
+
+Importing this module, which ``import lorid`` does, sets numpy's bundled
+OpenBLAS to one thread for the whole process (nothing happens where numpy
+bundles none).  The count is not restored; a caller that sets it again
+afterwards runs lorid under its own setting.
 """
 
 from __future__ import annotations
@@ -14,10 +18,8 @@ import ctypes
 import functools
 import os
 import pickle
-import threading
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -100,8 +102,6 @@ def sgd_train(
     ``loss_and_grads(idx)`` on each batch of indices in turn; the velocity and
     the parameters are then updated in place (v = MOMENTUM v - lr g, then
     p += v).  The rate is multiplied by ``lr_decay`` after every epoch.
-    BLAS runs on one thread throughout, as a second one only busy-waits on
-    these small matmuls (see :func:`one_blas_thread`).
     Returns the per-epoch mean batch losses.  A non-finite loss, or an epoch
     mean over :data:`DIVERGENCE_FACTOR` times the first batch's loss, raises
     ValueError, as the rate or the data is then at fault.
@@ -109,30 +109,29 @@ def sgd_train(
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
     batch = max(1, min(batch_size, n))
     epoch_losses: list[float] = []
-    with one_blas_thread():
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            losses = []
-            for start in range(0, n, batch):
-                loss, grads = loss_and_grads(order[start : start + batch])
-                if not np.isfinite(loss):
-                    raise ValueError(f"training diverged (loss {loss}); try a smaller rate")
-                for layer, layer_grads, layer_velocity in zip(params, grads, velocity):
-                    for p, g, v in zip(layer, layer_grads, layer_velocity):
-                        v *= MOMENTUM
-                        v -= lr * g
-                        p += v
-                losses.append(loss)
-            if not epoch_losses:
-                first = losses[0]
-            mean = float(np.mean(losses))
-            if mean > DIVERGENCE_FACTOR * first:
-                raise ValueError(
-                    f"training diverged (loss {mean:.3g}, over {DIVERGENCE_FACTOR:.0e} times "
-                    f"the first batch's {first:.3g}); try a smaller rate"
-                )
-            epoch_losses.append(mean)
-            lr *= lr_decay
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch):
+            loss, grads = loss_and_grads(order[start : start + batch])
+            if not np.isfinite(loss):
+                raise ValueError(f"training diverged (loss {loss}); try a smaller rate")
+            for layer, layer_grads, layer_velocity in zip(params, grads, velocity):
+                for p, g, v in zip(layer, layer_grads, layer_velocity):
+                    v *= MOMENTUM
+                    v -= lr * g
+                    p += v
+            losses.append(loss)
+        if not epoch_losses:
+            first = losses[0]
+        mean = float(np.mean(losses))
+        if mean > DIVERGENCE_FACTOR * first:
+            raise ValueError(
+                f"training diverged (loss {mean:.3g}, over {DIVERGENCE_FACTOR:.0e} times "
+                f"the first batch's {first:.3g}); try a smaller rate"
+            )
+        epoch_losses.append(mean)
+        lr *= lr_decay
     return epoch_losses
 
 
@@ -207,47 +206,11 @@ def _openblas_threads():
     return None
 
 
-class _BlasHold:
-    """The open :func:`one_blas_thread` blocks of the process, counted, since
-    the thread count they change belongs to the whole process."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.open = 0
-        self.found = 0
-
-
-_BLAS_HOLD = _BlasHold()
-
-
-@contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Hold numpy's bundled OpenBLAS to one thread inside the block.
-
-    Between calls OpenBLAS's worker threads busy-wait on the other cores; on
-    this package's small matrices they buy nothing, and they take the core the
-    purifier's noise stream runs on.  The count found when the first open
-    block began is restored when the last one ends, so blocks may nest and
-    overlap across threads.  A no-op when numpy bundles no OpenBLAS.
-    """
-    api = _openblas_threads()
-    if api is None:
-        yield
-        return
-    get, put = api
-    hold = _BLAS_HOLD
-    with hold.lock:
-        if hold.open == 0:
-            hold.found = get()
-            put(1)
-        hold.open += 1
-    try:
-        yield
-    finally:
-        with hold.lock:
-            hold.open -= 1
-            if hold.open == 0:
-                put(hold.found)
+# lorid's dense algebra is desk-scale: a second OpenBLAS thread speeds none of
+# it up and busy-waits between calls on the core the purifier's noise stream
+# needs.  So the whole process runs BLAS on one thread from here on.
+if (_api := _openblas_threads()) is not None:
+    _api[1](1)
 
 
 def in_two_processes(here: Callable[[], A], there: Callable[[], B]) -> tuple[A, B]:

@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._nn import one_blas_thread
 from .diffusion import Denoiser, GaussianSource, Schedule, diffuse, one_shot_recover
 from .tensorops import frobenius_norm
 from .tucker import TuckerBasis, tf_apply
@@ -266,7 +265,7 @@ def _push_forward(densities: np.ndarray, w: np.ndarray, x: np.ndarray, abar: flo
     relative error reaches 1.7e-11 at t=100.  T is applied in 128 x 128 blocks: one
     block per block offset with an entry above the exp floor, copied from a
     sliding window over g and used in one matrix product against every
-    column block of b w densities, with BLAS held to one thread.
+    column block of b w densities.
     """
     n, cols = densities.shape
     var = 1.0 - abar
@@ -289,13 +288,12 @@ def _push_forward(densities: np.ndarray, w: np.ndarray, x: np.ndarray, abar: flo
     rhs = weighted.reshape(blocks, _BLOCK, cols).transpose(1, 0, 2).copy()
     acc = np.zeros_like(rhs)
     block = np.empty((_BLOCK, _BLOCK))
-    with one_blas_thread():
-        for d in range(-reach, reach + 1):
-            top = size - 1 - d * _BLOCK
-            np.copyto(block, windows[top - _BLOCK + 1 : top + 1][::-1])
-            lo, hi = max(0, d), blocks + min(0, d)  # row blocks J with J - d in range
-            prod = block @ rhs[:, lo - d : hi - d].reshape(_BLOCK, -1)
-            acc[:, lo:hi] += prod.reshape(_BLOCK, hi - lo, cols)
+    for d in range(-reach, reach + 1):
+        top = size - 1 - d * _BLOCK
+        np.copyto(block, windows[top - _BLOCK + 1 : top + 1][::-1])
+        lo, hi = max(0, d), blocks + min(0, d)  # row blocks J with J - d in range
+        prod = block @ rhs[:, lo - d : hi - d].reshape(_BLOCK, -1)
+        acc[:, lo:hi] += prod.reshape(_BLOCK, hi - lo, cols)
     return acc.transpose(1, 0, 2).reshape(size, cols)[:n] * np.exp(-x2)[:, None]
 
 

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from . import _nn
-from ._nn import one_blas_thread
 from .diffusion import Denoiser, Schedule
 from .purify import LoridConfig, lorid_purify
 from .tucker import tf_apply
@@ -303,8 +302,7 @@ def evaluate(
     ``single`` (one loop at full depth, no projection), ``loop_only`` (the
     configured loop count, no projection), and ``lorid`` (the full configured
     purifier).  Stochastic defenses are averaged over ``trials`` independent
-    purification rounds by :func:`purified_accuracy`.  BLAS runs on one thread
-    throughout (see :func:`lorid._nn.one_blas_thread`).
+    purification rounds by :func:`purified_accuracy`.
     """
     y = np.asarray(labels, dtype=np.int64)
     images = np.asarray(dataset, dtype=np.float64)
@@ -316,22 +314,21 @@ def evaluate(
         (acc,) = purified_accuracy(clf, denoiser, schedule, run_config, [x_in], y, trials, rng)
         return acc
 
-    with one_blas_thread():
-        table = {"standard": clf.accuracy(flat, y)}
-        adv_flat = pgd(clf, flat, y, budget, rng)
-        table["attacked"] = clf.accuracy(adv_flat, y)
+    table = {"standard": clf.accuracy(flat, y)}
+    adv_flat = pgd(clf, flat, y, budget, rng)
+    table["attacked"] = clf.accuracy(adv_flat, y)
 
-        basis = config.basis
-        if basis is not None:
-            table["tf_only"] = clf.accuracy(tf_apply(adv_flat.reshape(images.shape), basis), y)
-        else:
-            table["tf_only"] = table["attacked"]
+    basis = config.basis
+    if basis is not None:
+        table["tf_only"] = clf.accuracy(tf_apply(adv_flat.reshape(images.shape), basis), y)
+    else:
+        table["tf_only"] = table["attacked"]
 
-        loop_cfg = replace(config, basis=None)
-        table["single"] = averaged(replace(loop_cfg, L=1), adv_flat)
-        table["loop_only"] = averaged(loop_cfg, adv_flat)
-        adv_in = adv_flat if basis is None else adv_flat.reshape(images.shape)
-        table["lorid"] = averaged(config, adv_in)
+    loop_cfg = replace(config, basis=None)
+    table["single"] = averaged(replace(loop_cfg, L=1), adv_flat)
+    table["loop_only"] = averaged(loop_cfg, adv_flat)
+    adv_in = adv_flat if basis is None else adv_flat.reshape(images.shape)
+    table["lorid"] = averaged(config, adv_in)
     return table
 
 

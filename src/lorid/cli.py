@@ -64,7 +64,7 @@ from .io_formats import (
     write_mlp,
     write_tensor,
 )
-from ._nn import in_two_processes, one_blas_thread
+from ._nn import in_two_processes
 from .purify import LoridConfig, lorid_purify
 from .tucker import TensorizationLayout, TuckerBasis, fit_basis
 
@@ -132,9 +132,9 @@ def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
 
     Deterministic in ``cfg.seed``; the four stages consume fixed child seeds.
     The two trainings share only the training set, so the classifier trains in
-    a forked child process while the denoiser trains here, each with BLAS held
-    to one thread (see :func:`lorid._nn.in_two_processes`); the results are
-    those of one training after the other.
+    a forked child process while the denoiser trains here (see
+    :func:`lorid._nn.in_two_processes`); the results are those of one training
+    after the other.
     """
     train_images, train_labels = gen_striped_images(512, seed=cfg.seed)
     test_images, test_labels = gen_striped_images(200, seed=cfg.seed + 1)
@@ -157,8 +157,7 @@ def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
             np.random.default_rng(cfg.seed + 3),
         )
 
-    with one_blas_thread():
-        trained_denoiser, clf = in_two_processes(denoiser, classifier)
+    trained_denoiser, clf = in_two_processes(denoiser, classifier)
     return ToyArtifacts(
         schedule=cfg.schedule,
         basis=basis,
@@ -202,8 +201,7 @@ def run_calibration(
     the recommendation maximizes robust accuracy subject to clean accuracy
     within 3 points of the grid's best clean accuracy (ties: smaller t, then
     smaller L).  Every grid point is checked as a config before any model is
-    trained.  BLAS runs on one thread throughout (see
-    :func:`lorid._nn.one_blas_thread`).
+    trained.
     """
     if not t_grid or not L_grid:
         raise ConfigError("calibration grids must be nonempty")
@@ -211,18 +209,17 @@ def run_calibration(
     art = artifacts or toy_task_artifacts(cfg)
     flat_test = art.test_images.reshape(art.test_images.shape[0], -1)
     rows = []
-    with one_blas_thread():
-        adv_flat = pgd(
-            art.clf, flat_test, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)
+    adv_flat = pgd(
+        art.clf, flat_test, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)
+    )
+    adv_images = adv_flat.reshape(art.test_images.shape)
+    for run_cfg in grid:
+        clean, robust = purified_accuracy(
+            art.clf, art.denoiser, art.schedule, lorid_config_from(run_cfg, art.basis),
+            [art.test_images, adv_images], art.test_labels, trials,
+            np.random.default_rng(cfg.seed + 6),
         )
-        adv_images = adv_flat.reshape(art.test_images.shape)
-        for run_cfg in grid:
-            clean, robust = purified_accuracy(
-                art.clf, art.denoiser, art.schedule, lorid_config_from(run_cfg, art.basis),
-                [art.test_images, adv_images], art.test_labels, trials,
-                np.random.default_rng(cfg.seed + 6),
-            )
-            rows.append((run_cfg.t, run_cfg.L, clean, robust))
+        rows.append((run_cfg.t, run_cfg.L, clean, robust))
 
     best_clean = max(r[2] for r in rows)
     eligible = [r for r in rows if r[2] >= best_clean - 0.03]
@@ -235,14 +232,44 @@ def run_calibration(
 # ---------------------------------------------------------------------------
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _flags_read(args, reads: dict, flags: tuple[str, ...], who: str) -> dict:
+    """The value of each flag ``reads`` names, its default there where not given.
+
+    A flag of ``flags`` that was given but that ``reads`` does not name is
+    refused, as ``who`` would ignore it.
+    """
+    for name in flags:
+        if getattr(args, name) is not None and name not in reads:
+            listed = ", ".join(map(_flag, reads)) or "none of " + ", ".join(map(_flag, flags))
+            raise ConfigError(f"{who} does not read {_flag(name)} (it reads {listed})")
+    return {name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in reads.items()}
+
+
+# The flags each gen-data task reads, with their defaults; a labelled task
+# requires --labels-out.
+_GEN_DATA_D = 8
+_GEN_DATA = {
+    "gaussian": {"d": _GEN_DATA_D},
+    "two-gaussians": {"d": _GEN_DATA_D, "labels_out": None},
+    "two-point": {},
+    "striped": {"labels_out": None},
+}
+
+
 def _cmd_gen_data(args) -> int:
-    if args.task in ("two-gaussians", "striped") and args.labels_out is None:
+    flags = _flags_read(args, _GEN_DATA[args.task], ("d", "labels_out"), f"{args.task} task")
+    if "labels_out" in flags and flags["labels_out"] is None:
         raise ConfigError(f"{args.task} task requires --labels-out")
     if args.task == "gaussian":
-        data = gen_gaussian_dataset(d=args.d, n=args.n, seed=args.seed)
+        data = gen_gaussian_dataset(d=flags["d"], n=args.n, seed=args.seed)
         write_tensor(args.out, data)
     elif args.task == "two-gaussians":
-        x, y = gen_two_gaussian_classes(n=args.n, seed=args.seed, d=args.d)
+        x, y = gen_two_gaussian_classes(n=args.n, seed=args.seed, d=flags["d"])
         write_tensor(args.out, x)
         write_tensor(args.labels_out, y.astype(float))
     elif args.task == "two-point":
@@ -327,16 +354,26 @@ def _cmd_purify(args) -> int:
     return 0
 
 
+# The flags each curve kind reads, with their defaults.
+_CURVES = {
+    "fig2": {"effective_t": [200, 400, 600, 900], "l_max": 10},
+    "mmse": {"snr_grid": [0.0, 0.5, 1.0, 2.0]},
+    "snr": {},
+}
+
+
 def _cmd_curves(args) -> int:
+    flags = _flags_read(args, _CURVES[args.kind], ("effective_t", "l_max", "snr_grid"),
+                        f"{args.kind} curve")
     cfg = _load_config(args.config, args.seed)
     if args.kind == "fig2":
         rows = []
-        for t_eff in args.effective_t:
-            for pt in loop_bound_curve(cfg.schedule, t_eff, range(1, args.l_max + 1)):
+        for t_eff in flags["effective_t"]:
+            for pt in loop_bound_curve(cfg.schedule, t_eff, range(1, flags["l_max"] + 1)):
                 rows.append((t_eff, pt.L, pt.t_over_L, pt.value))
         write_csv(args.out, ("effective_t", "L", "t_over_L", "value"), rows)
     elif args.kind == "mmse":
-        rows = [(s, mmse_gaussian(s), mmse_binary(s)) for s in args.snr_grid]
+        rows = [(s, mmse_gaussian(s), mmse_binary(s)) for s in flags["snr_grid"]]
         write_csv(args.out, ("snr", "mmse_gaussian", "mmse_binary"), rows)
     else:  # snr
         rows = [(t, effective_snr(cfg.schedule, t)) for t in range(1, cfg.T + 1)]
@@ -370,7 +407,7 @@ def _tolerance_note(report: BoundReport) -> str:
 
 def _verify_theorem_1(schedule: Schedule, rng: np.random.Generator, pairs: int) -> None:
     ts = np.arange(0, schedule.T + 1)
-    worst = 0.0
+    worst = -math.inf
     for _ in range(pairs):
         d = int(rng.integers(1, 4))
         m1, m2 = rng.normal(size=d), rng.normal(size=d)
@@ -520,17 +557,11 @@ _VERIFY_FLAGS = ("trials", "pairs", "effective_t")
 
 def _cmd_verify(args) -> int:
     check, depths, defaults = _THEOREMS[args.theorem]
-    for name in _VERIFY_FLAGS:
-        if getattr(args, name) is not None and name not in defaults:
-            reads = ", ".join("--" + flag.replace("_", "-") for flag in defaults)
-            raise ConfigError(f"theorem {args.theorem} does not read "
-                              f"--{name.replace('_', '-')} (it reads {reads})")
+    flags = _flags_read(args, defaults, _VERIFY_FLAGS, f"theorem {args.theorem}")
     cfg = _load_config(args.config, args.seed)
     if max(depths, default=0) > cfg.T:
         raise ConfigError(f"theorem {args.theorem} checks depths "
                           f"{', '.join(map(str, depths))}, but the schedule has T={cfg.T}")
-    flags = {name: default if getattr(args, name) is None else getattr(args, name)
-             for name, default in defaults.items()}
     check(cfg.schedule, np.random.default_rng(cfg.seed), **flags)
     print(f"theorem {args.theorem}: PASS")
     return 0
@@ -622,10 +653,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True,
                    choices=["gaussian", "two-gaussians", "two-point", "striped"])
     p.add_argument("--n", type=_count, required=True, help="number of samples")
-    p.add_argument("--d", type=_count, default=8, help="dimension (gaussian tasks)")
+    p.add_argument("--d", type=_count,
+                   help=f"dimension (gaussian and two-gaussians; default {_GEN_DATA_D})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output tensor path")
-    p.add_argument("--labels-out", help="labels tensor path (labelled tasks)")
+    p.add_argument("--labels-out", help="labels tensor path (two-gaussians and striped)")
 
     p = sub.add_parser("train-denoiser", help="train the MLP noise predictor")
     p.add_argument("--data", required=True, help="training tensor (n, d) or images")
@@ -662,11 +694,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["fig2", "mmse", "snr"])
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--effective-t", type=_comma_list(_count), default=[200, 400, 600, 900],
-                   help="comma list of depth budgets (fig2)")
-    p.add_argument("--l-max", type=_count, default=10, help="largest loop count (fig2)")
-    p.add_argument("--snr-grid", type=_comma_list(float), default=[0.0, 0.5, 1.0, 2.0],
-                   help="comma list of snr values (mmse)")
+    p.add_argument("--effective-t", type=_comma_list(_count),
+                   help="comma list of depth budgets (fig2; default "
+                        f"{','.join(map(str, _CURVES['fig2']['effective_t']))})")
+    p.add_argument("--l-max", type=_count,
+                   help=f"largest loop count (fig2; default {_CURVES['fig2']['l_max']})")
+    p.add_argument("--snr-grid", type=_comma_list(float),
+                   help="comma list of snr values (mmse; default "
+                        f"{','.join(map(str, _CURVES['mmse']['snr_grid']))})")
     p.add_argument("--seed", type=int, help="override config seed")
 
     p = sub.add_parser("verify", help="run a bound/monotonicity verification")

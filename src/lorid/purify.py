@@ -20,7 +20,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ._nn import one_blas_thread
 from .diffusion import Denoiser, Schedule, diffuse, reverse_ancestral, reverse_skip
 from .tensorops import frobenius_norm
 from .tucker import TuckerBasis, tf_apply
@@ -152,21 +151,18 @@ def _noise_source(
     """What the samplers draw their ``count`` noise arrays of ``shape`` from.
 
     Draws of fewer than :data:`STREAM_MIN_VALUES` values come from ``rng``
-    itself.  Larger ones come from a :class:`_NoiseStream`, and BLAS is held to
-    one thread for the whole block: a BLAS worker woken by any matrix product
-    in it, the projection's too, would spin on the core the helper needs.  The
-    stream raises on leaving the block unless exactly ``count`` draws were
-    taken; on an exception it is stopped and joined before the error goes on.
+    itself.  Larger ones come from a :class:`_NoiseStream`.  The stream raises
+    on leaving the block unless exactly ``count`` draws were taken; on an
+    exception it is stopped and joined before the error goes on.
     """
     if math.prod(shape) < STREAM_MIN_VALUES:
         yield rng
         return
-    with one_blas_thread():
-        stream = _NoiseStream(rng, shape, count)
-        try:
-            yield stream
-        finally:
-            stream.close()
+    stream = _NoiseStream(rng, shape, count)
+    try:
+        yield stream
+    finally:
+        stream.close()
     if stream.left:
         raise RuntimeError(f"noise stream closed with {stream.left} of {count} draws untaken")
 

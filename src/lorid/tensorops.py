@@ -20,8 +20,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._nn import one_blas_thread
-
 __all__ = [
     "SvdResult",
     "unfold",
@@ -96,17 +94,14 @@ def svd(m) -> SvdResult:
 
     Singular values are sorted descending.  Both factors stay orthonormal for
     rank-deficient input: LAPACK fills the zero singular directions with
-    orthonormal vectors.  BLAS is held to one thread (see
-    :func:`lorid._nn.one_blas_thread`): on the package's unfoldings, up to
-    64 x 3072, a second thread slows the SVD down and changes no bit.
+    orthonormal vectors.
     """
     mat = np.asarray(m, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    with one_blas_thread():
-        return SvdResult(*np.linalg.svd(mat, full_matrices=False))
+    return SvdResult(*np.linalg.svd(mat, full_matrices=False))
 
 
 def frobenius_norm(x) -> float:

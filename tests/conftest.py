@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from lorid import _nn
 from lorid.diffusion import Schedule
 
 
@@ -25,8 +26,14 @@ def schedule_builds(monkeypatch):
 def pytest_sessionfinish(session, exitstatus):
     """Fail the run when a thread other than the main one is still running, or
     a child process of the test process is still running or has exited without
-    being reaped: some code under test left it behind."""
+    being reaped: some code under test left it behind.  Fail it too when
+    numpy's BLAS no longer runs on the one thread ``import lorid`` set: a test
+    changed the count and did not put it back, so the tests after it ran
+    under another setting."""
     found = []
+    blas = _nn._openblas_threads()
+    if blas is not None and blas[0]() != 1:
+        found.append(f"numpy's BLAS on {blas[0]()} threads, not 1")
     threads = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
     if threads:
         found.append(f"{len(threads)} thread(s) running ({', '.join(threads)})")

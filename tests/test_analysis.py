@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lorid import _nn, analysis
+from lorid import analysis
 from lorid.analysis import (
     BoundSetup,
     BoundViolation,
@@ -414,23 +414,17 @@ class TestKlQuadrature:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @staticmethod
-    def _blas_threads():
-        api = _nn._openblas_threads()
-        return None if api is None else api[0]()
-
     def test_push_forward_matches_dense_loop(self):
         """The Toeplitz push-forward is within 5e-13 relative of a dense
         longdouble reference on every entry above 1e-250 of every 7th row and
         the last (7 is coprime to the 128-row block, so every row position of a
         block is checked), and within 1e-13 of its column's peak of a loop over
-        the dense kernel's 32-row blocks on every row; it starts no thread and
-        restores BLAS."""
+        the dense kernel's 32-row blocks on every row; it starts no thread."""
         sched = default_schedule()
         x, w = quadrature_grid()
         checked = np.r_[0 : x.size : 7, x.size - 1]
         dens = _push_densities(x)
-        threads, blas = threading.active_count(), self._blas_threads()
+        threads = threading.active_count()
         for t in (1, 10, 50, 100, 150, 500, 1000):
             abar = sched.alpha_bar_at(t)
             var = 1.0 - abar
@@ -447,7 +441,6 @@ class TestKlQuadrature:
                                        _longdouble_push(dens, w, x, abar, checked))
             assert np.all(np.abs(pushed - dense) <= 1e-13 * dense.max(axis=0)), t
         assert threading.active_count() == threads
-        assert self._blas_threads() == blas
 
     @pytest.mark.skipif(not EXTENDED, reason="longdouble is float64 here")
     @pytest.mark.parametrize("n", [801, 2401, 4801])

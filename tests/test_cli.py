@@ -3,14 +3,18 @@
 import os
 import re
 import struct
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lorid
 from lorid import _nn, cli
-from lorid.analysis import loop_bound_curve, verify_bounds
+from lorid.analysis import kl_gaussian_curve, loop_bound_curve, verify_bounds
 from lorid.cli import main
 from lorid.diffusion import MlpDenoiser, make_linear_schedule
 from lorid.io_formats import (
@@ -54,6 +58,30 @@ class TestGenData:
         assert read_tensor(out).shape == (8, 16, 16, 1)
         assert read_tensor(labels).shape == (8,)
 
+    @pytest.mark.parametrize("task", ["gaussian", "two-gaussians"])
+    def test_d_defaults_to_8(self, task, tmp_path):
+        out, labels = tmp_path / "x.lten", tmp_path / "y.lten"
+        extra = ["--labels-out", str(labels)] if task == "two-gaussians" else []
+        assert main(["gen-data", "--task", task, "--n", "4", "--out", str(out), *extra]) == 0
+        assert read_tensor(str(out)).shape == (4, 8)
+
+    @pytest.mark.parametrize("task, flag, extra, reads", [
+        ("gaussian", "--labels-out", [], "--d"),
+        ("two-point", "--labels-out", [], "none of --d, --labels-out"),
+        ("two-point", "--d", [], "none of --d, --labels-out"),
+        ("striped", "--d", ["--labels-out", "{labels}"], "--labels-out"),
+    ], ids=["gaussian--labels-out", "two-point--labels-out", "two-point--d", "striped--d"])
+    def test_unread_flag_refused(self, task, flag, extra, reads, tmp_path, capsys):
+        """A flag the task does not read is refused: exit 2, one stderr line,
+        nothing printed and no file written."""
+        labels = tmp_path / "labels.file"
+        value = "{labels}" if flag == "--labels-out" else "5"
+        argv = ["gen-data", "--task", task, "--n", "4", "--out", "{out}", *extra, flag, value]
+        code, err, wrote = _run_refused(argv, {"labels": labels}, tmp_path, capsys)
+        assert code == 2
+        assert err == [f"error: {task} task does not read {flag} (it reads {reads})"]
+        assert not wrote and not labels.exists()
+
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])
@@ -86,6 +114,37 @@ class TestCurves:
         assert lines[0] == "snr,mmse_gaussian,mmse_binary"
         row0 = lines[1].split(",")
         assert float(row0[1]) == 1.0 and float(row0[2]) == 1.0
+
+    def test_defaults(self, tmp_path):
+        """fig2 reads depth budgets 200, 400, 600 and 900 and loop counts up
+        to 10, and mmse the snr grid 0, 0.5, 1 and 2, when not given."""
+        cfg = write_config(tmp_path, T=1000)
+        fig2, mmse = tmp_path / "fig2.csv", tmp_path / "mmse.csv"
+        assert main(["curves", "--kind", "fig2", "--config", cfg, "--out", str(fig2)]) == 0
+        assert main(["curves", "--kind", "mmse", "--config", cfg, "--out", str(mmse)]) == 0
+        rows = [line.split(",")[:2] for line in fig2.read_text().splitlines()[1:]]
+        assert rows == [[t, str(L)] for t in ("200", "400", "600", "900") for L in range(1, 11)]
+        snrs = [float(line.split(",")[0]) for line in mmse.read_text().splitlines()[1:]]
+        assert snrs == [0.0, 0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("kind, flag, value, reads", [
+        ("mmse", "--effective-t", "5", "--snr-grid"),
+        ("mmse", "--l-max", "3", "--snr-grid"),
+        ("snr", "--effective-t", "5", "none of --effective-t, --l-max, --snr-grid"),
+        ("snr", "--l-max", "3", "none of --effective-t, --l-max, --snr-grid"),
+        ("snr", "--snr-grid", "1", "none of --effective-t, --l-max, --snr-grid"),
+        ("fig2", "--snr-grid", "1", "--effective-t, --l-max"),
+    ], ids=["mmse--effective-t", "mmse--l-max", "snr--effective-t", "snr--l-max",
+            "snr--snr-grid", "fig2--snr-grid"])
+    def test_unread_flag_refused(self, kind, flag, value, reads, tmp_path, capsys):
+        """A flag the curve kind does not read is refused: exit 2, one stderr
+        line, nothing printed and no file written."""
+        argv = ["curves", "--kind", kind, "--config", write_config(tmp_path, T=1000),
+                "--out", "{out}", flag, value]
+        code, err, wrote = _run_refused(argv, {}, tmp_path, capsys)
+        assert code == 2
+        assert err == [f"error: {kind} curve does not read {flag} (it reads {reads})"]
+        assert not wrote
 
     def test_snr_curve_covers_schedule(self, tmp_path):
         cfg = write_config(tmp_path, T=60)
@@ -480,6 +539,25 @@ class TestVerify:
         assert code == 2
         assert err == [f"error: theorem {theorem} does not read {flag} (it reads {reads})"]
 
+    def test_theorem_1_prints_its_largest_closed_form_step(self, tmp_path, monkeypatch,
+                                                            capsys):
+        """The printed worst step is the largest step of the closed-form curves
+        checked, below 0 where every curve falls."""
+        curves = []
+
+        def recorded(*args):
+            curves.append(kl_gaussian_curve(*args))
+            return curves[-1]
+
+        monkeypatch.setattr(cli, "kl_gaussian_curve", recorded)
+        cfg = write_config(tmp_path, T=1000)
+        assert main(["verify", "--theorem", "1", "--config", cfg, "--pairs", "3"]) == 0
+        assert len(curves) == 3
+        worst = max(float(np.max(np.diff(kls))) for kls in curves)
+        assert worst < 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(
+            f"(worst closed-form step {worst:.2e})")
+
     def test_theorem_4_reads_effective_t(self, tmp_path, capsys):
         cfg = write_config(tmp_path, T=1000)
         assert main(["verify", "--theorem", "4", "--config", cfg, "--effective-t", "400"]) == 0
@@ -728,13 +806,12 @@ class TestToyTaskTraining:
     @pytest.fixture
     def leaves_nothing(self):
         """After the test: no child process, alive or unreaped, and the thread
-        count and BLAS setting found before it."""
-        threads, blas = threading.active_count(), self._blas_threads()
+        count found before it."""
+        threads = threading.active_count()
         yield
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert threading.active_count() == threads
-        assert self._blas_threads() == blas
 
     @staticmethod
     def _bits(art) -> list[bytes]:
@@ -808,3 +885,37 @@ class TestToyTaskTraining:
         the result it could not send."""
         with pytest.raises(RuntimeError, match="could not send its result"):
             _nn.in_two_processes(lambda: 1, lambda: (lambda: 2))
+
+
+# Run in a fresh interpreter: the BLAS thread count right after ``import numpy``,
+# after ``import lorid``, and in a child forked by ``in_two_processes``.
+BLAS_COUNTS = """
+import ctypes, sys
+from pathlib import Path
+import numpy as np
+
+libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+found = [ctypes.CDLL(str(path)) for path in sorted(libs.glob("*openblas*"))]
+get = next(getattr(lib, sys.argv[1]) for lib in found if hasattr(lib, sys.argv[1]))
+get.argtypes, get.restype = [], ctypes.c_int
+counts = [get()]
+import lorid
+counts.append(get())
+counts.append(lorid._nn.in_two_processes(lambda: None, get)[1])
+print(*counts)
+"""
+
+
+@pytest.mark.skipif(_nn._openblas_threads() is None, reason="numpy bundles no OpenBLAS")
+def test_import_holds_blas_to_one_thread():
+    """``import lorid`` sets numpy's BLAS, found on more than one thread, to
+    one, and a child forked afterwards runs on one too."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(lorid.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    symbol = _nn._openblas_threads()[0].__name__
+    run = subprocess.run([sys.executable, "-c", BLAS_COUNTS, symbol], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    default, imported, child = map(int, run.stdout.split())
+    if default == 1:
+        pytest.skip("numpy's BLAS runs on one thread here before lorid is imported")
+    assert (imported, child) == (1, 1)

