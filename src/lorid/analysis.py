@@ -15,7 +15,8 @@ error as the primary metric.  The module provides:
   passes through the same Markov kernel;
 * a Monte Carlo bound verifier sandwiching the measured one-shot recovery
   error between its information-theoretic floor and the floor plus estimated
-  denoiser slack plus perturbation / projection terms.
+  denoiser slack plus perturbation / projection terms, at every depth of a
+  list from one pass of draws.
 
 Quadrature grid: composite Simpson on [-12, 12] with 4801 nodes.  Gaussian
 tails beyond the window are below 1e-12, well under every tolerance used.
@@ -402,112 +403,145 @@ class BoundReport:
             raise ValueError(f"non-finite bound report: {vals}")
 
 
-# Values (rows x dimension) diffused, recovered and scored at a time: 65 536
-# doubles is 512 KB per temporary, so a chunk stays in cache and a run never
-# builds a whole-trial array beyond its inputs and its errors.
+# Values (rows x dimension) drawn, diffused, recovered and scored at a time:
+# 65 536 doubles is 512 KB per temporary, so a chunk stays in cache and a run
+# never builds a whole-trial array beyond its per-depth errors.
 _CHUNK_VALUES = 65_536
 
 
-def _recovery_errors(
-    x0: np.ndarray,
-    x_in: np.ndarray,
-    t: int,
-    denoiser: Denoiser,
-    schedule: Schedule,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-trial per-dimension squared error of one-shot recovery from x_in.
+class _Drawn:
+    """Stands in for the generator in :func:`diffuse`, whose one
+    ``standard_normal(shape)`` call gets the noise the chunk already drew."""
 
-    Rows are diffused, recovered and scored :data:`_CHUNK_VALUES` // d at a
-    time (at least one), in order, into one array of per-trial errors.  The
-    chunks draw their noise in turn, so the generator yields the values one
-    full-size draw would, and each error is computed as it would be on the
-    whole array.
+    def __init__(self, noise: np.ndarray) -> None:
+        self.noise = noise
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        if tuple(shape) != self.noise.shape:
+            raise ValueError(f"drawn noise has shape {self.noise.shape}, asked for {shape}")
+        return self.noise
+
+
+def _recovery_errors(
+    setup: BoundSetup,
+    source: GaussianSource,
+    ts: tuple[int, ...],
+    trials: int,
+    rng: np.random.Generator,
+    shift: np.ndarray | None = None,
+    basis: TuckerBasis | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-depth per-trial squared error of one-shot recovery, shape (len(ts), trials).
+
+    Trials run :data:`_CHUNK_VALUES` // d at a time (at least one), in order.
+    Each chunk draws its clean rows x0 from ``source``, then one noise array
+    that diffuses them to every depth, so the draws do not depend on ``ts``.
+    The recovery starts from x0 + ``shift``, projected by ``basis`` when one is
+    given; that input is built once per chunk.  With a basis the per-trial
+    norms of x0 - TF(x0) come back too (else None).
     """
-    n, d = x_in.shape
+    d = source.dim
     rows = max(1, _CHUNK_VALUES // d)
-    err = np.empty(n)
-    for start in range(0, n, rows):
-        chunk = slice(start, start + rows)
-        x_t, _ = diffuse(x_in[chunk], t, schedule, rng)
-        x_hat = one_shot_recover(x_t, t, denoiser, schedule)
-        err[chunk] = np.mean((x_hat - x0[chunk]) ** 2, axis=-1)
-    return err
+    err = np.empty((len(ts), trials))
+    resid = None if basis is None else np.empty(trials)
+    for start in range(0, trials, rows):
+        chunk = slice(start, min(start + rows, trials))
+        n = chunk.stop - start
+        x0 = source.sample(n, rng)
+        noise = _Drawn(rng.standard_normal((n, d)))
+        x_in = x0 if shift is None else x0 + shift
+        if basis is not None:
+            shape = (n, *basis.layout.image_shape)
+            x_in = tf_apply(x_in.reshape(shape), basis).reshape(n, d)
+            projected = tf_apply(x0.reshape(shape), basis).reshape(n, d)
+            resid[chunk] = np.linalg.norm(x0 - projected, axis=-1)
+        for i, t in enumerate(ts):
+            x_t, _ = diffuse(x_in, t, setup.schedule, noise)
+            x_hat = one_shot_recover(x_t, t, setup.denoiser, setup.schedule)
+            err[i, chunk] = np.mean((x_hat - x0) ** 2, axis=-1)
+    return err, resid
 
 
 def verify_bounds(
-    setup: BoundSetup, t: int, trials: int, rng: np.random.Generator
-) -> BoundReport:
-    """Measure one-shot recovery error and assert its theoretical sandwich.
+    setup: BoundSetup, ts: Sequence[int], trials: int, rng: np.random.Generator
+) -> list[BoundReport]:
+    """Measure one-shot recovery error at each depth of ``ts`` and assert its
+    theoretical sandwich there; one report per depth, in order.
 
     Clean setup: error lies in [mmse, mmse + delta_hat], where delta_hat =
     max(0, clean error - analytic mmse) is the estimated denoiser slack.
     With a perturbation of per-dimension RMS a: [mmse - a, mmse + delta_hat + a].
     With the projection in front, a is replaced by the summed RMS of the
     discarded-signal and surviving-perturbation terms.  All comparisons allow
-    a four-standard-error statistical tolerance; violations raise
-    :class:`BoundViolation` with the margins.
+    a four-standard-error statistical tolerance; a violation raises
+    :class:`BoundViolation` naming the first depth that failed, with the
+    margins.
+
+    Every depth reads the same draws (common random numbers): one pass of
+    trials for the clean companion run and, with a perturbation or a basis,
+    one more for the perturbed run, each draw serving every depth.  A depth's
+    report is therefore the one a call with that depth alone would give.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    ts = tuple(ts)
+    if not ts:
+        raise ValueError("need at least one depth")
     schedule = setup.schedule
+    for t in ts:
+        effective_snr(schedule, t)  # refuses a depth that is not an integer in [1, T]
     source = GaussianSource(setup.mean, setup.cov)
     d = source.dim
+    shift = None
+    if setup.eps_a is not None:
+        shift = np.asarray(setup.eps_a, dtype=np.float64).reshape(-1)
+        if shift.size != d:
+            raise ValueError(f"perturbation size {shift.size} != dimension {d}")
     if setup.basis is not None:
         img_shape = setup.basis.layout.image_shape
         if d != int(np.prod(img_shape)):
             raise ValueError(f"dimension {d} does not match basis layout {img_shape}")
-    mmse = source.mmse_per_dim(schedule.alpha_bar_at(t))
+    mmses = [source.mmse_per_dim(schedule.alpha_bar_at(t)) for t in ts]
 
     # Clean companion run pins down the denoiser-slack estimate.
-    x0 = source.sample(trials, rng)
-    clean_err = _recovery_errors(x0, x0, t, setup.denoiser, schedule, rng)
-    clean_mean = float(np.mean(clean_err))
-    clean_se = float(np.std(clean_err) / math.sqrt(trials))
-    delta_hat = max(0.0, clean_mean - mmse)
-
-    if setup.eps_a is None and setup.basis is None:
-        empirical, se = clean_mean, clean_se
-        gap = 0.0
-    else:
-        x0 = source.sample(trials, rng)
-        x_in = x0
-        gap = 0.0
-        if setup.eps_a is not None:
-            eps = np.asarray(setup.eps_a, dtype=np.float64).reshape(-1)
-            if eps.size != d:
-                raise ValueError(f"perturbation size {eps.size} != dimension {d}")
-            x_in = x_in + eps
+    clean_err, _ = _recovery_errors(setup, source, ts, trials, rng)
+    perturbed = shift is not None or setup.basis is not None
+    gap = 0.0
+    if perturbed:
+        err, resid = _recovery_errors(setup, source, ts, trials, rng, shift, setup.basis)
         if setup.basis is None:
-            gap = frobenius_norm(eps) / math.sqrt(d)
+            gap = frobenius_norm(shift) / math.sqrt(d)
         else:
-            imgs = x_in.reshape(trials, *setup.basis.layout.image_shape)
-            x_in = tf_apply(imgs, setup.basis).reshape(trials, d)
-            clean_imgs = x0.reshape(trials, *setup.basis.layout.image_shape)
-            resid = x0 - tf_apply(clean_imgs, setup.basis).reshape(trials, d)
-            e_tucker = float(np.mean(np.linalg.norm(resid, axis=-1))) / math.sqrt(d)
-            gap = e_tucker
-            if setup.eps_a is not None:
-                eps_img = eps.reshape(setup.basis.layout.image_shape)
-                gap += frobenius_norm(tf_apply(eps_img, setup.basis).reshape(-1)) / math.sqrt(d)
-        err = _recovery_errors(x0, x_in, t, setup.denoiser, schedule, rng)
-        empirical = float(np.mean(err))
-        se = math.hypot(float(np.std(err) / math.sqrt(trials)), clean_se)
+            gap = float(np.mean(resid)) / math.sqrt(d)
+            if shift is not None:
+                projected = tf_apply(shift.reshape(img_shape), setup.basis).reshape(-1)
+                gap += frobenius_norm(projected) / math.sqrt(d)
 
-    tolerance = 4.0 * se
-    report = BoundReport(
-        lower=mmse - gap,
-        upper=mmse + delta_hat + gap,
-        empirical=empirical,
-        delta_ddpm_est=delta_hat,
-        trials=trials,
-        tolerance=tolerance,
-    )
-    if not report.lower - tolerance <= empirical <= report.upper + tolerance:
-        raise BoundViolation(
-            f"measured error {empirical:.6f} outside [{report.lower:.6f}, "
-            f"{report.upper:.6f}] with tolerance {tolerance:.6f} "
-            f"(margins: lower {empirical - report.lower:+.6f}, "
-            f"upper {report.upper - empirical:+.6f})"
+    reports = []
+    for i, (t, mmse) in enumerate(zip(ts, mmses)):
+        clean_mean = float(np.mean(clean_err[i]))
+        clean_se = float(np.std(clean_err[i]) / math.sqrt(trials))
+        delta_hat = max(0.0, clean_mean - mmse)
+        if perturbed:
+            empirical = float(np.mean(err[i]))
+            se = math.hypot(float(np.std(err[i]) / math.sqrt(trials)), clean_se)
+        else:
+            empirical, se = clean_mean, clean_se
+        tolerance = 4.0 * se
+        report = BoundReport(
+            lower=mmse - gap,
+            upper=mmse + delta_hat + gap,
+            empirical=empirical,
+            delta_ddpm_est=delta_hat,
+            trials=trials,
+            tolerance=tolerance,
         )
-    return report
+        if not report.lower - tolerance <= empirical <= report.upper + tolerance:
+            raise BoundViolation(
+                f"t={t}: measured error {empirical:.6f} outside [{report.lower:.6f}, "
+                f"{report.upper:.6f}] with tolerance {tolerance:.6f} "
+                f"(margins: lower {empirical - report.lower:+.6f}, "
+                f"upper {report.upper - empirical:+.6f})"
+            )
+        reports.append(report)
+    return reports

@@ -435,9 +435,8 @@ def _verify_theorem_1(schedule: Schedule, rng: np.random.Generator, pairs: int) 
 
 
 def _verify_theorem_2(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
-    setup = _oracle_setup(schedule)
-    for t in _VERIFY_T_SET:
-        report = verify_bounds(setup, t, trials, rng)
+    reports = verify_bounds(_oracle_setup(schedule), _VERIFY_T_SET, trials, rng)
+    for t, report in zip(_VERIFY_T_SET, reports):
         mmse = mmse_gaussian(effective_snr(schedule, t))
         rel = abs(report.empirical - mmse) / mmse
         if rel > 0.03:
@@ -460,8 +459,7 @@ def _verify_theorem_3(schedule: Schedule, rng: np.random.Generator, trials: int)
         direction = rng.standard_normal(d)
         eps = direction / np.linalg.norm(direction) * (rms * np.sqrt(d))
         setup = _oracle_setup(schedule, d=d, eps_a=eps)
-        for t in _VERIFY_T_SET:
-            report = verify_bounds(setup, t, trials, rng)
+        for t, report in zip(_VERIFY_T_SET, verify_bounds(setup, _VERIFY_T_SET, trials, rng)):
             print(
                 f"theorem 3 t={t} rms={rms}: {report.lower:.4f} <= "
                 f"{report.empirical:.4f} <= {report.upper:.4f}"
@@ -517,8 +515,7 @@ def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int)
     d = 64
     eps_img = misaligned_noise((8, 8, 1), basis, budget_l2=0.5 * np.sqrt(d), rng=rng)
     setup = _oracle_setup(schedule, d=d, eps_a=eps_img.reshape(-1), basis=basis)
-    for t in _VERIFY_T_SET:
-        report = verify_bounds(setup, t, trials, rng)
+    for t, report in zip(_VERIFY_T_SET, verify_bounds(setup, _VERIFY_T_SET, trials, rng)):
         print(
             f"theorem 5 t={t}: {report.lower:.4f} <= {report.empirical:.4f} "
             f"<= {report.upper:.4f}"
@@ -526,9 +523,8 @@ def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int)
 
 
 def _verify_cor1(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
-    setup = _oracle_setup(schedule)
-    for t in _VERIFY_T_SET:
-        report = verify_bounds(setup, t, trials, rng)
+    reports = verify_bounds(_oracle_setup(schedule), _VERIFY_T_SET, trials, rng)
+    for t, report in zip(_VERIFY_T_SET, reports):
         mmse = mmse_gaussian(effective_snr(schedule, t))
         if report.delta_ddpm_est > 0.01 * mmse:
             raise BoundViolation(
@@ -608,16 +604,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _count(text: str) -> int:
-    """Argument type of every count flag: an integer >= 1."""
-    refusal = argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _integer_at_least(low: int, text: str) -> int:
+    """``text`` as an integer >= ``low``, else a usage error that gives the bound."""
+    refusal = argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     try:
         value = int(text)
     except ValueError:
         raise refusal from None
-    if value < 1:
+    if value < low:
         raise refusal
     return value
+
+
+def _count(text: str) -> int:
+    """Argument type of every count flag: an integer >= 1."""
+    return _integer_at_least(1, text)
+
+
+def _seed(text: str) -> int:
+    """Argument type of every ``--seed``: an integer >= 0, as numpy's seeding needs."""
+    return _integer_at_least(0, text)
 
 
 def _positive_float(text: str) -> float:
@@ -655,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count, required=True, help="number of samples")
     p.add_argument("--d", type=_count,
                    help=f"dimension (gaussian and two-gaussians; default {_GEN_DATA_D})")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output tensor path")
     p.add_argument("--labels-out", help="labels tensor path (two-gaussians and striped)")
 
@@ -667,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list of hidden-layer widths")
     p.add_argument("--epochs", type=_count, default=40)
     p.add_argument("--lr", type=_positive_float, default=0.05)
-    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--seed", type=_seed, help="override config seed")
 
     p = sub.add_parser("train-classifier", help="train the softmax MLP classifier")
     p.add_argument("--data", required=True)
@@ -677,7 +683,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list of hidden-layer widths")
     p.add_argument("--epochs", type=_count, default=150)
     p.add_argument("--lr", type=_positive_float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("purify", help="run the purifier on a stored tensor")
     p.add_argument("--input", required=True)
@@ -688,7 +694,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-basis-from", help="clean dataset tensor to fit the basis on")
     p.add_argument("--save-basis", help="write the freshly fitted basis here")
     p.add_argument("--clean-ref", help="clean reference tensor for distance traces")
-    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--seed", type=_seed, help="override config seed")
 
     p = sub.add_parser("curves", help="emit analysis curves as CSV")
     p.add_argument("--kind", required=True, choices=["fig2", "mmse", "snr"])
@@ -702,7 +708,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-grid", type=_comma_list(float),
                    help="comma list of snr values (mmse; default "
                         f"{','.join(map(str, _CURVES['mmse']['snr_grid']))})")
-    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--seed", type=_seed, help="override config seed")
 
     p = sub.add_parser("verify", help="run a bound/monotonicity verification")
     p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
@@ -716,7 +722,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "be strictly decreasing when the half-depth snr(t // 2) is >= 1, "
                         "as at 200 or 400 on the default schedule; at the default "
                         f"{_THEOREMS['4'][2]['effective_t']} it is 0.657 and the check fails")
-    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--seed", type=_seed, help="override config seed")
 
     p = sub.add_parser("attack-eval", help="striped-task robustness ladder under PGD")
     p.add_argument("--config", required=True)
@@ -724,7 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count, default=30, help="PGD steps")
     p.add_argument("--trials", type=_count, default=3, help="purification rounds to average")
     p.add_argument("--out", help="accuracy table CSV")
-    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--seed", type=_seed, help="override config seed")
 
     p = sub.add_parser("calibrate", help="clean/robust accuracy grid over (t, L)")
     p.add_argument("--config", required=True)
@@ -736,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count, default=30)
     p.add_argument("--trials", type=_count, default=3)
     p.add_argument("--out", help="grid CSV path")
-    p.add_argument("--seed", type=int, help="override config seed")
+    p.add_argument("--seed", type=_seed, help="override config seed")
 
     return parser
 

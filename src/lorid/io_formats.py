@@ -173,6 +173,8 @@ class RunConfig:
             raise ConfigError("exactly one of eta / ranks must be set")
         if self.patch < 1:
             raise ConfigError("patch must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.eta is not None and not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta {self.eta} outside (0, 1]")
         if self.ranks is not None and (len(self.ranks) != 4 or min(self.ranks) < 1):

@@ -152,7 +152,7 @@ def test_criterion_3_adversarial_error_sandwich():
                            schedule=sched, eps_a=eps)
         for t in VERIFY_TS:
             try:
-                verify_bounds(setup, t, 10_000, rng)
+                verify_bounds(setup, (t,), 10_000, rng)
             except BoundViolation as exc:
                 violations.append(f"rms={rms}, t={t}: {exc}")
     ok = not violations
@@ -273,7 +273,7 @@ def test_criterion_6_low_rank_projection_guarantees():
     composed_violations = 0
     for t in VERIFY_TS:
         try:
-            verify_bounds(setup, t, 1000, rng)
+            verify_bounds(setup, (t,), 1000, rng)
         except BoundViolation:
             composed_violations += 1
 

@@ -26,7 +26,6 @@ from lorid.diffusion import (
     GaussianOracleDenoiser,
     Schedule,
     default_schedule,
-    diffuse,
     make_linear_schedule,
     one_shot_recover,
 )
@@ -510,13 +509,40 @@ class TestKlQuadrature:
             kl_quadrature_forward(lambda x: x, self._gauss(0.0, 1.0), sched, 10)
 
 
+# Bound on the tracemalloc peak of a four-depth, 100 000-trial, 8-d
+# verify_bounds call: the per-depth errors (3.2 MB) plus one chunk's
+# temporaries came to 6.6 MiB (16 MiB was the bound at one depth with
+# whole-trial draws).
+PEAK_BOUND = 8 * 2**20
+
+
+def _bound_setup(kind: str) -> tuple[BoundSetup, int]:
+    """An oracle setup, clean, shifted by a fixed perturbation, or projected
+    by a fitted basis after one, with a trial count that is not a multiple of
+    the chunk."""
+    sched = default_schedule()
+    if kind == "basis":
+        layout = TensorizationLayout(height=4, width=4, channels=1, patch=2)
+        data = np.random.default_rng(523).standard_normal((64, 4, 4, 1))
+        basis = fit_basis(data, layout, rank_policy=(2, 2, 2, 1))
+        eps = misaligned_noise((4, 4, 1), basis, budget_l2=0.8, rng=np.random.default_rng(524))
+        d, eps_a = 16, eps.reshape(-1)
+    else:
+        d, basis = 8, None
+        eps_a = 0.2 * np.sin(np.arange(d)) if kind == "eps_a" else None
+    oracle = GaussianOracleDenoiser(np.zeros(d), 1.0, sched)
+    setup = BoundSetup(mean=np.zeros(d), cov=np.asarray(1.0), denoiser=oracle, schedule=sched,
+                       eps_a=eps_a, basis=basis)
+    return setup, analysis._CHUNK_VALUES // d + 77
+
+
 class TestVerifyBounds:
     def test_clean_oracle_sits_at_lower_edge(self):
         """The oracle denoiser is exactly MMSE-optimal: tiny slack, inside bounds."""
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(8), 1.0, sched)
         setup = BoundSetup(mean=np.zeros(8), cov=np.asarray(1.0), denoiser=oracle, schedule=sched)
-        report = verify_bounds(setup, t=200, trials=4000, rng=np.random.default_rng(520))
+        [report] = verify_bounds(setup, (200,), trials=4000, rng=np.random.default_rng(520))
         assert report.lower - report.tolerance <= report.empirical
         assert report.empirical <= report.upper + report.tolerance
         assert report.delta_ddpm_est < 0.05 * report.lower + 0.05
@@ -529,10 +555,10 @@ class TestVerifyBounds:
         setup = BoundSetup(
             mean=np.zeros(8), cov=np.asarray(1.0), denoiser=oracle, schedule=sched, eps_a=eps
         )
-        report = verify_bounds(setup, t=300, trials=4000, rng=rng)
-        clean = verify_bounds(
+        [report] = verify_bounds(setup, (300,), trials=4000, rng=rng)
+        [clean] = verify_bounds(
             BoundSetup(mean=np.zeros(8), cov=np.asarray(1.0), denoiser=oracle, schedule=sched),
-            t=300, trials=4000, rng=np.random.default_rng(522),
+            (300,), trials=4000, rng=np.random.default_rng(522),
         )
         assert report.lower < clean.lower
         assert report.upper > clean.upper
@@ -550,7 +576,7 @@ class TestVerifyBounds:
             mean=np.zeros(16), cov=np.asarray(1.0), denoiser=oracle, schedule=sched,
             eps_a=eps.reshape(-1), basis=basis,
         )
-        report = verify_bounds(setup, t=200, trials=3000, rng=np.random.default_rng(525))
+        [report] = verify_bounds(setup, (200,), trials=3000, rng=np.random.default_rng(525))
         assert report.lower - report.tolerance <= report.empirical <= report.upper + report.tolerance
 
     def test_oversized_perturbation_violates(self):
@@ -567,7 +593,7 @@ class TestVerifyBounds:
             eps_a=np.full(4, 1.5),
         )
         with pytest.raises(BoundViolation):
-            verify_bounds(setup, t=100, trials=3000, rng=np.random.default_rng(526))
+            verify_bounds(setup, (100,), trials=3000, rng=np.random.default_rng(526))
 
     def test_singular_full_covariance_accepted(self):
         """A rank-2 PSD matrix in 4-D samples through its eigenpairs (no Cholesky)."""
@@ -577,65 +603,128 @@ class TestVerifyBounds:
         cov = v @ np.diag(lam) @ v.T
         oracle = GaussianOracleDenoiser(np.zeros(4), cov, sched)
         setup = BoundSetup(mean=np.zeros(4), cov=cov, denoiser=oracle, schedule=sched)
-        report = verify_bounds(setup, t=200, trials=4000, rng=np.random.default_rng(528))
+        [report] = verify_bounds(setup, (200,), trials=4000, rng=np.random.default_rng(528))
         ab = sched.alpha_bar_at(200)
         mmse = float(np.mean(lam * (1 - ab) / (ab * lam + 1 - ab)))
         np.testing.assert_allclose(report.lower, mmse, rtol=1e-12)
 
     def test_peak_memory_stays_small(self):
-        """100 000 trials in 8-d are recovered in chunks: beyond the draws
-        (6.4 MB) and the errors, no whole-trial array is built."""
+        """100 000 trials in 8-d at four depths are drawn and recovered in
+        chunks: beyond the per-depth errors (3.2 MB) and one chunk's
+        temporaries, no whole-trial array is built."""
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(8), 1.0, sched)
         setup = BoundSetup(mean=np.zeros(8), cov=np.ones(8), denoiser=oracle, schedule=sched)
         tracemalloc.start()
         try:
-            verify_bounds(setup, t=200, trials=100_000, rng=np.random.default_rng(529))
+            verify_bounds(setup, (50, 200, 500, 800), trials=100_000,
+                          rng=np.random.default_rng(529))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < PEAK_BOUND
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["clean", "eps_a"])
-    def test_chunked_run_matches_full_array_reference(self, perturbed):
-        """At a trial count that is not a multiple of the chunk, the report equals
-        one computed with whole-array draws, diffuse and one_shot_recover."""
-        d, t = 8, 300
+    def test_chunked_run_matches_per_chunk_reference(self, perturbed):
+        """At a trial count that is not a multiple of the chunk and at three
+        depths, each report equals one computed chunk by chunk with the source
+        sample drawn first, then one noise array serving every depth, then the
+        forward formula and one_shot_recover; the generator ends in the same
+        state."""
+        d, ts = 8, (100, 300, 700)
         sched = default_schedule()
         mean = np.linspace(-1.0, 1.0, d)
         cov = np.linspace(0.5, 2.0, d)
         eps = 0.3 * np.cos(np.arange(d)) if perturbed else None
         oracle = GaussianOracleDenoiser(mean, cov, sched)
         setup = BoundSetup(mean=mean, cov=cov, denoiser=oracle, schedule=sched, eps_a=eps)
-        trials = 2 * (analysis._CHUNK_VALUES // d) + 123
-        report = verify_bounds(setup, t, trials, np.random.default_rng(530))
-
+        rows = analysis._CHUNK_VALUES // d
+        trials = 2 * rows + 123
         rng = np.random.default_rng(530)
+        reports = verify_bounds(setup, ts, trials, rng)
 
-        def errors(x_in, x0):
-            x_t, _ = diffuse(x_in, t, sched, rng)
-            return np.mean((one_shot_recover(x_t, t, oracle, sched) - x0) ** 2, axis=-1)
+        ref_rng = np.random.default_rng(530)
 
-        x0 = mean + np.sqrt(cov) * rng.standard_normal((trials, d))
-        err = errors(x0, x0)
-        clean_mean, se = float(np.mean(err)), float(np.std(err) / math.sqrt(trials))
-        ab = sched.alpha_bar_at(t)
-        mmse = float(np.mean(cov * (1 - ab) / (ab * cov + 1 - ab)))
-        delta, empirical, gap = max(0.0, clean_mean - mmse), clean_mean, 0.0
-        if perturbed:
-            x0 = mean + np.sqrt(cov) * rng.standard_normal((trials, d))
-            err = errors(x0 + eps, x0)
-            empirical = float(np.mean(err))
-            se = math.hypot(float(np.std(err) / math.sqrt(trials)), se)
-            gap = frobenius_norm(eps) / math.sqrt(d)
-        assert report.empirical.hex() == empirical.hex()
-        assert report.delta_ddpm_est.hex() == delta.hex()
-        assert report.tolerance.hex() == (4.0 * se).hex()
-        assert report.upper == pytest.approx(mmse + delta + gap, rel=1e-12)
+        def errors(shift):
+            err = np.empty((len(ts), trials))
+            for start in range(0, trials, rows):
+                n = min(rows, trials - start)
+                x0 = mean + np.sqrt(cov) * ref_rng.standard_normal((n, d))
+                noise = ref_rng.standard_normal((n, d))
+                x_in = x0 if shift is None else x0 + shift
+                for i, t in enumerate(ts):
+                    ab = sched.alpha_bar_at(t)
+                    x_t = math.sqrt(ab) * x_in + math.sqrt(1.0 - ab) * noise
+                    x_hat = one_shot_recover(x_t, t, oracle, sched)
+                    err[i, start:start + n] = np.mean((x_hat - x0) ** 2, axis=-1)
+            return err
+
+        clean = errors(None)
+        shifted = errors(eps) if perturbed else None
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for i, (t, report) in enumerate(zip(ts, reports)):
+            clean_mean = float(np.mean(clean[i]))
+            se = float(np.std(clean[i]) / math.sqrt(trials))
+            ab = sched.alpha_bar_at(t)
+            mmse = float(np.mean(cov * (1 - ab) / (ab * cov + 1 - ab)))
+            delta, empirical, gap = max(0.0, clean_mean - mmse), clean_mean, 0.0
+            if perturbed:
+                empirical = float(np.mean(shifted[i]))
+                se = math.hypot(float(np.std(shifted[i]) / math.sqrt(trials)), se)
+                gap = frobenius_norm(eps) / math.sqrt(d)
+            assert report.empirical.hex() == empirical.hex()
+            assert report.delta_ddpm_est.hex() == delta.hex()
+            assert report.tolerance.hex() == (4.0 * se).hex()
+            assert report.upper == pytest.approx(mmse + delta + gap, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["clean", "eps_a", "basis"])
+    def test_each_depth_reports_as_a_lone_call(self, kind):
+        """A depth's report in a multi-depth call is bit-equal to that of a
+        call with the depth alone on the same seed, and the generator ends in
+        the same state: the draws do not depend on the depths."""
+        setup, trials = _bound_setup(kind)
+        ts = (50, 200, 500, 800)
+        rng = np.random.default_rng(531)
+        reports = verify_bounds(setup, ts, trials, rng)
+        assert len(reports) == len(ts)
+        for t, report in zip(ts, reports):
+            lone_rng = np.random.default_rng(531)
+            [lone] = verify_bounds(setup, (t,), trials, lone_rng)
+            for field in ("lower", "upper", "empirical", "delta_ddpm_est", "tolerance"):
+                assert getattr(report, field).hex() == getattr(lone, field).hex(), (t, field)
+            assert lone_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_violation_names_its_depth(self):
+        """With rms 1.5 the shifted error escapes the sandwich at t = 100
+        (see above) but not at t = 900, where abar ~ 1e-4; the violation
+        names t = 100, the depth that failed."""
+        sched = default_schedule()
+        oracle = GaussianOracleDenoiser(np.zeros(4), 1.0, sched)
+        setup = BoundSetup(
+            mean=np.zeros(4), cov=np.asarray(1.0), denoiser=oracle, schedule=sched,
+            eps_a=np.full(4, 1.5),
+        )
+        verify_bounds(setup, (900,), trials=3000, rng=np.random.default_rng(526))
+        with pytest.raises(BoundViolation, match=r"^t=100: measured error"):
+            verify_bounds(setup, (900, 100), trials=3000, rng=np.random.default_rng(526))
 
     def test_report_validation(self):
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(2), 1.0, sched)
         setup = BoundSetup(mean=np.zeros(2), cov=np.asarray(1.0), denoiser=oracle, schedule=sched)
         with pytest.raises(ValueError):
-            verify_bounds(setup, t=100, trials=1, rng=np.random.default_rng(0))
+            verify_bounds(setup, (100,), trials=1, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("ts", [(), (0,), (200, 1001), (2.5,)],
+                             ids=["none", "zero", "past-T", "fractional"])
+    def test_depths_refused_before_any_draw(self, ts):
+        """An empty depth list, or a depth that is not an integer in [1, T],
+        is refused before the generator moves."""
+        sched = default_schedule()
+        oracle = GaussianOracleDenoiser(np.zeros(2), 1.0, sched)
+        setup = BoundSetup(mean=np.zeros(2), cov=np.asarray(1.0), denoiser=oracle, schedule=sched)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            verify_bounds(setup, ts, trials=10, rng=rng)
+        assert rng.bit_generator.state == state

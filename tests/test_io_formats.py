@@ -206,6 +206,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             default_config(eta=None, ranks=(1, 2, 3))
 
+    def test_negative_seed_refused(self):
+        """numpy's seeding takes no negative seed; the config names the key."""
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            default_config(seed=-1)
+        text = format_config(default_config()).replace("seed=0", "seed=-1")
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            parse_config(text)
+        assert default_config(seed=0).seed == 0
+
     def test_carries_the_schedule_it_checked(self, schedule_builds):
         """Parsing builds one schedule, the linear one of the config's keys."""
         text = format_config(default_config(T=300, beta_end=0.03))
