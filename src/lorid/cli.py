@@ -4,7 +4,8 @@ Eight subcommands: ``gen-data``, ``train-denoiser``, ``train-classifier``,
 ``purify``, ``curves``, ``verify``, ``attack-eval``, ``calibrate``.  Every
 command is deterministic under a fixed ``--seed`` (which overrides the config
 file's seed where both exist).  Exit codes: 0 = success/pass, 1 = a numerical
-check failed (margins printed), 2 = usage or input error.
+check failed (margins printed), 2 = usage or input error, a request for an
+array larger than memory included.
 """
 
 from __future__ import annotations
@@ -321,8 +322,19 @@ def _cmd_train_classifier(args) -> int:
     return 0
 
 
+# The basis flags of purify; each is refused, before any input is read, where
+# the config and the other flags leave it unread.
+_BASIS_FLAGS = ("basis", "fit_basis_from", "save_basis")
+
+
 def _cmd_purify(args) -> int:
     cfg = _load_config(args.config, args.seed)
+    if not cfg.use_tucker:
+        _flags_read(args, {}, _BASIS_FLAGS, "purify with use_tucker=false")
+    elif args.basis is not None:
+        _flags_read(args, {"basis": None}, _BASIS_FLAGS, "purify with --basis")
+    elif args.save_basis is not None and args.fit_basis_from is None:
+        raise ConfigError("--save-basis needs --fit-basis-from")
     denoiser = read_mlp(args.denoiser)
     if denoiser.t_total != cfg.T:
         raise ConfigError(
@@ -330,15 +342,14 @@ def _cmd_purify(args) -> int:
         )
     x = read_tensor(args.input)
     basis = None
-    if cfg.use_tucker:
-        if args.basis is not None:
-            basis = read_basis(args.basis)
-        elif args.fit_basis_from is not None:
-            basis = _fit_basis(read_tensor(args.fit_basis_from), cfg)
-            if args.save_basis is not None:
-                write_basis(args.save_basis, basis)
-        else:
-            raise ConfigError("use_tucker=true needs --basis or --fit-basis-from")
+    if args.basis is not None:
+        basis = read_basis(args.basis)
+    elif args.fit_basis_from is not None:
+        basis = _fit_basis(read_tensor(args.fit_basis_from), cfg)
+        if args.save_basis is not None:
+            write_basis(args.save_basis, basis)
+    elif cfg.use_tucker:
+        raise ConfigError("use_tucker=true needs --basis or --fit-basis-from")
     purifier_cfg = lorid_config_from(cfg, basis)
     clean_ref = read_tensor(args.clean_ref) if args.clean_ref else None
     out, trace = lorid_purify(
@@ -669,20 +680,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training tensor (n, d) or images")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output container path")
-    p.add_argument("--hidden", type=_comma_list(_count), default=[64, 64],
+    p.add_argument("--hidden", type=_comma_list(_count), default=MlpTrainConfig.hidden,
                    help="comma list of hidden-layer widths")
-    p.add_argument("--epochs", type=_count, default=40)
-    p.add_argument("--lr", type=_positive_float, default=0.05)
+    p.add_argument("--epochs", type=_count, default=MlpTrainConfig.epochs)
+    p.add_argument("--lr", type=_positive_float, default=MlpTrainConfig.lr)
     p.add_argument("--seed", type=_seed, help="override config seed")
 
     p = sub.add_parser("train-classifier", help="train the softmax MLP classifier")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden", type=_comma_list(_count), default=[32],
+    p.add_argument("--hidden", type=_comma_list(_count), default=ClassifierTrainConfig.hidden,
                    help="comma list of hidden-layer widths")
-    p.add_argument("--epochs", type=_count, default=150)
-    p.add_argument("--lr", type=_positive_float, default=0.05)
+    p.add_argument("--epochs", type=_count, default=ClassifierTrainConfig.epochs)
+    p.add_argument("--lr", type=_positive_float, default=ClassifierTrainConfig.lr)
     p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("purify", help="run the purifier on a stored tensor")
@@ -769,6 +780,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ConfigError, TensorFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array larger than the allocator can give
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import BinaryIO, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -151,19 +151,25 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed key=value run configuration (schedule, purifier, projection, seed)."""
+    """Parsed key=value run configuration (schedule, purifier, projection, seed).
 
-    T: int
-    beta_start: float
-    beta_end: float
-    t: int
-    L: int
-    use_tucker: bool
-    sampler: str
-    skip_k: int
-    patch: int
-    seed: int
-    eta: float | None = None
+    The fields are the config's keys, in the order :func:`format_config` writes
+    them, and their defaults are the stock laboratory configuration.  A key
+    whose type admits None may be left out of a file; exactly one of eta /
+    ranks is set.
+    """
+
+    T: int = DEFAULT_T
+    beta_start: float = DEFAULT_BETA_START
+    beta_end: float = DEFAULT_BETA_END
+    t: int = 100
+    L: int = 4
+    use_tucker: bool = True
+    sampler: str = LoridConfig.sampler
+    skip_k: int = LoridConfig.skip_k
+    patch: int = 4
+    seed: int = 0
+    eta: float | None = 0.95
     ranks: tuple[int, int, int, int] | None = None
     # The Schedule of T, beta_start and beta_end, built once by the check below.
     schedule: Schedule = field(init=False, repr=False, compare=False)
@@ -188,19 +194,40 @@ class RunConfig:
         object.__setattr__(self, "schedule", schedule)
 
 
-_REQUIRED_KEYS = (
-    "T", "beta_start", "beta_end", "t", "L", "use_tucker", "sampler", "skip_k", "patch", "seed",
-)
-_RANK_KEYS = ("eta", "ranks")
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ConfigError(f"expected a boolean, got {raw!r}")
+
+
+# How a value of each declared field type is read from, and written to, its text.
+_CODECS = {
+    int: (int, str),
+    float: (float, lambda v: format(v, ".17g")),
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    str: (str, str),
+    tuple: (lambda raw: tuple(int(r) for r in raw.split(",")), lambda v: ",".join(map(str, v))),
+}
+
+
+def _config_keys() -> dict[str, tuple[type, bool]]:
+    """Each config key, in field order: the type its text holds and whether
+    the key may be left out (its declared type admits None)."""
+    hints = get_type_hints(RunConfig)
+    keys = {}
+    for f in fields(RunConfig):
+        if f.init:
+            kind, optional = hints[f.name], type(None) in get_args(hints[f.name])
+            if optional:  # X | None holds an X
+                kind = next(a for a in get_args(kind) if a is not type(None))
+            keys[f.name] = (get_origin(kind) or kind, optional)
+    return keys
+
+
+_KEYS = _config_keys()
 
 
 def parse_config(text: str) -> RunConfig:
@@ -214,77 +241,35 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _REQUIRED_KEYS + _RANK_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = raw
-    missing = [k for k in _REQUIRED_KEYS if k not in seen]
+    missing = [k for k, (_, optional) in _KEYS.items() if not optional and k not in seen]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    try:
-        kwargs = dict(
-            T=int(seen["T"]),
-            beta_start=float(seen["beta_start"]),
-            beta_end=float(seen["beta_end"]),
-            t=int(seen["t"]),
-            L=int(seen["L"]),
-            use_tucker=_parse_bool(seen["use_tucker"], "use_tucker"),
-            sampler=seen["sampler"],
-            skip_k=int(seen["skip_k"]),
-            patch=int(seen["patch"]),
-            seed=int(seen["seed"]),
-        )
-        if "eta" in seen:
-            kwargs["eta"] = float(seen["eta"])
-        if "ranks" in seen:
-            kwargs["ranks"] = tuple(int(r) for r in seen["ranks"].split(","))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad value: {exc}") from exc
+    kwargs = {}
+    for key, (kind, _) in _KEYS.items():
+        try:
+            kwargs[key] = _CODECS[kind][0](seen[key]) if key in seen else None
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"bad value: {exc}") from exc
     return RunConfig(**kwargs)
 
 
 def format_config(cfg: RunConfig) -> str:
     """Inverse of :func:`parse_config` (modulo comments and key order)."""
-    lines = [
-        f"T={cfg.T}",
-        f"beta_start={cfg.beta_start:.17g}",
-        f"beta_end={cfg.beta_end:.17g}",
-        f"t={cfg.t}",
-        f"L={cfg.L}",
-        f"use_tucker={'true' if cfg.use_tucker else 'false'}",
-        f"sampler={cfg.sampler}",
-        f"skip_k={cfg.skip_k}",
-        f"patch={cfg.patch}",
-        f"seed={cfg.seed}",
-    ]
-    if cfg.eta is not None:
-        lines.append(f"eta={cfg.eta:.17g}")
-    else:
-        assert cfg.ranks is not None
-        lines.append("ranks=" + ",".join(str(r) for r in cfg.ranks))
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={_CODECS[kind][1](getattr(cfg, key))}\n"
+                   for key, (kind, _) in _KEYS.items() if getattr(cfg, key) is not None)
 
 
 def default_config(**overrides) -> RunConfig:
     """The stock laboratory configuration; keyword overrides applied on top,
     so the config is built and validated once."""
-    fields = dict(
-        T=DEFAULT_T,
-        beta_start=DEFAULT_BETA_START,
-        beta_end=DEFAULT_BETA_END,
-        t=100,
-        L=4,
-        use_tucker=True,
-        sampler=LoridConfig.sampler,
-        skip_k=LoridConfig.skip_k,
-        patch=4,
-        seed=0,
-        eta=0.95,
-    )
-    return RunConfig(**{**fields, **overrides})
+    return RunConfig(**overrides)
 
 
 # ---------------------------------------------------------------------------

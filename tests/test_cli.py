@@ -16,7 +16,8 @@ import lorid
 from lorid import _nn, cli
 from lorid.analysis import kl_gaussian_curve, loop_bound_curve, verify_bounds
 from lorid.cli import main
-from lorid.diffusion import MlpDenoiser, make_linear_schedule
+from lorid.attacks import ClassifierTrainConfig
+from lorid.diffusion import MlpDenoiser, MlpTrainConfig, make_linear_schedule
 from lorid.io_formats import (
     default_config,
     format_config,
@@ -317,6 +318,33 @@ class TestHostileArguments:
         assert code == 2
         name = "snr" if argv[0] == "curves" else "epsilon"
         assert len(err) == 1 and err[0].startswith(f"error: {name} must be"), err
+        assert not wrote
+
+
+# Requests for more than the 128 TiB of a 64-bit address space, so the
+# allocator refuses them before any memory is touched: 10**15 float64 values
+# are 7.1 PiB.  "{big}" is a T=10**15 config.
+OVERSIZED = {
+    "curves-snr": ["curves", "--kind", "snr", "--config", "{big}", "--out", "{out}"],
+    "verify": ["verify", "--theorem", "1", "--config", "{big}"],
+    "gen-data-gaussian": ["gen-data", "--task", "gaussian", "--n", str(10**15), "--d", "8",
+                          "--out", "{out}"],
+    "gen-data-striped": ["gen-data", "--task", "striped", "--n", str(10**15), "--out", "{out}",
+                         "--labels-out", "{out}"],
+}
+
+
+class TestOversizedRequest:
+    @pytest.mark.parametrize("case", OVERSIZED)
+    def test_out_of_memory_is_usage_error(self, case, tmp_path, capsys):
+        """An array larger than memory can hold exits 2 with one stderr line,
+        not a traceback and exit 1, and writes nothing."""
+        big = tmp_path / "big.cfg"
+        big.write_text(format_config(default_config(T=120, t=20, L=2)).replace(
+            "T=120", f"T={10**15}"))
+        code, err, wrote = _run_refused(OVERSIZED[case], {"big": big}, tmp_path, capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: out of memory: "), err
         assert not wrote
 
 
@@ -847,6 +875,68 @@ class TestWorkflow:
         rc = main(["train-classifier", "--data", data, "--labels", labels,
                    "--out", out, "--hidden", "8", "--epochs", "5"])
         assert rc == 0
+
+
+@pytest.fixture(scope="module")
+def basis_file(workdir):
+    """A basis fitted on the workflow's images under its use_tucker=true config."""
+    tmp, cfg, data, labels, deno = workdir
+    path = str(tmp / "fitted_basis.lten")
+    assert main(["purify", "--input", data, "--denoiser", deno, "--config", cfg,
+                 "--out", str(tmp / "fitted_out.lten"), "--fit-basis-from", data,
+                 "--save-basis", path]) == 0
+    return path
+
+
+_BASIS_OFF = "purify with use_tucker=false does not read {} " \
+             "(it reads none of --basis, --fit-basis-from, --save-basis)"
+
+# A basis flag purify would ignore, with whether the config sets use_tucker and
+# the one stderr line: "{missing}" names no file, "{save}" must not be written.
+PURIFY_BASIS_CASES = {
+    "off-basis": (False, ["--basis", "{basis}"], _BASIS_OFF.format("--basis")),
+    "off-fit": (False, ["--fit-basis-from", "{missing}"], _BASIS_OFF.format("--fit-basis-from")),
+    "off-save": (False, ["--save-basis", "{save}"], _BASIS_OFF.format("--save-basis")),
+    "off-all-three": (False, ["--basis", "{missing}", "--fit-basis-from", "{missing}",
+                              "--save-basis", "{save}"], _BASIS_OFF.format("--basis")),
+    "basis-fit": (True, ["--basis", "{basis}", "--fit-basis-from", "{missing}"],
+                  "purify with --basis does not read --fit-basis-from (it reads --basis)"),
+    "basis-save": (True, ["--basis", "{basis}", "--save-basis", "{save}"],
+                   "purify with --basis does not read --save-basis (it reads --basis)"),
+    "save-without-fit": (True, ["--save-basis", "{save}"], "--save-basis needs --fit-basis-from"),
+}
+
+
+class TestPurifyBasisFlags:
+    @pytest.mark.parametrize("case", PURIFY_BASIS_CASES)
+    def test_ignored_flag_refused(self, case, workdir, basis_file, tmp_path, capsys):
+        """A basis flag purify would ignore is refused before any input is
+        read: exit 2, one stderr line naming the flag, no output and no basis
+        written, also where the input and the denoiser are missing."""
+        tmp, cfg, data, labels, deno = workdir
+        use_tucker, flags, message = PURIFY_BASIS_CASES[case]
+        if not use_tucker:
+            cfg = write_config(tmp_path, use_tucker=False)
+        save = tmp_path / "saved_basis.lten"
+        files = {"basis": basis_file, "missing": str(tmp_path / "missing.lten"), "save": save}
+        for inputs in ((data, deno), (files["missing"], files["missing"])):
+            argv = ["purify", "--input", inputs[0], "--denoiser", inputs[1], "--config", cfg,
+                    "--out", "{out}", *flags]
+            code, err, wrote = _run_refused(argv, files, tmp_path, capsys)
+            assert code == 2
+            assert err == [f"error: {message}"]
+            assert not wrote and not save.exists()
+
+
+@pytest.mark.parametrize("argv, stock", [
+    (["train-denoiser", "--data", "d", "--config", "c", "--out", "o"], MlpTrainConfig()),
+    (["train-classifier", "--data", "d", "--labels", "l", "--out", "o"],
+     ClassifierTrainConfig()),
+])
+def test_training_flags_default_to_the_train_config(argv, stock):
+    """Left out, --hidden, --epochs and --lr are the training config's defaults."""
+    args = cli._build_parser().parse_args(argv)
+    assert (tuple(args.hidden), args.epochs, args.lr) == (stock.hidden, stock.epochs, stock.lr)
 
 
 class TestRobustnessCommands:

@@ -1,12 +1,17 @@
 """Binary tensor container, config round trips, model serialization, datasets."""
 
 import io
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lorid
 from lorid.attacks import ClassifierTrainConfig, train_classifier
 from lorid.diffusion import MlpTrainConfig, make_linear_schedule, train_mlp_denoiser
 from lorid.io_formats import (
@@ -241,6 +246,88 @@ class TestRunConfig:
             parse_config("just words\n")
         with pytest.raises(ConfigError):
             parse_config(format_config(default_config()).replace("T=1000", "T=ten"))
+
+
+_REQUIRED = ("T", "beta_start", "beta_end", "t", "L", "use_tucker", "sampler", "skip_k",
+             "patch", "seed")
+
+
+def _stock_text_with(**lines: str | None) -> str:
+    """The stock config's text with each named key's value replaced, or its
+    line dropped where the value is None; a key not in the stock text is added."""
+    keyed = dict(line.split("=", 1) for line in format_config(default_config()).splitlines())
+    keyed.update(lines)
+    return "".join(f"{k}={v}\n" for k, v in keyed.items() if v is not None)
+
+
+class TestConfigKeyTable:
+    """Every key of the run config through parse_config and format_config."""
+
+    @pytest.mark.parametrize("key", _REQUIRED)
+    def test_dropping_a_required_key_names_it(self, key):
+        with pytest.raises(ConfigError, match=rf"^missing required keys: {key}$"):
+            parse_config(_stock_text_with(**{key: None}))
+
+    @pytest.mark.parametrize("key, raw", [
+        *((k, "1.5") for k in ("T", "t", "L", "skip_k", "patch", "seed")),
+        *((k, "0.1x") for k in ("beta_start", "beta_end", "eta")),
+    ])
+    def test_ill_typed_number_is_a_bad_value(self, key, raw):
+        with pytest.raises(ConfigError, match=rf"^bad value: .*{raw!r}"):
+            parse_config(_stock_text_with(**{key: raw}))
+
+    def test_ill_typed_rank_is_a_bad_value(self):
+        with pytest.raises(ConfigError, match=r"^bad value: .*'x'"):
+            parse_config(_stock_text_with(eta=None, ranks="2,x,8,1"))
+
+    @pytest.mark.parametrize("raw, value", [
+        *((r, True) for r in ("true", "1", "yes", "TRUE", "Yes")),
+        *((r, False) for r in ("false", "0", "no", "False", "NO")),
+    ])
+    def test_boolean_spellings(self, raw, value):
+        assert parse_config(_stock_text_with(use_tucker=raw)).use_tucker is value
+
+    def test_refused_boolean_names_the_key(self):
+        with pytest.raises(ConfigError, match=r"^use_tucker: expected a boolean, got 'maybe'$"):
+            parse_config(_stock_text_with(use_tucker="maybe"))
+
+    @pytest.mark.parametrize("eta, ranks, ok", [
+        ("0.5", None, True),
+        (None, "1,2,3,4", True),
+        (None, None, False),
+        ("0.5", "1,2,3,4", False),
+    ])
+    def test_eta_ranks_pairs(self, eta, ranks, ok):
+        text = _stock_text_with(eta=eta, ranks=ranks)
+        if ok:
+            cfg = parse_config(text)
+            assert (cfg.eta, cfg.ranks) == (
+                None if eta is None else 0.5, None if ranks is None else (1, 2, 3, 4))
+        else:
+            with pytest.raises(ConfigError, match=r"^exactly one of eta / ranks must be set$"):
+                parse_config(text)
+
+    def test_round_trip_with_every_key_moved(self):
+        cfg = default_config(T=300, beta_start=2e-4, beta_end=0.03, t=60, L=3, use_tucker=False,
+                             sampler="skip", skip_k=5, patch=2, seed=7, eta=None,
+                             ranks=(1, 2, 3, 4))
+        stock = default_config()
+        moved = [k for k in (*_REQUIRED, "eta", "ranks") if getattr(cfg, k) != getattr(stock, k)]
+        assert moved == [*_REQUIRED, "eta", "ranks"]
+        assert parse_config(format_config(cfg)) == cfg
+
+    def test_import_builds_no_config_or_schedule(self):
+        """The stock values are plain field defaults: importing the package
+        builds no RunConfig and no Schedule."""
+        code = ("import gc, lorid\n"
+                "from lorid.diffusion import Schedule\n"
+                "from lorid.io_formats import RunConfig\n"
+                "print(sum(isinstance(o, (RunConfig, Schedule)) for o in gc.get_objects()))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(lorid.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout == "0\n"
 
 
 class TestModelSerialization:
