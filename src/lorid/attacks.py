@@ -306,29 +306,22 @@ def evaluate(
     """
     y = np.asarray(labels, dtype=np.int64)
     images = np.asarray(dataset, dtype=np.float64)
-    flat = images.reshape(-1, clf.input_dim)
-    if flat.shape[0] != y.size:
-        raise ValueError(f"{flat.shape[0]} samples but {y.size} labels")
+    if len(images) != y.size:
+        raise ValueError(f"{len(images)} samples but {y.size} labels")
 
-    def averaged(run_config: LoridConfig, x_in: np.ndarray) -> float:
-        (acc,) = purified_accuracy(clf, denoiser, schedule, run_config, [x_in], y, trials, rng)
+    def averaged(run_config: LoridConfig) -> float:
+        (acc,) = purified_accuracy(clf, denoiser, schedule, run_config, [adv], y, trials, rng)
         return acc
 
-    table = {"standard": clf.accuracy(flat, y)}
-    adv_flat = pgd(clf, flat, y, budget, rng)
-    table["attacked"] = clf.accuracy(adv_flat, y)
-
-    basis = config.basis
-    if basis is not None:
-        table["tf_only"] = clf.accuracy(tf_apply(adv_flat.reshape(images.shape), basis), y)
-    else:
-        table["tf_only"] = table["attacked"]
-
+    table = {"standard": clf.accuracy(images, y)}
+    adv = pgd(clf, images, y, budget, rng)
+    table["attacked"] = clf.accuracy(adv, y)
+    table["tf_only"] = (table["attacked"] if config.basis is None
+                        else clf.accuracy(tf_apply(adv, config.basis), y))
     loop_cfg = replace(config, basis=None)
-    table["single"] = averaged(replace(loop_cfg, L=1), adv_flat)
-    table["loop_only"] = averaged(loop_cfg, adv_flat)
-    adv_in = adv_flat if basis is None else adv_flat.reshape(images.shape)
-    table["lorid"] = averaged(config, adv_in)
+    table["single"] = averaged(replace(loop_cfg, L=1))
+    table["loop_only"] = averaged(loop_cfg)
+    table["lorid"] = averaged(config)
     return table
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -66,7 +67,7 @@ from .io_formats import (
     write_tensor,
 )
 from ._nn import in_two_processes
-from .purify import LoridConfig, lorid_purify
+from .purify import LoridConfig, lorid_purify, misaligned_noise
 from .tucker import TensorizationLayout, TuckerBasis, fit_basis
 
 __all__ = [
@@ -208,12 +209,10 @@ def run_calibration(
         raise ConfigError("calibration grids must be nonempty")
     grid = [replace(cfg, t=int(t), L=int(L)) for t in t_grid for L in L_grid]
     art = artifacts or toy_task_artifacts(cfg)
-    flat_test = art.test_images.reshape(art.test_images.shape[0], -1)
     rows = []
-    adv_flat = pgd(
-        art.clf, flat_test, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)
+    adv_images = pgd(
+        art.clf, art.test_images, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)
     )
-    adv_images = adv_flat.reshape(art.test_images.shape)
     for run_cfg in grid:
         clean, robust = purified_accuracy(
             art.clf, art.denoiser, art.schedule, lorid_config_from(run_cfg, art.basis),
@@ -262,23 +261,38 @@ _GEN_DATA = {
 }
 
 
+def _write_outputs(*writes: tuple) -> None:
+    """Make each ``(write, path, value)`` write in turn.  Where one fails, the
+    files the earlier ones wrote are removed before the error goes on, so a
+    refused command leaves no output."""
+    written = []
+    try:
+        for write, path, value in writes:
+            write(path, value)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
+
+
 def _cmd_gen_data(args) -> int:
     flags = _flags_read(args, _GEN_DATA[args.task], ("d", "labels_out"), f"{args.task} task")
     if "labels_out" in flags and flags["labels_out"] is None:
         raise ConfigError(f"{args.task} task requires --labels-out")
+    labels = None
     if args.task == "gaussian":
         data = gen_gaussian_dataset(d=flags["d"], n=args.n, seed=args.seed)
-        write_tensor(args.out, data)
     elif args.task == "two-gaussians":
-        x, y = gen_two_gaussian_classes(n=args.n, seed=args.seed, d=flags["d"])
-        write_tensor(args.out, x)
-        write_tensor(args.labels_out, y.astype(float))
+        data, labels = gen_two_gaussian_classes(n=args.n, seed=args.seed, d=flags["d"])
     elif args.task == "two-point":
-        write_tensor(args.out, gen_two_point_dataset(n=args.n, seed=args.seed))
+        data = gen_two_point_dataset(n=args.n, seed=args.seed)
     else:  # striped
-        images, y = gen_striped_images(n=args.n, seed=args.seed)
-        write_tensor(args.out, images)
-        write_tensor(args.labels_out, y.astype(float))
+        data, labels = gen_striped_images(n=args.n, seed=args.seed)
+    writes = [(write_tensor, args.out, data)]
+    if labels is not None:
+        writes.append((write_tensor, args.labels_out, labels.astype(float)))
+    _write_outputs(*writes)
     print(f"wrote {args.task} dataset (n={args.n}) to {args.out}")
     return 0
 
@@ -323,7 +337,8 @@ def _cmd_train_classifier(args) -> int:
 
 
 # The basis flags of purify; each is refused, before any input is read, where
-# the config and the other flags leave it unread.
+# the config and the other flags leave it unread, and use_tucker=true needs one
+# of --basis and --fit-basis-from.
 _BASIS_FLAGS = ("basis", "fit_basis_from", "save_basis")
 
 
@@ -335,6 +350,8 @@ def _cmd_purify(args) -> int:
         _flags_read(args, {"basis": None}, _BASIS_FLAGS, "purify with --basis")
     elif args.save_basis is not None and args.fit_basis_from is None:
         raise ConfigError("--save-basis needs --fit-basis-from")
+    elif args.fit_basis_from is None:
+        raise ConfigError("use_tucker=true needs --basis or --fit-basis-from")
     denoiser = read_mlp(args.denoiser)
     if denoiser.t_total != cfg.T:
         raise ConfigError(
@@ -346,16 +363,15 @@ def _cmd_purify(args) -> int:
         basis = read_basis(args.basis)
     elif args.fit_basis_from is not None:
         basis = _fit_basis(read_tensor(args.fit_basis_from), cfg)
-        if args.save_basis is not None:
-            write_basis(args.save_basis, basis)
-    elif cfg.use_tucker:
-        raise ConfigError("use_tucker=true needs --basis or --fit-basis-from")
     purifier_cfg = lorid_config_from(cfg, basis)
     clean_ref = read_tensor(args.clean_ref) if args.clean_ref else None
     out, trace = lorid_purify(
         x, denoiser, cfg.schedule, purifier_cfg, np.random.default_rng(cfg.seed), clean_ref
     )
-    write_tensor(args.out, out)
+    writes = [(write_tensor, args.out, out)]
+    if args.save_basis is not None:
+        writes.append((write_basis, args.save_basis, basis))
+    _write_outputs(*writes)
     msg = f"purified tensor of shape {tuple(x.shape)} with t={cfg.t}, L={cfg.L}"
     if trace.distances:
         msg += "; distance to reference per stage: " + ", ".join(
@@ -516,8 +532,6 @@ def _verify_theorem_4(
 
 
 def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
-    from .purify import misaligned_noise
-
     layout = TensorizationLayout(height=8, width=8, channels=1, patch=4)
     base_images, _ = gen_striped_images(64, seed=int(rng.integers(2**31)))
     # Crop the 16x16 stripes down to the 8x8 layout for a quick fitted basis.

@@ -185,12 +185,12 @@ def lorid_purify(
     rng: np.random.Generator,
     clean_ref: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PurifyTrace]:
-    """Purify one sample (any shape); returns the purified sample and a trace.
+    """Purify one sample or a batch; returns the purified input and a trace.
 
-    Samples are flat vectors on the last axis; leading axes are treated as a
-    batch and purified together.  With a basis in the config the input is
-    instead an image on the last three axes (matching the basis layout) and is
-    flattened after projecting.  When ``clean_ref`` is given (same shape as
+    ``x`` is one sample, or a batch of samples along axis 0.  A sample is a
+    vector or, when the config has a basis, an image of the basis layout.
+    Each sample is flattened for the denoiser (after the projection), and the
+    output has ``x``'s shape.  When ``clean_ref`` is given (same shape as
     ``x``), ``trace.distances`` records the aggregate l2 distance to it after
     the projection stage and after every loop — handy for watching the
     iterates approach the clean signal.  Non-finite input, a clean reference
@@ -208,10 +208,8 @@ def lorid_purify(
     if not np.all(np.isfinite(x)):
         raise ValueError("input to purify holds non-finite values")
     orig_shape = x.shape
-    if config.basis is None:
-        flat_shape = x.shape
-    else:
-        flat_shape = (*x.shape[:-3], math.prod(x.shape[-3:]))
+    batched = x.ndim > (1 if config.basis is None else 3)
+    flat_shape = (x.shape[0], math.prod(x.shape[1:])) if batched else (x.size,)
     if clean_ref is not None:
         ref = np.asarray(clean_ref, dtype=np.float64)
         if ref.shape != orig_shape:
@@ -227,7 +225,7 @@ def lorid_purify(
     # One draw per diffuse, plus one per ancestral step but the last.
     draws = config.L * (t_loop if ancestral else 1)
     with _noise_source(rng, flat_shape, draws) as noise:
-        flat = x if config.basis is None else tf_apply(x, config.basis).reshape(flat_shape)
+        flat = (x if config.basis is None else tf_apply(x, config.basis)).reshape(flat_shape)
         if clean_ref is not None:
             trace.distances.append(_distance(flat, ref))
         for _ in range(config.L):

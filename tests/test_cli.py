@@ -483,11 +483,13 @@ PATH_CASES = {
     "train-classifier-data-dir": ["train-classifier", "--data", "{dir}", "--labels", "{labels}",
                                   "--out", "{out}"],
     "purify-input-dir": ["purify", "--input", "{dir}", "--denoiser", "{denoiser}",
-                         "--config", "{cfg}", "--out", "{out}"],
+                         "--config", "{cfg}", "--out", "{out}", "--fit-basis-from", "{data}"],
     "gen-data-out-under-file": ["gen-data", "--task", "gaussian", "--n", "4",
                                 "--out", "{file}/x"],
     "curves-out-under-file": ["curves", "--kind", "snr", "--config", "{cfg}",
                               "--out", "{file}/x"],
+    "gen-data-labels-out-under-file": ["gen-data", "--task", "striped", "--n", "4",
+                                       "--out", "{out}", "--labels-out", "{file}/x.lten"],
 }
 
 
@@ -756,18 +758,19 @@ class TestWorkflow:
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_non_finite_input_is_usage_error(self, workdir, tmp_path, capsys):
-        """One NaN pixel exits 2 with one line and writes nothing."""
+        """One NaN pixel exits 2 with one line and writes nothing: neither --out
+        nor the --save-basis file."""
         tmp, cfg, data, labels, deno = workdir
         images = read_tensor(data)[:2].copy()
         images[0, 3, 5, 0] = np.nan
         bad = str(tmp_path / "nan.lten")
         write_tensor(bad, images)
-        out = tmp_path / "x.lten"
+        out, save = tmp_path / "x.lten", tmp_path / "b.lten"
         rc = main(["purify", "--input", bad, "--denoiser", deno, "--config", cfg,
-                   "--out", str(out), "--fit-basis-from", data])
+                   "--out", str(out), "--fit-basis-from", data, "--save-basis", str(save)])
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
-        assert not out.exists()
+        assert not out.exists() and not save.exists()
 
     def test_malformed_denoiser_is_usage_error(self, workdir, tmp_path, capsys):
         """A 2-D hidden-sizes block exits 2 with one line, not a TypeError."""
@@ -869,6 +872,31 @@ class TestWorkflow:
                      "--out", b, "--basis", basis_path, "--seed", "2"]) == 0
         assert open(a, "rb").read() != open(b, "rb").read()
 
+    def test_purify_without_tucker_keeps_input_shape(self, workdir, tmp_path, capsys):
+        """Under use_tucker=false, purify reads the striped file the denoiser was
+        trained on as a batch of images and writes the input's shape."""
+        tmp, cfg, data, labels, deno = workdir
+        out = str(tmp_path / "x.lten")
+        rc = main(["purify", "--input", data, "--denoiser", deno, "--out", out,
+                   "--config", write_config(tmp_path, use_tucker=False)])
+        assert rc == 0, capsys.readouterr().err
+        assert read_tensor(out).shape == read_tensor(data).shape == (32, 16, 16, 1)
+
+    def test_unwritable_save_basis_leaves_no_output(self, workdir, tmp_path, capsys):
+        """--save-basis is written beside --out once the purify has run; where it
+        cannot be written, exit 2 with one line leaves neither file."""
+        tmp, cfg, data, labels, deno = workdir
+        (tmp_path / "a_file").write_text("")
+        out = tmp_path / "out.lten"
+        capsys.readouterr()
+        rc = main(["purify", "--input", data, "--denoiser", deno, "--config", cfg,
+                   "--out", str(out), "--fit-basis-from", data,
+                   "--save-basis", str(tmp_path / "a_file" / "b.lten")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: [Errno "), err
+        assert not out.exists()
+
     def test_train_classifier(self, workdir, tmp_path):
         tmp, cfg, data, labels, deno = workdir
         out = str(tmp_path / "clf.lten")
@@ -891,8 +919,9 @@ def basis_file(workdir):
 _BASIS_OFF = "purify with use_tucker=false does not read {} " \
              "(it reads none of --basis, --fit-basis-from, --save-basis)"
 
-# A basis flag purify would ignore, with whether the config sets use_tucker and
-# the one stderr line: "{missing}" names no file, "{save}" must not be written.
+# A basis flag purify would ignore, or no basis flag where it needs one, with
+# whether the config sets use_tucker and the one stderr line: "{missing}" names
+# no file, "{save}" must not be written.
 PURIFY_BASIS_CASES = {
     "off-basis": (False, ["--basis", "{basis}"], _BASIS_OFF.format("--basis")),
     "off-fit": (False, ["--fit-basis-from", "{missing}"], _BASIS_OFF.format("--fit-basis-from")),
@@ -904,14 +933,15 @@ PURIFY_BASIS_CASES = {
     "basis-save": (True, ["--basis", "{basis}", "--save-basis", "{save}"],
                    "purify with --basis does not read --save-basis (it reads --basis)"),
     "save-without-fit": (True, ["--save-basis", "{save}"], "--save-basis needs --fit-basis-from"),
+    "on-no-basis": (True, [], "use_tucker=true needs --basis or --fit-basis-from"),
 }
 
 
 class TestPurifyBasisFlags:
     @pytest.mark.parametrize("case", PURIFY_BASIS_CASES)
     def test_ignored_flag_refused(self, case, workdir, basis_file, tmp_path, capsys):
-        """A basis flag purify would ignore is refused before any input is
-        read: exit 2, one stderr line naming the flag, no output and no basis
+        """A basis flag purify would ignore, or a missing one, is refused before
+        any input is read: exit 2, one stderr line, no output and no basis
         written, also where the input and the denoiser are missing."""
         tmp, cfg, data, labels, deno = workdir
         use_tucker, flags, message = PURIFY_BASIS_CASES[case]
@@ -939,9 +969,11 @@ def test_training_flags_default_to_the_train_config(argv, stock):
     assert (tuple(args.hidden), args.epochs, args.lr) == (stock.hidden, stock.epochs, stock.lr)
 
 
+@pytest.mark.parametrize("use_tucker", [True, False], ids=["true", "false"])
 class TestRobustnessCommands:
-    def test_attack_eval_smoke(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, T=120, t=20, L=2, eta=None, ranks=(2, 2, 8, 1))
+    def test_attack_eval_smoke(self, use_tucker, tmp_path, capsys):
+        cfg = write_config(tmp_path, T=120, t=20, L=2, eta=None, ranks=(2, 2, 8, 1),
+                           use_tucker=use_tucker)
         out = str(tmp_path / "table.csv")
         rc = main(["attack-eval", "--config", cfg, "--trials", "1", "--out", out])
         assert rc == 0
@@ -951,8 +983,9 @@ class TestRobustnessCommands:
         lines = open(out).read().splitlines()
         assert len(lines) == 2
 
-    def test_calibrate_smoke(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, T=120, t=20, L=2, eta=None, ranks=(2, 2, 8, 1))
+    def test_calibrate_smoke(self, use_tucker, tmp_path, capsys):
+        cfg = write_config(tmp_path, T=120, t=20, L=2, eta=None, ranks=(2, 2, 8, 1),
+                           use_tucker=use_tucker)
         out = str(tmp_path / "grid.csv")
         rc = main(["calibrate", "--config", cfg, "--t-grid", "10,20", "--L-grid", "2",
                    "--trials", "1", "--out", out])

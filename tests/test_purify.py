@@ -242,6 +242,20 @@ class TestNoiseStream:
         assert probe.threads[0] == before + streamed and min(probe.threads) == before
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("n_images", [8, 16])  # 2048 and 4096 values per draw
+    def test_image_batch_without_basis_is_its_rows(self, setup, mlp, n_images):
+        """Without a basis, a batch of images is purified as its rows: the same
+        bytes, in the images' shape, and the same generator end state."""
+        images, _, sched, _ = setup
+        x = images[:n_images]
+        cfg = LoridConfig(t=12, L=4)
+        rng_images, rng_rows = np.random.default_rng(446), np.random.default_rng(446)
+        out, _ = lorid_purify(x, mlp, sched, cfg, rng_images)
+        rows, _ = lorid_purify(x.reshape(n_images, -1), mlp, sched, cfg, rng_rows)
+        assert out.shape == x.shape
+        assert out.tobytes() == rows.tobytes()
+        assert rng_images.bit_generator.state == rng_rows.bit_generator.state
+
     @pytest.mark.parametrize("n_images", [8, 16])
     def test_denoiser_error_propagates_and_thread_ends(self, setup, mlp, n_images):
         images, _, sched, _ = setup
