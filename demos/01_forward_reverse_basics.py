@@ -29,7 +29,7 @@ print("Corrupt N(0, I_8) to depth t, then recover with the oracle denoiser.")
 print(f"{'t':>5} {'snr':>12} {'1/(1+snr)':>11} {'one-shot':>10} {'ancestral':>10}")
 for t in (50, 200, 500, 800):
     x0 = rng.standard_normal((n, d))
-    x_t, _ = diffuse(x0, t, sched, rng)
+    x_t = diffuse(x0, t, sched, rng.standard_normal((n, d)))
     jump = one_shot_recover(x_t, t, oracle, sched)
     walked = reverse_ancestral(x_t, t, oracle, sched, rng)
     snr = effective_snr(sched, t)

@@ -369,15 +369,14 @@ class BoundViolation(RuntimeError):
 class BoundSetup:
     """Data model + denoiser + optional perturbation for :func:`verify_bounds`.
 
-    ``mean``/``cov`` define the Gaussian source (cov scalar, diagonal vector,
-    or positive semi-definite matrix; see :class:`GaussianSource`).  ``eps_a`` is a fixed perturbation added to every draw
-    before recovery (None = clean).  ``basis``, when given, routes draws
-    through the low-rank projection first; the data dimension must then match
-    the basis layout's image size.
+    ``source`` is the Gaussian the clean draws come from; for an oracle
+    denoiser, pass the oracle's own ``oracle.source``.  ``eps_a`` is a fixed
+    perturbation added to every draw before recovery (None = clean).
+    ``basis``, when given, routes draws through the low-rank projection first;
+    the data dimension must then match the basis layout's image size.
     """
 
-    mean: np.ndarray
-    cov: np.ndarray
+    source: GaussianSource
     denoiser: Denoiser
     schedule: Schedule
     eps_a: np.ndarray | None = None
@@ -409,22 +408,8 @@ class BoundReport:
 _CHUNK_VALUES = 65_536
 
 
-class _Drawn:
-    """Stands in for the generator in :func:`diffuse`, whose one
-    ``standard_normal(shape)`` call gets the noise the chunk already drew."""
-
-    def __init__(self, noise: np.ndarray) -> None:
-        self.noise = noise
-
-    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        if tuple(shape) != self.noise.shape:
-            raise ValueError(f"drawn noise has shape {self.noise.shape}, asked for {shape}")
-        return self.noise
-
-
 def _recovery_errors(
     setup: BoundSetup,
-    source: GaussianSource,
     ts: tuple[int, ...],
     trials: int,
     rng: np.random.Generator,
@@ -434,21 +419,21 @@ def _recovery_errors(
     """Per-depth per-trial squared error of one-shot recovery, shape (len(ts), trials).
 
     Trials run :data:`_CHUNK_VALUES` // d at a time (at least one), in order.
-    Each chunk draws its clean rows x0 from ``source``, then one noise array
-    that diffuses them to every depth, so the draws do not depend on ``ts``.
-    The recovery starts from x0 + ``shift``, projected by ``basis`` when one is
-    given; that input is built once per chunk.  With a basis the per-trial
-    norms of x0 - TF(x0) come back too (else None).
+    Each chunk draws its clean rows x0 from ``setup.source``, then one noise
+    array that diffuses them to every depth, so the draws do not depend on
+    ``ts``.  The recovery starts from x0 + ``shift``, projected by ``basis``
+    when one is given; that input is built once per chunk.  With a basis the
+    per-trial norms of x0 - TF(x0) come back too (else None).
     """
-    d = source.dim
+    d = setup.source.dim
     rows = max(1, _CHUNK_VALUES // d)
     err = np.empty((len(ts), trials))
     resid = None if basis is None else np.empty(trials)
     for start in range(0, trials, rows):
         chunk = slice(start, min(start + rows, trials))
         n = chunk.stop - start
-        x0 = source.sample(n, rng)
-        noise = _Drawn(rng.standard_normal((n, d)))
+        x0 = setup.source.sample(n, rng)
+        noise = rng.standard_normal((n, d))
         x_in = x0 if shift is None else x0 + shift
         if basis is not None:
             shape = (n, *basis.layout.image_shape)
@@ -456,7 +441,7 @@ def _recovery_errors(
             projected = tf_apply(x0.reshape(shape), basis).reshape(n, d)
             resid[chunk] = np.linalg.norm(x0 - projected, axis=-1)
         for i, t in enumerate(ts):
-            x_t, _ = diffuse(x_in, t, setup.schedule, noise)
+            x_t = diffuse(x_in, t, setup.schedule, noise)
             x_hat = one_shot_recover(x_t, t, setup.denoiser, setup.schedule)
             err[i, chunk] = np.mean((x_hat - x0) ** 2, axis=-1)
     return err, resid
@@ -490,25 +475,26 @@ def verify_bounds(
     schedule = setup.schedule
     for t in ts:
         effective_snr(schedule, t)  # refuses a depth that is not an integer in [1, T]
-    source = GaussianSource(setup.mean, setup.cov)
-    d = source.dim
+    d = setup.source.dim
     shift = None
     if setup.eps_a is not None:
         shift = np.asarray(setup.eps_a, dtype=np.float64).reshape(-1)
         if shift.size != d:
             raise ValueError(f"perturbation size {shift.size} != dimension {d}")
+        if not np.all(np.isfinite(shift)):
+            raise ValueError("perturbation eps_a holds non-finite values")
     if setup.basis is not None:
         img_shape = setup.basis.layout.image_shape
         if d != int(np.prod(img_shape)):
             raise ValueError(f"dimension {d} does not match basis layout {img_shape}")
-    mmses = [source.mmse_per_dim(schedule.alpha_bar_at(t)) for t in ts]
+    mmses = [setup.source.mmse_per_dim(schedule.alpha_bar_at(t)) for t in ts]
 
     # Clean companion run pins down the denoiser-slack estimate.
-    clean_err, _ = _recovery_errors(setup, source, ts, trials, rng)
+    clean_err, _ = _recovery_errors(setup, ts, trials, rng)
     perturbed = shift is not None or setup.basis is not None
     gap = 0.0
     if perturbed:
-        err, resid = _recovery_errors(setup, source, ts, trials, rng, shift, setup.basis)
+        err, resid = _recovery_errors(setup, ts, trials, rng, shift, setup.basis)
         if setup.basis is None:
             gap = frobenius_norm(shift) / math.sqrt(d)
         else:

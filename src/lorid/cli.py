@@ -72,25 +72,12 @@ from .tucker import TensorizationLayout, TuckerBasis, fit_basis
 
 __all__ = [
     "main",
-    "lorid_config_from",
     "ToyArtifacts",
     "toy_task_artifacts",
     "toy_budget",
     "run_attack_eval",
     "run_calibration",
 ]
-
-
-def lorid_config_from(cfg: RunConfig, basis: TuckerBasis | None) -> LoridConfig:
-    if cfg.use_tucker and basis is None:
-        raise ConfigError("use_tucker=true but no fitted basis supplied")
-    return LoridConfig(
-        t=cfg.t,
-        L=cfg.L,
-        basis=basis if cfg.use_tucker else None,
-        sampler=cfg.sampler,
-        skip_k=cfg.skip_k,
-    )
 
 
 def _load_config(path: str, seed_override: int | None) -> RunConfig:
@@ -184,7 +171,8 @@ def run_attack_eval(
     """Accuracy ladder of the striped task under PGD, per the config's purifier."""
     art = artifacts or toy_task_artifacts(cfg)
     return evaluate(
-        art.clf, art.denoiser, art.schedule, lorid_config_from(cfg, art.basis),
+        art.clf, art.denoiser, art.schedule,
+        replace(cfg.purifier, basis=art.basis if cfg.use_tucker else None),
         art.test_images, art.test_labels, budget, trials, np.random.default_rng(cfg.seed + 4)
     )
 
@@ -215,7 +203,8 @@ def run_calibration(
     )
     for run_cfg in grid:
         clean, robust = purified_accuracy(
-            art.clf, art.denoiser, art.schedule, lorid_config_from(run_cfg, art.basis),
+            art.clf, art.denoiser, art.schedule,
+            replace(run_cfg.purifier, basis=art.basis if run_cfg.use_tucker else None),
             [art.test_images, adv_images], art.test_labels, trials,
             np.random.default_rng(cfg.seed + 6),
         )
@@ -261,6 +250,14 @@ _GEN_DATA = {
 }
 
 
+def _distinct_outputs(args, first: str, second: str) -> None:
+    """Refuse the output flags ``first`` and ``second`` given one file (as
+    ``os.path.realpath`` resolves it): the second write would replace the first."""
+    path, other = getattr(args, first), getattr(args, second)
+    if other is not None and os.path.realpath(path) == os.path.realpath(other):
+        raise ConfigError(f"{_flag(first)} and {_flag(second)} name the same file {other}")
+
+
 def _write_outputs(*writes: tuple) -> None:
     """Make each ``(write, path, value)`` write in turn.  Where one fails, the
     files the earlier ones wrote are removed before the error goes on, so a
@@ -280,6 +277,7 @@ def _cmd_gen_data(args) -> int:
     flags = _flags_read(args, _GEN_DATA[args.task], ("d", "labels_out"), f"{args.task} task")
     if "labels_out" in flags and flags["labels_out"] is None:
         raise ConfigError(f"{args.task} task requires --labels-out")
+    _distinct_outputs(args, "out", "labels_out")
     labels = None
     if args.task == "gaussian":
         data = gen_gaussian_dataset(d=flags["d"], n=args.n, seed=args.seed)
@@ -343,6 +341,7 @@ _BASIS_FLAGS = ("basis", "fit_basis_from", "save_basis")
 
 
 def _cmd_purify(args) -> int:
+    _distinct_outputs(args, "out", "save_basis")
     cfg = _load_config(args.config, args.seed)
     if not cfg.use_tucker:
         _flags_read(args, {}, _BASIS_FLAGS, "purify with use_tucker=false")
@@ -363,10 +362,10 @@ def _cmd_purify(args) -> int:
         basis = read_basis(args.basis)
     elif args.fit_basis_from is not None:
         basis = _fit_basis(read_tensor(args.fit_basis_from), cfg)
-    purifier_cfg = lorid_config_from(cfg, basis)
     clean_ref = read_tensor(args.clean_ref) if args.clean_ref else None
     out, trace = lorid_purify(
-        x, denoiser, cfg.schedule, purifier_cfg, np.random.default_rng(cfg.seed), clean_ref
+        x, denoiser, cfg.schedule, replace(cfg.purifier, basis=basis),
+        np.random.default_rng(cfg.seed), clean_ref
     )
     writes = [(write_tensor, args.out, out)]
     if args.save_basis is not None:
@@ -415,16 +414,8 @@ _THEOREM_4_T = 400
 
 
 def _oracle_setup(schedule: Schedule, d: int = 8, eps_a=None, basis=None) -> BoundSetup:
-    mean = np.zeros(d)
-    cov = np.ones(d)
-    return BoundSetup(
-        mean=mean,
-        cov=cov,
-        denoiser=GaussianOracleDenoiser(mean, 1.0, schedule),
-        schedule=schedule,
-        eps_a=eps_a,
-        basis=basis,
-    )
+    oracle = GaussianOracleDenoiser(np.zeros(d), 1.0, schedule)
+    return BoundSetup(oracle.source, oracle, schedule, eps_a=eps_a, basis=basis)
 
 
 def _tolerance_note(report: BoundReport) -> str:

@@ -14,9 +14,11 @@ All samplers operate elementwise on arrays of any shape; noise predictors see
 the trailing axis as the data dimension and broadcast over leading axes.
 
 Every stochastic operation takes an explicit ``numpy.random.Generator``;
-identical seeds reproduce runs bit-for-bit.  :func:`diffuse` and
-:func:`reverse_ancestral` call only ``rng.standard_normal(shape)``, so the
-purifier can hand them a stream that makes those draws ahead of time.
+identical seeds reproduce runs bit-for-bit.  :func:`diffuse` takes its
+standard-normal draw ``eps`` from the caller, so with ``eps`` held fixed it is
+the affine map above.  :func:`reverse_ancestral` calls only
+``rng.standard_normal(shape)``, so the purifier can hand it a stream that
+makes those draws ahead of time.
 """
 
 from __future__ import annotations
@@ -132,14 +134,17 @@ class Denoiser(Protocol):
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray: ...
 
 
-def diffuse(
-    x0: np.ndarray, t: int, schedule: Schedule, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt ``x0`` to step ``t``; returns ``(x_t, eps0)`` with the drawn noise."""
+def diffuse(x0: np.ndarray, t: int, schedule: Schedule, eps: np.ndarray) -> np.ndarray:
+    """Corrupt ``x0`` to step ``t`` with the standard-normal draw ``eps``.
+
+    ``eps`` must have ``x0``'s shape: broadcasting would reuse one sample's
+    noise across a batch.
+    """
     x0 = np.asarray(x0, dtype=np.float64)
     ab = schedule._abar[schedule._check_step(t, 1)]
-    eps0 = rng.standard_normal(x0.shape)
-    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps0, eps0
+    if np.shape(eps) != x0.shape:
+        raise ValueError(f"noise shape {np.shape(eps)} differs from the input's {x0.shape}")
+    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
 
 
 def one_shot_recover(

@@ -171,8 +171,10 @@ class RunConfig:
     seed: int = 0
     eta: float | None = 0.95
     ranks: tuple[int, int, int, int] | None = None
-    # The Schedule of T, beta_start and beta_end, built once by the check below.
+    # The Schedule of T, beta_start and beta_end, and the basis-free LoridConfig
+    # of t, L, sampler and skip_k, each built once by the check below.
     schedule: Schedule = field(init=False, repr=False, compare=False)
+    purifier: LoridConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.eta is None) == (self.ranks is None):
@@ -192,6 +194,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "purifier", purifier)
 
 
 def _parse_bool(raw: str) -> bool:

@@ -229,7 +229,7 @@ def lorid_purify(
         if clean_ref is not None:
             trace.distances.append(_distance(flat, ref))
         for _ in range(config.L):
-            noisy, _ = diffuse(flat, t_loop, schedule, noise)
+            noisy = diffuse(flat, t_loop, schedule, noise.standard_normal(flat_shape))
             if ancestral:
                 flat = reverse_ancestral(noisy, t_loop, denoiser, schedule, noise)
             else:

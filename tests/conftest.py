@@ -6,21 +6,33 @@ import threading
 import pytest
 
 from lorid import _nn
-from lorid.diffusion import Schedule
+from lorid.diffusion import GaussianSource, Schedule
+
+
+def _builds(monkeypatch, cls) -> list:
+    """The constructor arguments of every ``cls`` built in this process during the test."""
+    builds = []
+    init = cls.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return builds
 
 
 @pytest.fixture
 def schedule_builds(monkeypatch):
-    """The ``beta`` of every :class:`Schedule` built in this process during the test."""
-    builds = []
-    init = Schedule.__init__
+    """The ``(beta,)`` of every :class:`Schedule` built in this process during the test."""
+    return _builds(monkeypatch, Schedule)
 
-    def counted(self, beta):
-        builds.append(beta)
-        init(self, beta)
 
-    monkeypatch.setattr(Schedule, "__init__", counted)
-    return builds
+@pytest.fixture
+def source_builds(monkeypatch):
+    """The ``(mean, cov)`` of every :class:`GaussianSource` built in this process
+    during the test."""
+    return _builds(monkeypatch, GaussianSource)
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -127,7 +127,7 @@ def test_criterion_2_oracle_one_shot_matches_channel_mmse():
     for t in VERIFY_TS:
         target = 1.0 / (1.0 + effective_snr(sched, t))
         x0 = rng.standard_normal((100_000, d))
-        x_t, _ = diffuse(x0, t, sched, rng)
+        x_t = diffuse(x0, t, sched, rng.standard_normal(x0.shape))
         x_hat = one_shot_recover(x_t, t, oracle, sched)
         emp = float(np.mean((x_hat - x0) ** 2))
         rel = abs(emp - target) / target
@@ -148,7 +148,7 @@ def test_criterion_3_adversarial_error_sandwich():
     for rms in (0.1, 0.5):
         direction = rng.standard_normal(d)
         eps = direction * (rms * math.sqrt(d) / np.linalg.norm(direction))
-        setup = BoundSetup(mean=np.zeros(d), cov=np.asarray(1.0), denoiser=oracle,
+        setup = BoundSetup(source=oracle.source, denoiser=oracle,
                            schedule=sched, eps_a=eps)
         for t in VERIFY_TS:
             try:
@@ -268,7 +268,7 @@ def test_criterion_6_low_rank_projection_guarantees():
     small_basis = fit_basis(crops, small_layout, 0.95)
     oracle = GaussianOracleDenoiser(np.zeros(64), 1.0, sched)
     composed_eps = misaligned_noise((8, 8, 1), small_basis, budget_l2=0.5 * 8.0, rng=rng)
-    setup = BoundSetup(mean=np.zeros(64), cov=np.asarray(1.0), denoiser=oracle,
+    setup = BoundSetup(source=oracle.source, denoiser=oracle,
                        schedule=sched, eps_a=composed_eps.reshape(-1), basis=small_basis)
     composed_violations = 0
     for t in VERIFY_TS:

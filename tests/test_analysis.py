@@ -531,7 +531,7 @@ def _bound_setup(kind: str) -> tuple[BoundSetup, int]:
         d, basis = 8, None
         eps_a = 0.2 * np.sin(np.arange(d)) if kind == "eps_a" else None
     oracle = GaussianOracleDenoiser(np.zeros(d), 1.0, sched)
-    setup = BoundSetup(mean=np.zeros(d), cov=np.asarray(1.0), denoiser=oracle, schedule=sched,
+    setup = BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched,
                        eps_a=eps_a, basis=basis)
     return setup, analysis._CHUNK_VALUES // d + 77
 
@@ -541,7 +541,7 @@ class TestVerifyBounds:
         """The oracle denoiser is exactly MMSE-optimal: tiny slack, inside bounds."""
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(8), 1.0, sched)
-        setup = BoundSetup(mean=np.zeros(8), cov=np.asarray(1.0), denoiser=oracle, schedule=sched)
+        setup = BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched)
         [report] = verify_bounds(setup, (200,), trials=4000, rng=np.random.default_rng(520))
         assert report.lower - report.tolerance <= report.empirical
         assert report.empirical <= report.upper + report.tolerance
@@ -552,12 +552,10 @@ class TestVerifyBounds:
         oracle = GaussianOracleDenoiser(np.zeros(8), 1.0, sched)
         rng = np.random.default_rng(521)
         eps = 0.5 * rng.choice([-1.0, 1.0], size=8)
-        setup = BoundSetup(
-            mean=np.zeros(8), cov=np.asarray(1.0), denoiser=oracle, schedule=sched, eps_a=eps
-        )
+        setup = BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched, eps_a=eps)
         [report] = verify_bounds(setup, (300,), trials=4000, rng=rng)
         [clean] = verify_bounds(
-            BoundSetup(mean=np.zeros(8), cov=np.asarray(1.0), denoiser=oracle, schedule=sched),
+            BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched),
             (300,), trials=4000, rng=np.random.default_rng(522),
         )
         assert report.lower < clean.lower
@@ -573,7 +571,7 @@ class TestVerifyBounds:
         oracle = GaussianOracleDenoiser(np.zeros(16), 1.0, sched)
         eps = misaligned_noise((4, 4, 1), basis, budget_l2=0.8, rng=np.random.default_rng(524))
         setup = BoundSetup(
-            mean=np.zeros(16), cov=np.asarray(1.0), denoiser=oracle, schedule=sched,
+            source=oracle.source, denoiser=oracle, schedule=sched,
             eps_a=eps.reshape(-1), basis=basis,
         )
         [report] = verify_bounds(setup, (200,), trials=3000, rng=np.random.default_rng(525))
@@ -589,7 +587,7 @@ class TestVerifyBounds:
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(4), 1.0, sched)
         setup = BoundSetup(
-            mean=np.zeros(4), cov=np.asarray(1.0), denoiser=oracle, schedule=sched,
+            source=oracle.source, denoiser=oracle, schedule=sched,
             eps_a=np.full(4, 1.5),
         )
         with pytest.raises(BoundViolation):
@@ -602,7 +600,7 @@ class TestVerifyBounds:
         lam = np.array([2.0, 0.5, 0.0, 0.0])
         cov = v @ np.diag(lam) @ v.T
         oracle = GaussianOracleDenoiser(np.zeros(4), cov, sched)
-        setup = BoundSetup(mean=np.zeros(4), cov=cov, denoiser=oracle, schedule=sched)
+        setup = BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched)
         [report] = verify_bounds(setup, (200,), trials=4000, rng=np.random.default_rng(528))
         ab = sched.alpha_bar_at(200)
         mmse = float(np.mean(lam * (1 - ab) / (ab * lam + 1 - ab)))
@@ -614,7 +612,7 @@ class TestVerifyBounds:
         temporaries, no whole-trial array is built."""
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(8), 1.0, sched)
-        setup = BoundSetup(mean=np.zeros(8), cov=np.ones(8), denoiser=oracle, schedule=sched)
+        setup = BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched)
         tracemalloc.start()
         try:
             verify_bounds(setup, (50, 200, 500, 800), trials=100_000,
@@ -637,7 +635,7 @@ class TestVerifyBounds:
         cov = np.linspace(0.5, 2.0, d)
         eps = 0.3 * np.cos(np.arange(d)) if perturbed else None
         oracle = GaussianOracleDenoiser(mean, cov, sched)
-        setup = BoundSetup(mean=mean, cov=cov, denoiser=oracle, schedule=sched, eps_a=eps)
+        setup = BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched, eps_a=eps)
         rows = analysis._CHUNK_VALUES // d
         trials = 2 * rows + 123
         rng = np.random.default_rng(530)
@@ -678,11 +676,13 @@ class TestVerifyBounds:
             assert report.upper == pytest.approx(mmse + delta + gap, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["clean", "eps_a", "basis"])
-    def test_each_depth_reports_as_a_lone_call(self, kind):
+    def test_each_depth_reports_as_a_lone_call(self, kind, source_builds):
         """A depth's report in a multi-depth call is bit-equal to that of a
         call with the depth alone on the same seed, and the generator ends in
-        the same state: the draws do not depend on the depths."""
+        the same state: the draws do not depend on the depths.  The calls
+        draw from the setup's source and build none of their own."""
         setup, trials = _bound_setup(kind)
+        source_builds.clear()
         ts = (50, 200, 500, 800)
         rng = np.random.default_rng(531)
         reports = verify_bounds(setup, ts, trials, rng)
@@ -693,6 +693,7 @@ class TestVerifyBounds:
             for field in ("lower", "upper", "empirical", "delta_ddpm_est", "tolerance"):
                 assert getattr(report, field).hex() == getattr(lone, field).hex(), (t, field)
             assert lone_rng.bit_generator.state == rng.bit_generator.state
+        assert source_builds == []
 
     def test_violation_names_its_depth(self):
         """With rms 1.5 the shifted error escapes the sandwich at t = 100
@@ -701,7 +702,7 @@ class TestVerifyBounds:
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(4), 1.0, sched)
         setup = BoundSetup(
-            mean=np.zeros(4), cov=np.asarray(1.0), denoiser=oracle, schedule=sched,
+            source=oracle.source, denoiser=oracle, schedule=sched,
             eps_a=np.full(4, 1.5),
         )
         verify_bounds(setup, (900,), trials=3000, rng=np.random.default_rng(526))
@@ -711,7 +712,7 @@ class TestVerifyBounds:
     def test_report_validation(self):
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(2), 1.0, sched)
-        setup = BoundSetup(mean=np.zeros(2), cov=np.asarray(1.0), denoiser=oracle, schedule=sched)
+        setup = BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched)
         with pytest.raises(ValueError):
             verify_bounds(setup, (100,), trials=1, rng=np.random.default_rng(0))
 
@@ -722,9 +723,24 @@ class TestVerifyBounds:
         is refused before the generator moves."""
         sched = default_schedule()
         oracle = GaussianOracleDenoiser(np.zeros(2), 1.0, sched)
-        setup = BoundSetup(mean=np.zeros(2), cov=np.asarray(1.0), denoiser=oracle, schedule=sched)
+        setup = BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError):
             verify_bounds(setup, ts, trials=10, rng=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_perturbation_refused_before_any_draw(self, bad):
+        """A perturbation holding NaN or +-inf is refused, naming it, before
+        the generator moves; it would otherwise run every trial and then fail
+        on a non-finite report."""
+        sched = default_schedule()
+        oracle = GaussianOracleDenoiser(np.zeros(2), 1.0, sched)
+        setup = BoundSetup(source=oracle.source, denoiser=oracle, schedule=sched,
+                           eps_a=np.array([0.1, bad]))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^perturbation eps_a holds non-finite values$"):
+            verify_bounds(setup, (50, 200), trials=10, rng=rng)
         assert rng.bit_generator.state == state

@@ -330,7 +330,7 @@ OVERSIZED = {
     "gen-data-gaussian": ["gen-data", "--task", "gaussian", "--n", str(10**15), "--d", "8",
                           "--out", "{out}"],
     "gen-data-striped": ["gen-data", "--task", "striped", "--n", str(10**15), "--out", "{out}",
-                         "--labels-out", "{out}"],
+                         "--labels-out", "{out}.labels"],
 }
 
 
@@ -493,6 +493,23 @@ PATH_CASES = {
 }
 
 
+# Commands given one file for both of their outputs, by the same path or through
+# a directory's "..": (argv, first flag, second flag).  Every input is a
+# directory ("{dir}"), which a command that read it first would fail on instead.
+_PURIFY_INPUTS = ["--input", "{dir}", "--denoiser", "{dir}", "--config", "{dir}",
+                  "--fit-basis-from", "{dir}"]
+SAME_OUTPUT_CASES = {
+    "gen-data": (["gen-data", "--task", "striped", "--n", "4", "--out", "{out}",
+                  "--labels-out", "{out}"], "--out", "--labels-out"),
+    "gen-data-dotdot": (["gen-data", "--task", "two-gaussians", "--n", "4", "--out", "{out}",
+                         "--labels-out", "{dir}/../out.file"], "--out", "--labels-out"),
+    "purify": (["purify", *_PURIFY_INPUTS, "--out", "{out}", "--save-basis", "{out}"],
+               "--out", "--save-basis"),
+    "purify-dotdot": (["purify", *_PURIFY_INPUTS, "--out", "{dir}/../out.file",
+                       "--save-basis", "{out}"], "--out", "--save-basis"),
+}
+
+
 class TestPathArguments:
     @pytest.mark.parametrize("case", PATH_CASES)
     def test_unusable_path_is_usage_error(self, case, arg_files, purify_files, tmp_path, capsys):
@@ -505,6 +522,18 @@ class TestPathArguments:
                                         tmp_path, capsys)
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: [Errno "), err
+        assert not wrote
+
+    @pytest.mark.parametrize("case", SAME_OUTPUT_CASES)
+    def test_two_outputs_to_one_file_refused(self, case, tmp_path, capsys):
+        """Exit 2 with one stderr line naming both flags, before any input is
+        read or any file written; the second write would replace the first."""
+        (tmp_path / "a_dir").mkdir()
+        argv, first, second = SAME_OUTPUT_CASES[case]
+        code, err, wrote = _run_refused(argv, {"dir": str(tmp_path / "a_dir")}, tmp_path, capsys)
+        assert code == 2
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {first} and {second} name the same file "), err
         assert not wrote
 
 
@@ -538,11 +567,14 @@ class TestVerify:
         assert rc == 1
         assert "not strictly decreasing" in capsys.readouterr().err
 
-    def test_theorem_2_small_trials(self, tmp_path, capsys):
+    def test_theorem_2_small_trials(self, tmp_path, capsys, source_builds):
+        """Theorem 2 passes, and its oracle's source is the only Gaussian source
+        it builds: the bound check draws from that one."""
         cfg = write_config(tmp_path, T=1000)
         rc = main(["verify", "--theorem", "2", "--config", cfg, "--trials", "20000"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+        assert len(source_builds) == 1
 
     def test_missing_config_is_usage_error(self, tmp_path):
         rc = main(["verify", "--theorem", "2", "--config", str(tmp_path / "nope.cfg")])

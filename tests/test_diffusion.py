@@ -194,7 +194,8 @@ class TestStepTables:
         oracle = GaussianOracleDenoiser(np.linspace(-1.0, 1.0, 4), [0.3, 1.0, 2.0, 0.5], sched)
         for t in sorted({1, 2, 3, 7, T // 2, T}):
             x0 = np.random.default_rng([T, t]).standard_normal((3, 4))
-            x_t, eps0 = diffuse(x0, t, sched, np.random.default_rng(t))
+            eps0 = np.random.default_rng(t).standard_normal(x0.shape)
+            x_t = diffuse(x0, t, sched, eps0)
             ref_t, ref_eps = _diffuse_ref(x0, t, sched, np.random.default_rng(t))
             np.testing.assert_array_equal(x_t, ref_t)
             np.testing.assert_array_equal(eps0, ref_eps)
@@ -213,7 +214,7 @@ class TestStepTables:
         sched = make_linear_schedule(10, 1e-4, 0.02)
         x = np.zeros(2)
         calls = {
-            "diffuse": lambda: diffuse(x, bad, sched, np.random.default_rng(0)),
+            "diffuse": lambda: diffuse(x, bad, sched, np.zeros(2)),
             "one_shot_recover": lambda: one_shot_recover(x, bad, _ZeroNoise(), sched),
             "reverse_ancestral": lambda: reverse_ancestral(
                 x, bad, _ZeroNoise(), sched, np.random.default_rng(0)),
@@ -231,7 +232,7 @@ class TestStepTables:
         monkeypatch.setattr(Schedule, "_check_step",
                             lambda self, t, low: seen.append(t) or check(self, t, low))
         x = np.zeros(2)
-        diffuse(x, 40, sched, np.random.default_rng(0))
+        diffuse(x, 40, sched, np.zeros(2))
         one_shot_recover(x, 40, _ZeroNoise(), sched)
         reverse_ancestral(x, 40, _ZeroNoise(), sched, np.random.default_rng(0))
         reverse_skip(x, 40, 3, _ZeroNoise(), sched)
@@ -253,12 +254,13 @@ class TestStepTables:
 
 class TestDiffuse:
     def test_reproduces_affine_identity(self):
-        """x_t equals sqrt(abar) x0 + sqrt(1 - abar) eps0 with the returned draw."""
+        """x_t equals sqrt(abar) x0 + sqrt(1 - abar) eps0 with the given draw."""
         sched = default_schedule()
         rng = np.random.default_rng(301)
         x0 = rng.standard_normal(12)
+        eps0 = np.random.default_rng(55).standard_normal(12)
         for t in (1, 200, 1000):
-            x_t, eps0 = diffuse(x0, t, sched, np.random.default_rng(55))
+            x_t = diffuse(x0, t, sched, eps0)
             ab = sched.alpha_bar_at(t)
             np.testing.assert_allclose(
                 x_t, math.sqrt(ab) * x0 + math.sqrt(1 - ab) * eps0, rtol=0, atol=1e-15
@@ -270,14 +272,22 @@ class TestDiffuse:
         rng = np.random.default_rng(302)
         x0 = np.full(4, 2.0)
         t = 400
-        draws = np.array([diffuse(x0, t, sched, rng)[0] for _ in range(4000)])
+        draws = np.array([diffuse(x0, t, sched, rng.standard_normal(4)) for _ in range(4000)])
         ab = sched.alpha_bar_at(t)
         np.testing.assert_allclose(draws.mean(), math.sqrt(ab) * 2.0, rtol=0.05)
         np.testing.assert_allclose(draws.var(), 1.0 - ab, rtol=0.08)
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
-            diffuse(np.zeros(3), 0, default_schedule(), np.random.default_rng(0))
+            diffuse(np.zeros(3), 0, default_schedule(), np.zeros(3))
+
+    @pytest.mark.parametrize("x_shape, eps_shape",
+                             [((5, 3), (3,)), ((5, 3), (1, 3)), ((3,), (5, 3))],
+                             ids=["row-for-batch", "one-row-batch", "batch-for-row"])
+    def test_noise_of_another_shape_refused(self, x_shape, eps_shape):
+        """Noise that would broadcast, such as one row's draw for a batch, is refused."""
+        with pytest.raises(ValueError, match=r"^noise shape .* differs from the input's"):
+            diffuse(np.zeros(x_shape), 10, default_schedule(), np.zeros(eps_shape))
 
 
 class TestOneShotRecover:
@@ -287,7 +297,8 @@ class TestOneShotRecover:
         rng = np.random.default_rng(310)
         x0 = rng.standard_normal(8)
         for t in (1, 100, 500, 1000):
-            x_t, eps0 = diffuse(x0, t, sched, rng)
+            eps0 = rng.standard_normal(8)
+            x_t = diffuse(x0, t, sched, eps0)
             back = one_shot_recover(x_t, t, _EchoNoise(eps0), sched)
             np.testing.assert_allclose(back, x0, rtol=0, atol=1e-9)
 
@@ -339,7 +350,7 @@ class TestReverseAncestral:
         errs_before, errs_after = [], []
         for _ in range(60):
             x0 = mean + 0.1 * rng.standard_normal(4)
-            x_t, _ = diffuse(x0, 200, sched, rng)
+            x_t = diffuse(x0, 200, sched, rng.standard_normal(4))
             out = reverse_ancestral(x_t, 200, oracle, sched, rng)
             errs_before.append(np.mean((x_t - x0) ** 2))
             errs_after.append(np.mean((out - x0) ** 2))

@@ -14,6 +14,7 @@ import pytest
 import lorid
 from lorid.attacks import ClassifierTrainConfig, train_classifier
 from lorid.diffusion import MlpTrainConfig, make_linear_schedule, train_mlp_denoiser
+from lorid.purify import LoridConfig
 from lorid.io_formats import (
     ConfigError,
     RunConfig,
@@ -38,6 +39,15 @@ from lorid.io_formats import (
     write_tensor,
 )
 from lorid.tucker import TensorizationLayout, fit_basis, tf_apply
+
+# What a run config builds once from its keys and keeps: each field, the same
+# object built afresh from the config's keys, and what two builds share when equal.
+BUILT = {
+    "schedule": (lambda cfg: make_linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end),
+                 lambda schedule: schedule.beta.tobytes()),
+    "purifier": (lambda cfg: LoridConfig(cfg.t, cfg.L, sampler=cfg.sampler, skip_k=cfg.skip_k),
+                 lambda purifier: purifier),
+}
 
 
 class TestTensorFile:
@@ -220,26 +230,33 @@ class TestRunConfig:
             parse_config(text)
         assert default_config(seed=0).seed == 0
 
-    def test_carries_the_schedule_it_checked(self, schedule_builds):
-        """Parsing builds one schedule, the linear one of the config's keys."""
-        text = format_config(default_config(T=300, beta_end=0.03))
+    @pytest.mark.parametrize("name", BUILT)
+    def test_carries_what_it_checked(self, name, schedule_builds):
+        """Parsing builds one schedule; the config keeps it, the linear one of
+        its keys, and the basis-free purifier config of its keys."""
+        build, key = BUILT[name]
+        text = format_config(default_config(T=300, beta_end=0.03, sampler="skip", skip_k=3))
         schedule_builds.clear()
         cfg = parse_config(text)
         assert len(schedule_builds) == 1
-        expected = make_linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
-        assert cfg.schedule.beta.tobytes() == expected.beta.tobytes()
+        assert key(getattr(cfg, name)) == key(build(cfg))
 
-    def test_replace_rebuilds_the_schedule(self):
+    @pytest.mark.parametrize("name", BUILT)
+    def test_replace_rebuilds(self, name):
+        """``dataclasses.replace`` builds the new config's own from its keys."""
+        build, key = BUILT[name]
         cfg = default_config(T=300)
-        shorter = replace(cfg, T=200)
-        assert (shorter.schedule.T, len(shorter.schedule.beta)) == (200, 200)
-        assert cfg.schedule.T == 300
+        changed = replace(cfg, T=200, t=80, L=2)
+        assert key(getattr(changed, name)) == key(build(changed))
+        assert key(getattr(changed, name)) != key(getattr(cfg, name))
+        assert key(getattr(cfg, name)) == key(build(cfg))
 
-    def test_schedule_left_out_of_equality_hash_and_repr(self):
+    @pytest.mark.parametrize("name", BUILT)
+    def test_left_out_of_equality_hash_and_repr(self, name):
         first, second = default_config(seed=4), default_config(seed=4)
-        assert first.schedule is not second.schedule
+        assert getattr(first, name) is not getattr(second, name)
         assert first == second and hash(first) == hash(second)
-        assert "schedule" not in repr(first)
+        assert name not in repr(first)
 
     def test_bad_syntax_rejected(self):
         with pytest.raises(ConfigError):

@@ -189,7 +189,7 @@ def _serial_purify(x, denoiser, sched, cfg, rng):
     flat = tf_apply(x, cfg.basis).reshape(x.shape[0], -1) if cfg.basis is not None else x
     t = cfg.per_loop_t
     for _ in range(cfg.L):
-        noisy, _ = diffuse(flat, t, sched, rng)
+        noisy = diffuse(flat, t, sched, rng.standard_normal(flat.shape))
         if cfg.sampler == "ancestral":
             flat = reverse_ancestral(noisy, t, denoiser, sched, rng)
         else:
