@@ -20,7 +20,9 @@ import numpy as np
 
 from . import _nn
 from .diffusion import Denoiser, Schedule
-from .purify import LoridConfig, lorid_purify
+# lorid_purify is not called here; the benchmark's tracer wraps it under this
+# module's name.
+from .purify import LoridConfig, lorid_purify, purify_in_lockstep
 from .tucker import tf_apply
 
 __all__ = [
@@ -77,8 +79,21 @@ class ToyClassifier:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=-1)
 
+    def _labels_for(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``y`` as a vector of one label per sample of ``x``.  A label count
+        other than the sample count, or an ``x`` that is not a whole number of
+        samples, raises ValueError."""
+        size = np.size(x)
+        if size % self.input_dim:
+            raise ValueError(f"{size} values are not a whole number of "
+                             f"{self.input_dim}-value samples")
+        y = np.asarray(y).reshape(-1)
+        if y.size != size // self.input_dim:
+            raise ValueError(f"{size // self.input_dim} samples but {y.size} labels")
+        return y
+
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
-        y = np.asarray(y)
+        y = self._labels_for(x, y)
         return float(np.mean(self.predict(x) == y))
 
     def input_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -261,26 +276,33 @@ def purified_accuracy(
     clf: ToyClassifier,
     denoiser: Denoiser,
     schedule: Schedule,
-    config: LoridConfig,
+    configs: Sequence[LoridConfig],
     inputs: Sequence[np.ndarray],
     labels: np.ndarray,
     trials: int,
     rng: np.random.Generator,
-) -> list[float]:
-    """Accuracy of the classifier on each of ``inputs`` after purification,
-    averaged over ``trials`` rounds.
+) -> list[list[float]]:
+    """Per config, the accuracy of the classifier on each of ``inputs`` after
+    purification under that config, averaged over ``trials`` rounds.
 
-    Each round purifies every input in turn, each with the next draws of
-    ``rng``, so every input of a round sees its own noise.
+    Under each config, each round purifies every input in turn, each with the
+    next draws of ``rng``, so every input of a round sees its own noise.  The
+    configs read the same draws (common random numbers): by
+    :func:`lorid.purify.purify_in_lockstep`, each draw is made once for every
+    config still purifying, so a config's accuracies are those it gives alone
+    on a generator in ``rng``'s state, and ``rng`` ends after the longest
+    config's draws.  No config, fewer than one trial, and a label count other
+    than an input's sample count raise ValueError before any draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    accs = [[] for _ in inputs]
-    for _ in range(trials):
-        for x_in, input_accs in zip(inputs, accs):
-            purified, _ = lorid_purify(x_in, denoiser, schedule, config, rng)
-            input_accs.append(clf.accuracy(purified, labels))
-    return [float(np.mean(a)) for a in accs]
+    for x_in in inputs:
+        clf._labels_for(x_in, labels)
+    per_config = purify_in_lockstep(
+        inputs, denoiser, schedule, configs, trials, rng,
+        lambda purified: clf.accuracy(purified, labels))
+    return [[float(np.mean(accs[i::len(inputs)])) for i in range(len(inputs))]
+            for accs in per_config]
 
 
 def evaluate(
@@ -310,7 +332,8 @@ def evaluate(
         raise ValueError(f"{len(images)} samples but {y.size} labels")
 
     def averaged(run_config: LoridConfig) -> float:
-        (acc,) = purified_accuracy(clf, denoiser, schedule, run_config, [adv], y, trials, rng)
+        ((acc,),) = purified_accuracy(clf, denoiser, schedule, [run_config], [adv], y, trials,
+                                      rng)
         return acc
 
     table = {"standard": clf.accuracy(images, y)}

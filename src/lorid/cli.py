@@ -192,23 +192,40 @@ def run_calibration(
     within 3 points of the grid's best clean accuracy (ties: smaller t, then
     smaller L).  Every grid point is checked as a config before any model is
     trained.
+
+    Every grid point purifies from the draws of ``default_rng(seed + 6)``
+    (common random numbers), so each row is what that point gives alone on
+    such a generator.  The points run in lockstep through one
+    :func:`lorid.attacks.purified_accuracy` call, which makes each draw once
+    for all of them.  A grid of more than one point is split in two halves,
+    the second run in a forked child process on its own generator of that
+    seed (see :func:`lorid._nn.in_two_processes`).
     """
     if not t_grid or not L_grid:
         raise ConfigError("calibration grids must be nonempty")
     grid = [replace(cfg, t=int(t), L=int(L)) for t in t_grid for L in L_grid]
     art = artifacts or toy_task_artifacts(cfg)
-    rows = []
     adv_images = pgd(
         art.clf, art.test_images, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)
     )
-    for run_cfg in grid:
-        clean, robust = purified_accuracy(
-            art.clf, art.denoiser, art.schedule,
-            replace(run_cfg.purifier, basis=art.basis if run_cfg.use_tucker else None),
-            [art.test_images, adv_images], art.test_labels, trials,
-            np.random.default_rng(cfg.seed + 6),
+    configs = [replace(run_cfg.purifier, basis=art.basis if run_cfg.use_tucker else None)
+               for run_cfg in grid]
+
+    def accuracies(part: list[LoridConfig]) -> list[list[float]]:
+        return purified_accuracy(
+            art.clf, art.denoiser, art.schedule, part, [art.test_images, adv_images],
+            art.test_labels, trials, np.random.default_rng(cfg.seed + 6),
         )
-        rows.append((run_cfg.t, run_cfg.L, clean, robust))
+
+    if len(configs) == 1:
+        accs = accuracies(configs)
+    else:
+        half = (len(configs) + 1) // 2
+        here, there = in_two_processes(lambda: accuracies(configs[:half]),
+                                       lambda: accuracies(configs[half:]))
+        accs = here + there
+    rows = [(run_cfg.t, run_cfg.L, clean, robust)
+            for run_cfg, (clean, robust) in zip(grid, accs)]
 
     best_clean = max(r[2] for r in rows)
     eligible = [r for r in rows if r[2] >= best_clean - 0.03]

@@ -16,16 +16,16 @@ the trailing axis as the data dimension and broadcast over leading axes.
 Every stochastic operation takes an explicit ``numpy.random.Generator``;
 identical seeds reproduce runs bit-for-bit.  :func:`diffuse` takes its
 standard-normal draw ``eps`` from the caller, so with ``eps`` held fixed it is
-the affine map above.  :func:`reverse_ancestral` calls only
-``rng.standard_normal(shape)``, so the purifier can hand it a stream that
-makes those draws ahead of time.
+the affine map above.  :func:`ancestral_steps` takes its draws the same way,
+one per ``send``, so the purifier can feed one sequence of draws to several
+chains; :func:`reverse_ancestral` feeds it from a generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Generator, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,12 +44,16 @@ __all__ = [
     "MlpDenoiser",
     "MlpTrainConfig",
     "TrainReport",
+    "ancestral_steps",
     "diffuse",
+    "drive",
     "one_shot_recover",
     "reverse_ancestral",
     "reverse_skip",
     "train_mlp_denoiser",
 ]
+
+R = TypeVar("R")
 
 DEFAULT_T = 1000
 DEFAULT_BETA_START = 1e-4
@@ -161,6 +165,38 @@ def one_shot_recover(
     return x_t / math.sqrt(ab) - math.sqrt((1.0 - ab) / ab) * eps_hat
 
 
+def ancestral_steps(
+    x: np.ndarray, t: int, denoiser: Denoiser, schedule: Schedule
+) -> Generator[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The ancestral reverse chain from step ``t`` down to 0, as a generator.
+
+    Each step takes the posterior mean implied by the predicted noise and adds
+    Gaussian noise with the posterior standard deviation
+    sigma_s = sqrt(beta_s * (1 - abar_{s-1}) / (1 - abar_s));
+    the final step (s = 1) adds no noise, so t = 1 is deterministic.  For each
+    of the t - 1 noisy steps the generator yields the shape of the
+    standard-normal draw it needs and takes the draw through ``send``; it
+    returns the final state.  Between steps its frame holds only the state.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    for s in range(schedule._check_step(t, 1), 0, -1):
+        x = (x - schedule._eps_coef[s] * denoiser.predict_eps(x, s)) / schedule._sqrt_alpha[s]
+        if s > 1:
+            x = x + schedule._sigma[s] * (yield x.shape)
+    return x
+
+
+def drive(steps: Generator[tuple[int, ...], np.ndarray, R], rng) -> R:
+    """Run a step generator to its end, answering each shape it yields with
+    ``rng.standard_normal(shape)``; returns what the generator returns."""
+    try:
+        shape = next(steps)
+        while True:
+            shape = steps.send(rng.standard_normal(shape))
+    except StopIteration as stop:
+        return stop.value
+
+
 def reverse_ancestral(
     x_t: np.ndarray,
     t: int,
@@ -168,20 +204,9 @@ def reverse_ancestral(
     schedule: Schedule,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Ancestral reverse chain from step ``t`` down to 0.
-
-    Each step takes the posterior mean implied by the predicted noise and adds
-    Gaussian noise with the posterior standard deviation
-    sigma_s = sqrt(beta_s * (1 - abar_{s-1}) / (1 - abar_s));
-    the final step (s = 1) adds no noise, so t = 1 is deterministic.
-    """
-    x = np.asarray(x_t, dtype=np.float64)
-    for s in range(schedule._check_step(t, 1), 0, -1):
-        eps_hat = denoiser.predict_eps(x, s)
-        x = (x - schedule._eps_coef[s] * eps_hat) / schedule._sqrt_alpha[s]
-        if s > 1:
-            x = x + schedule._sigma[s] * rng.standard_normal(x.shape)
-    return x
+    """Ancestral reverse chain from step ``t`` down to 0 (see
+    :func:`ancestral_steps`), its noise drawn from ``rng``."""
+    return drive(ancestral_steps(x_t, t, denoiser, schedule), rng)
 
 
 def reverse_skip(

@@ -5,7 +5,8 @@ instead of one deep loop of depth t, so the total injected-noise budget is
 held fixed while the denoiser gets L chances to pull the sample back toward
 the data manifold.  An optional frozen low-rank projection strips off-subspace
 perturbation energy before the loops start.  Each loop diffuses, then
-denoises, so the output is a denoised sample.
+denoises, so the output is a denoised sample.  Several configs can purify side
+by side on one sequence of noise draws (:func:`purify_in_lockstep`).
 """
 
 from __future__ import annotations
@@ -16,11 +17,21 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Generator, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .diffusion import Denoiser, Schedule, diffuse, reverse_ancestral, reverse_skip
+# reverse_ancestral is not called here (the loops run ancestral_steps); the
+# benchmark's tracer wraps it under this module's name.
+from .diffusion import (
+    Denoiser,
+    Schedule,
+    ancestral_steps,
+    diffuse,
+    drive,
+    reverse_ancestral,
+    reverse_skip,
+)
 from .tensorops import frobenius_norm
 from .tucker import TuckerBasis, tf_apply
 
@@ -28,11 +39,13 @@ __all__ = [
     "LoridConfig",
     "PurifyTrace",
     "lorid_purify",
+    "purify_in_lockstep",
     "uniform_sign_noise",
     "misaligned_noise",
 ]
 
 _SAMPLERS = ("ancestral", "skip")
+R = TypeVar("R")
 
 # A purify whose noise draws hold at least this many values each makes them on
 # a helper thread.  Below it the hand-off costs more than the overlap saves: on
@@ -73,6 +86,12 @@ class LoridConfig:
     @property
     def per_loop_t(self) -> int:
         return self.t // self.L
+
+    @property
+    def draws(self) -> int:
+        """Standard-normal draws of one purify: one per diffuse, plus one per
+        ancestral step but the last."""
+        return self.L * (self.per_loop_t if self.sampler == "ancestral" else 1)
 
     def validate(self, schedule: Schedule) -> None:
         if self.t > schedule.T:
@@ -177,6 +196,53 @@ def _distance(flat: np.ndarray, ref: np.ndarray) -> float:
     return dist
 
 
+def _finite(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} holds non-finite values")
+    return x
+
+
+def _draw_shape(x: np.ndarray, config: LoridConfig) -> tuple[int, ...]:
+    """The shape of each noise draw of a purify of ``x``: its samples, flattened."""
+    batched = x.ndim > (1 if config.basis is None else 3)
+    return (x.shape[0], math.prod(x.shape[1:])) if batched else (x.size,)
+
+
+def _purify_steps(
+    x: np.ndarray,
+    denoiser: Denoiser,
+    schedule: Schedule,
+    config: LoridConfig,
+    shape: tuple[int, ...],
+    trace: PurifyTrace,
+    ref: np.ndarray | None,
+) -> Generator[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The purify of ``x`` as a step generator (see
+    :func:`lorid.diffusion.ancestral_steps`): it yields ``shape`` for each of
+    its ``config.draws`` draws, takes the draw through ``send`` and returns
+    the purified samples flattened to ``shape``.  It counts its loops in
+    ``trace``, and with ``ref`` records the distances to it there.  Between
+    draws its frames hold only the current state.
+    """
+    x = (x if config.basis is None else tf_apply(x, config.basis)).reshape(shape)
+    if ref is not None:
+        trace.distances.append(_distance(x, ref))
+    t_loop = config.per_loop_t
+    for _ in range(config.L):
+        x = diffuse(x, t_loop, schedule, (yield shape))
+        if config.sampler == "ancestral":
+            chain = ancestral_steps(x, t_loop, denoiser, schedule)
+            del x  # the chain holds the only reference to the diffused state
+            x = yield from chain
+        else:
+            x = reverse_skip(x, t_loop, config.skip_k, denoiser, schedule)
+        trace.loops += 1
+        if ref is not None:
+            trace.distances.append(_distance(x, ref))
+    return x
+
+
 def lorid_purify(
     x: np.ndarray,
     denoiser: Denoiser,
@@ -204,42 +270,83 @@ def lorid_purify(
     """
     start = time.perf_counter()
     config.validate(schedule)
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input to purify holds non-finite values")
-    orig_shape = x.shape
-    batched = x.ndim > (1 if config.basis is None else 3)
-    flat_shape = (x.shape[0], math.prod(x.shape[1:])) if batched else (x.size,)
+    x = _finite(x, "input to purify")
+    shape = _draw_shape(x, config)
+    ref = None
     if clean_ref is not None:
         ref = np.asarray(clean_ref, dtype=np.float64)
-        if ref.shape != orig_shape:
+        if ref.shape != x.shape:
             raise ValueError(
-                f"clean reference shape {ref.shape} differs from the input's {orig_shape}")
-        if not np.all(np.isfinite(ref)):
-            raise ValueError("clean reference holds non-finite values")
-        ref = ref.reshape(flat_shape)
+                f"clean reference shape {ref.shape} differs from the input's {x.shape}")
+        ref = _finite(ref, "clean reference").reshape(shape)
 
     trace = PurifyTrace()
-    t_loop = config.per_loop_t
-    ancestral = config.sampler == "ancestral"
-    # One draw per diffuse, plus one per ancestral step but the last.
-    draws = config.L * (t_loop if ancestral else 1)
-    with _noise_source(rng, flat_shape, draws) as noise:
-        flat = (x if config.basis is None else tf_apply(x, config.basis)).reshape(flat_shape)
-        if clean_ref is not None:
-            trace.distances.append(_distance(flat, ref))
-        for _ in range(config.L):
-            noisy = diffuse(flat, t_loop, schedule, noise.standard_normal(flat_shape))
-            if ancestral:
-                flat = reverse_ancestral(noisy, t_loop, denoiser, schedule, noise)
-            else:
-                flat = reverse_skip(noisy, t_loop, config.skip_k, denoiser, schedule)
-            trace.loops += 1
-            if clean_ref is not None:
-                trace.distances.append(_distance(flat, ref))
-
+    with _noise_source(rng, shape, config.draws) as noise:
+        flat = drive(_purify_steps(x, denoiser, schedule, config, shape, trace, ref), noise)
     trace.wall_time_s = time.perf_counter() - start
-    return flat.reshape(orig_shape), trace
+    return flat.reshape(x.shape), trace
+
+
+def purify_in_lockstep(
+    inputs: Sequence[np.ndarray],
+    denoiser: Denoiser,
+    schedule: Schedule,
+    configs: Sequence[LoridConfig],
+    rounds: int,
+    rng: np.random.Generator,
+    score: Callable[[np.ndarray], R],
+) -> list[list[R]]:
+    """Purify each of ``inputs`` ``rounds`` times under every config, all
+    configs side by side on one sequence of draws; returns, per config, the
+    ``score`` of each purified input (in its input's shape) in the order made.
+
+    Under each config, every round purifies the inputs in turn, each with the
+    next draws, as that many :func:`lorid_purify` calls on ``rng`` would.
+    The configs share their draws (common random numbers): each draw is made
+    once and sent to every config still purifying, so each config's outputs
+    and scores are those it would give alone from a generator in ``rng``'s
+    state, and ``rng`` ends after the longest config's draws.  The draws run
+    on the noise stream as in :func:`lorid_purify`.  No config or no input, a
+    config deeper than the schedule, non-finite input, and inputs and configs
+    that would draw noise of more than one shape raise ValueError before any
+    draw.
+    """
+    if not configs:
+        raise ValueError("need at least one config to purify under")
+    for config in configs:
+        config.validate(schedule)
+    inputs = [_finite(x, "input to purify") for x in inputs]
+    shapes = {_draw_shape(x, config) for x in inputs for config in configs}
+    if len(shapes) != 1:
+        raise ValueError(f"inputs and configs draw noise of shapes {sorted(shapes)}, not one")
+    (shape,) = shapes
+
+    def purifies(config: LoridConfig, scores: list[R]) -> Generator:
+        for _ in range(rounds):
+            for x in inputs:
+                flat = yield from _purify_steps(
+                    x, denoiser, schedule, config, shape, PurifyTrace(), None)
+                scores.append(score(flat.reshape(x.shape)))
+                del flat  # not held through the next purify
+
+    def waits(step: Generator, draw: np.ndarray | None) -> bool:
+        """Send ``draw`` to ``step``: True while it asks for another."""
+        try:
+            step.send(draw)
+        except StopIteration:
+            return False
+        return True
+
+    per_config: list[list[R]] = [[] for _ in configs]
+    steps = [purifies(config, scores) for config, scores in zip(configs, per_config)]
+    count = rounds * len(inputs) * max(config.draws for config in configs)
+    with _noise_source(rng, shape, count) as noise:
+        waiting = [step for step in steps if waits(step, None)]
+        while waiting:
+            draw = noise.standard_normal(shape)
+            waiting = [step for step in waiting if waits(step, draw)]
+            del draw  # not held while the next draw is made
+    return per_config
 
 
 def uniform_sign_noise(

@@ -13,6 +13,7 @@ from lorid.attacks import (
     evaluate,
     format_accuracy_table,
     pgd,
+    purified_accuracy,
     train_classifier,
 )
 from lorid.diffusion import GaussianOracleDenoiser, make_linear_schedule
@@ -82,6 +83,18 @@ class TestToyClassifier:
             ToyClassifier(params=blob_clf.params, input_dim=2, n_classes=1)
         with pytest.raises(ValueError):
             ToyClassifier(params=blob_clf.params, input_dim=3, n_classes=2)
+
+    def test_accuracy_refuses_a_label_count_other_than_the_sample_count(
+            self, blob_data, blob_clf):
+        """One label is not broadcast over ten samples, nor a short list read
+        as far as it goes."""
+        x, y = blob_data
+        for labels in (y[:1], y[:9], y[:11]):
+            with pytest.raises(ValueError, match=f"10 samples but {labels.size} labels"):
+                blob_clf.accuracy(x[:10], labels)
+        with pytest.raises(ValueError, match="not a whole number of 2-value samples"):
+            blob_clf.accuracy(x[:3].reshape(-1)[:5], y[:2])
+        assert blob_clf.accuracy(x[0], y[0]) == float(blob_clf.predict(x[0])[0] == y[0])
 
     def test_training_label_validation(self):
         x = np.zeros((10, 2))
@@ -199,6 +212,20 @@ class TestEvaluate:
             evaluate(clf, *purifier, x, y, budget, trials=0, rng=np.random.default_rng(52))
         with pytest.raises(ValueError):
             evaluate(clf, *purifier, x, y[:-5], budget, trials=1, rng=np.random.default_rng(53))
+
+    def test_purified_accuracy_refusals_come_before_any_draw(self, eval_parts):
+        """No config, or a label count other than an input's sample count,
+        raises before the generator moves."""
+        clf, (denoiser, sched, cfg), (x, y) = eval_parts
+        cases = [([], [x[:10]], y[:10], "at least one config"),
+                 ([cfg], [x[:10]], y[:1], "10 samples but 1 labels"),
+                 ([cfg], [x[:10], x[:9]], y[:10], "9 samples but 10 labels")]
+        for configs, inputs, labels, message in cases:
+            rng = np.random.default_rng(55)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match=message):
+                purified_accuracy(clf, denoiser, sched, configs, inputs, labels, 1, rng)
+            assert rng.bit_generator.state == state
 
     @pytest.mark.skipif(_nn._openblas_threads() is None, reason="numpy bundles no OpenBLAS")
     def test_blas_held_to_one_thread(self, eval_parts):

@@ -18,6 +18,7 @@ from lorid.analysis import kl_gaussian_curve, loop_bound_curve, verify_bounds
 from lorid.cli import main
 from lorid.attacks import ClassifierTrainConfig
 from lorid.diffusion import MlpDenoiser, MlpTrainConfig, make_linear_schedule
+from lorid.purify import LoridConfig
 from lorid.io_formats import (
     default_config,
     format_config,
@@ -1121,6 +1122,88 @@ class TestToyTaskTraining:
         the result it could not send."""
         with pytest.raises(RuntimeError, match="could not send its result"):
             _nn.in_two_processes(lambda: 1, lambda: (lambda: 2))
+
+
+class TestCalibrationSplit:
+    """``run_calibration`` runs its grid in lockstep, split over two processes."""
+
+    CFG = default_config(T=120, t=20, L=2, eta=None, ranks=(2, 2, 8, 1), seed=3)
+    BUDGET = cli.toy_budget(steps=2)
+
+    @pytest.fixture(scope="class")
+    def art(self):
+        """Untrained models on 16 test images (4096 values per draw, so the
+        draws run on the noise stream)."""
+        cfg = self.CFG
+        train_images, _ = cli.gen_striped_images(64, seed=cfg.seed)
+        images, labels = cli.gen_striped_images(16, seed=cfg.seed + 1)
+        rng = np.random.default_rng(470)
+        return cli.ToyArtifacts(
+            schedule=cfg.schedule, basis=cli._fit_basis(train_images, cfg),
+            denoiser=MlpDenoiser.initialize(256, (16,), cfg.schedule.T, rng),
+            clf=cli.ToyClassifier(_nn.init_params([256, 8, 2], rng), 256, 2),
+            test_images=images, test_labels=labels)
+
+    leaves_nothing = TestToyTaskTraining.leaves_nothing
+
+    def _solo_rows(self, art, t_grid, L_grid):
+        """Each point on its own fresh generator, one after the other."""
+        adv = cli.pgd(art.clf, art.test_images, art.test_labels, self.BUDGET,
+                      np.random.default_rng(self.CFG.seed + 5))
+        rows = []
+        for t in t_grid:
+            for L in L_grid:
+                config = LoridConfig(t=t, L=L, basis=art.basis)
+                ((clean, robust),) = cli.purified_accuracy(
+                    art.clf, art.denoiser, art.schedule, [config], [art.test_images, adv],
+                    art.test_labels, 2, np.random.default_rng(self.CFG.seed + 6))
+                rows.append((t, L, clean, robust))
+        return rows
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "without-fork"])
+    def test_rows_are_each_points_own(self, art, fork, monkeypatch, leaves_nothing):
+        """Odd and even grids, each row as the point gives it alone."""
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        for t_grid, L_grid in (([10, 15, 20], [1, 2, 3]), ([10, 20], [2])):
+            rows, _ = cli.run_calibration(self.CFG, t_grid, L_grid, self.BUDGET, trials=2,
+                                          artifacts=art)
+            assert rows == self._solo_rows(art, t_grid, L_grid)
+
+    def test_one_point_grid_makes_no_fork(self, art, monkeypatch, leaves_nothing):
+        splits = []
+
+        def recorded(here, there):
+            splits.append(1)
+            return here(), there()
+
+        monkeypatch.setattr(cli, "in_two_processes", recorded)
+        rows, pick = cli.run_calibration(self.CFG, [15], [3], self.BUDGET, trials=2,
+                                         artifacts=art)
+        assert splits == []
+        assert rows == self._solo_rows(art, [15], [3]) and pick == (15, 3)
+        cli.run_calibration(self.CFG, [15], [1, 3], self.BUDGET, trials=2, artifacts=art)
+        assert splits == [1]
+
+    @pytest.mark.parametrize("where", ["here", "child"])
+    def test_denoiser_error_in_either_half_is_raised(self, art, where, leaves_nothing):
+        """Raised with its type and message; the child is reaped and no noise
+        thread is left."""
+        parent = os.getpid()
+
+        class Failing:
+            calls = 0
+
+            def predict_eps(self, x_t, t):
+                Failing.calls += 1
+                if Failing.calls == 30 and (os.getpid() == parent) == (where == "here"):
+                    raise ArithmeticError(f"denoiser failed {where}")
+                return art.denoiser.predict_eps(x_t, t)
+
+        failing = cli.ToyArtifacts(**{**vars(art), "denoiser": Failing()})
+        with pytest.raises(ArithmeticError, match=f"^denoiser failed {where}$"):
+            cli.run_calibration(self.CFG, [10, 20], [2], self.BUDGET, trials=2,
+                                artifacts=failing)
 
 
 # Run in a fresh interpreter: the BLAS thread count right after ``import numpy``,

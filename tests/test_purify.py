@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lorid import _nn
+from lorid.attacks import ToyClassifier, purified_accuracy
 from lorid.diffusion import (
     GaussianOracleDenoiser,
     MlpDenoiser,
@@ -23,6 +24,7 @@ from lorid.purify import (
     _noise_source,
     lorid_purify,
     misaligned_noise,
+    purify_in_lockstep,
     uniform_sign_noise,
 )
 from lorid.tensorops import frobenius_norm
@@ -341,6 +343,113 @@ class TestNoiseStream:
                          LoridConfig(t=6, L=2), np.random.default_rng(444))
             counts[n_images] = set(seen)
         assert counts == {8: {1}, 16: {1}}
+
+
+# Draw counts per purify: ancestral 6, 6, 6, 7, 6, 6 and skip 1, 2, 3, 1, 2, 3.
+LOCKSTEP_GRID = [(t, L) for t in (6, 7) for L in (1, 2, 3)]
+
+
+class TestLockstep:
+    """Configs purified side by side on one sequence of draws each give what
+    they give alone."""
+
+    @staticmethod
+    def _configs(basis, sampler):
+        return [LoridConfig(t=t, L=L, basis=basis, sampler=sampler, skip_k=2)
+                for t, L in LOCKSTEP_GRID]
+
+    @staticmethod
+    def _inputs(images, n_images, with_basis):
+        x = images[:n_images] if with_basis else images[:n_images].reshape(n_images, -1)
+        return [x, -0.5 * x]
+
+    @pytest.mark.parametrize("sampler", ["ancestral", "skip"])
+    @pytest.mark.parametrize("with_basis", [False, True])
+    @pytest.mark.parametrize("n_images", [8, 16])  # 2048 and 4096 values per draw
+    def test_each_config_matches_its_solo_run(self, setup, mlp, sampler, with_basis,
+                                              n_images):
+        """Every config's outputs are the bytes of its own run of lorid_purify
+        calls on a fresh generator, and the generator ends where the longest
+        config's run leaves it."""
+        images, basis, sched, _ = setup
+        configs = self._configs(basis if with_basis else None, sampler)
+        inputs = self._inputs(images, n_images, with_basis)
+        before = threading.active_count()
+        rng = np.random.default_rng(460)
+        made = purify_in_lockstep(inputs, mlp, sched, configs, 2, rng, lambda p: p.tobytes())
+        assert threading.active_count() == before
+        ends = []
+        for cfg, outputs in zip(configs, made):
+            solo = np.random.default_rng(460)
+            expected = [lorid_purify(x, mlp, sched, cfg, solo)[0].tobytes()
+                        for _ in range(2) for x in inputs]
+            assert outputs == expected
+            ends.append((cfg.draws, solo.bit_generator.state))
+        assert rng.bit_generator.state == max(ends, key=lambda end: end[0])[1]
+
+    @pytest.mark.parametrize("sampler", ["ancestral", "skip"])
+    @pytest.mark.parametrize("with_basis", [False, True])
+    @pytest.mark.parametrize("n_images", [8, 16])
+    def test_purified_accuracy_per_config_matches_solo_call(self, setup, mlp, sampler,
+                                                            with_basis, n_images):
+        images, basis, sched, _ = setup
+        configs = self._configs(basis if with_basis else None, sampler)
+        inputs = self._inputs(images, n_images, with_basis)
+        clf = ToyClassifier(_nn.init_params([256, 8, 2], np.random.default_rng(461)), 256, 2)
+        labels = np.arange(n_images) % 2
+        rng = np.random.default_rng(462)
+        together = purified_accuracy(clf, mlp, sched, configs, inputs, labels, 2, rng)
+        solo_rngs = [np.random.default_rng(462) for _ in configs]
+        alone = [purified_accuracy(clf, mlp, sched, [cfg], inputs, labels, 2, solo)[0]
+                 for cfg, solo in zip(configs, solo_rngs)]
+        assert together == alone
+        longest = max(range(len(configs)), key=lambda i: configs[i].draws)
+        assert rng.bit_generator.state == solo_rngs[longest].bit_generator.state
+
+    @pytest.mark.parametrize("sampler", ["ancestral", "skip"])
+    @pytest.mark.parametrize("n_images", [8, 16])
+    def test_one_config_matches_serial_reference(self, setup, mlp, sampler, n_images):
+        images, basis, sched, _ = setup
+        x = images[:n_images]
+        cfg = LoridConfig(t=12, L=4, basis=basis, sampler=sampler, skip_k=2)
+        rng, rng_serial = np.random.default_rng(463), np.random.default_rng(463)
+        ((out,),) = purify_in_lockstep([x], mlp, sched, [cfg], 1, rng, lambda p: p)
+        assert out.tobytes() == _serial_purify(x, mlp, sched, cfg, rng_serial).tobytes()
+        assert rng.bit_generator.state == rng_serial.bit_generator.state
+
+    @pytest.mark.parametrize("n_images", [8, 16])
+    def test_denoiser_error_propagates_and_thread_ends(self, setup, mlp, n_images):
+        images, _, sched, _ = setup
+        x = images[:n_images].reshape(n_images, -1)
+        before = threading.active_count()
+        probe = _Probe(mlp, fail_at=7)
+        configs = [LoridConfig(t=12, L=3), LoridConfig(t=8, L=2)]
+        with pytest.raises(RuntimeError, match="denoiser failed"):
+            purify_in_lockstep([x], probe, sched, configs, 2, np.random.default_rng(464),
+                               lambda p: p)
+        assert len(probe.threads) == 7
+        assert threading.active_count() == before
+
+    def test_refusals_come_before_any_draw(self, setup, mlp):
+        images, basis, sched, _ = setup
+        x = images[:16]
+        bad_pixel = x.copy()
+        bad_pixel[0, 0, 0, 0] = np.nan
+        cases = [
+            ([x], [], "at least one config"),
+            ([x], [LoridConfig(t=6), LoridConfig(t=300)], "exceeds schedule length"),
+            ([x, bad_pixel], [LoridConfig(t=6)], "non-finite"),
+            # One image: its rows without a basis, one flat sample with it.
+            ([x[0]], [LoridConfig(t=6), LoridConfig(t=6, basis=basis)], "shapes"),
+            ([x, x[:8]], [LoridConfig(t=6)], "shapes"),
+            ([], [LoridConfig(t=6)], r"shapes \[\], not one"),
+        ]
+        for inputs, configs, message in cases:
+            rng = np.random.default_rng(465)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match=message):
+                purify_in_lockstep(inputs, mlp, sched, configs, 1, rng, lambda p: p)
+            assert rng.bit_generator.state == state
 
 
 class TestPerturbations:
