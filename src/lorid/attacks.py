@@ -43,6 +43,17 @@ logger = logging.getLogger(__name__)
 TABLE_KEYS = ("standard", "attacked", "tf_only", "single", "loop_only", "lorid")
 
 
+def _class_labels(y: np.ndarray, samples: int, n_classes: int) -> np.ndarray:
+    """The label rule: ``y`` as an int64 vector of one integer class in
+    [0, n_classes) for each of ``samples`` samples, else ValueError."""
+    y = np.asarray(y).reshape(-1)
+    if y.size != samples:
+        raise ValueError(f"{samples} samples but {y.size} labels")
+    if not np.all((y == np.round(y)) & (y >= 0) & (y < n_classes)):
+        raise ValueError(f"labels must be finite integers in [0, {n_classes})")
+    return y.astype(np.int64)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -80,17 +91,14 @@ class ToyClassifier:
         return np.argmax(self.logits(x), axis=-1)
 
     def _labels_for(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``y`` as a vector of one label per sample of ``x``.  A label count
-        other than the sample count, or an ``x`` that is not a whole number of
-        samples, raises ValueError."""
+        """``y`` as an int64 vector of one class in [0, n_classes) per sample of
+        ``x``, by :func:`_class_labels`.  An ``x`` that is not a whole number of
+        samples raises ValueError too."""
         size = np.size(x)
         if size % self.input_dim:
             raise ValueError(f"{size} values are not a whole number of "
                              f"{self.input_dim}-value samples")
-        y = np.asarray(y).reshape(-1)
-        if y.size != size // self.input_dim:
-            raise ValueError(f"{size // self.input_dim} samples but {y.size} labels")
-        return y
+        return _class_labels(y, size // self.input_dim, self.n_classes)
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
         y = self._labels_for(x, y)
@@ -98,8 +106,8 @@ class ToyClassifier:
 
     def input_grad(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-sample gradient of the cross-entropy loss with respect to x."""
+        y = self._labels_for(x, y)
         x = np.asarray(x, dtype=np.float64).reshape(-1, self.input_dim)
-        y = np.asarray(y, dtype=np.int64)
         out, cache = _nn.forward(self.params, x)
         p = _softmax(out)
         dlogits = p.copy()
@@ -178,16 +186,12 @@ def train_classifier(
     x = x.reshape(x.shape[0], -1)
     if not np.all(np.isfinite(x)):
         raise ValueError("training data holds non-finite values")
-    y = np.asarray(labels)
-    if not (np.all(np.isfinite(y)) and np.all(y == np.round(y))):
-        raise ValueError("labels must be finite integers")
-    y = y.astype(np.int64)
-    if x.shape[0] != y.size:
-        raise ValueError(f"{x.shape[0]} samples but {y.size} labels")
+    # n samples hold at most n classes.
+    y = _class_labels(labels, x.shape[0], x.shape[0])
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("need at least 2 classes in the training labels")
-    if classes.min() < 0 or classes.max() >= classes.size:
+    if classes.max() >= classes.size:
         raise ValueError("labels must be 0..K-1")
 
     d = x.shape[1]
@@ -203,8 +207,8 @@ def classifier_grad_check(
     clf: ToyClassifier, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
 ) -> float:
     """Max relative error of the analytic parameter gradient vs central differences."""
+    y = clf._labels_for(x, y)
     x = np.asarray(x, dtype=np.float64).reshape(-1, clf.input_dim)
-    y = np.asarray(y, dtype=np.int64)
     _, grads = _ce_loss_and_grads(clf.params, x, y)
     return _nn.gradient_check(
         lambda p: _ce_loss_and_grads(p, x, y)[0], clf.params, grads, rng
@@ -254,7 +258,10 @@ def pgd(
     budget: AttackBudget,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Projected gradient descent from a random start inside the budget ball."""
+    """Projected gradient descent from a random start inside the budget ball.
+    Labels that break :meth:`ToyClassifier._labels_for` raise ValueError
+    before any draw."""
+    y = clf._labels_for(x, y)
     orig_shape = np.asarray(x).shape
     x0 = np.asarray(x, dtype=np.float64).reshape(-1, clf.input_dim)
     if budget.epsilon == 0.0:
@@ -268,7 +275,7 @@ def pgd(
         start = x0 + radius * direction
     if budget.clip is not None:
         start = np.clip(start, budget.clip[0], budget.clip[1])
-    out = _attack_steps(clf, x0, start, np.asarray(y, dtype=np.int64), budget)
+    out = _attack_steps(clf, x0, start, y, budget)
     return out.reshape(orig_shape)
 
 
@@ -291,15 +298,16 @@ def purified_accuracy(
     :func:`lorid.purify.purify_in_lockstep`, each draw is made once for every
     config still purifying, so a config's accuracies are those it gives alone
     on a generator in ``rng``'s state, and ``rng`` ends after the longest
-    config's draws.  No config, fewer than one trial, and a label count other
-    than an input's sample count raise ValueError before any draw.
+    config's draws.  No config, fewer than one trial, and labels that break
+    :meth:`ToyClassifier._labels_for` for an input raise ValueError before
+    any draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for x_in in inputs:
         clf._labels_for(x_in, labels)
     per_config = purify_in_lockstep(
-        inputs, denoiser, schedule, configs, trials, rng,
+        list(inputs) * trials, denoiser, schedule, configs, rng,
         lambda purified: clf.accuracy(purified, labels))
     return [[float(np.mean(accs[i::len(inputs)])) for i in range(len(inputs))]
             for accs in per_config]
@@ -324,27 +332,21 @@ def evaluate(
     ``single`` (one loop at full depth, no projection), ``loop_only`` (the
     configured loop count, no projection), and ``lorid`` (the full configured
     purifier).  Stochastic defenses are averaged over ``trials`` independent
-    purification rounds by :func:`purified_accuracy`.
+    purification rounds by :func:`purified_accuracy`, one defense after the
+    other on ``rng``.
     """
-    y = np.asarray(labels, dtype=np.int64)
     images = np.asarray(dataset, dtype=np.float64)
-    if len(images) != y.size:
-        raise ValueError(f"{len(images)} samples but {y.size} labels")
-
-    def averaged(run_config: LoridConfig) -> float:
-        ((acc,),) = purified_accuracy(clf, denoiser, schedule, [run_config], [adv], y, trials,
-                                      rng)
-        return acc
-
+    y = clf._labels_for(images, labels)
     table = {"standard": clf.accuracy(images, y)}
     adv = pgd(clf, images, y, budget, rng)
     table["attacked"] = clf.accuracy(adv, y)
     table["tf_only"] = (table["attacked"] if config.basis is None
                         else clf.accuracy(tf_apply(adv, config.basis), y))
     loop_cfg = replace(config, basis=None)
-    table["single"] = averaged(replace(loop_cfg, L=1))
-    table["loop_only"] = averaged(loop_cfg)
-    table["lorid"] = averaged(config)
+    for key, defense in (("single", replace(loop_cfg, L=1)), ("loop_only", loop_cfg),
+                         ("lorid", config)):
+        ((table[key],),) = purified_accuracy(clf, denoiser, schedule, [defense], [adv], y,
+                                             trials, rng)
     return table
 
 

@@ -197,9 +197,10 @@ def run_calibration(
     (common random numbers), so each row is what that point gives alone on
     such a generator.  The points run in lockstep through one
     :func:`lorid.attacks.purified_accuracy` call, which makes each draw once
-    for all of them.  A grid of more than one point is split in two halves,
-    the second run in a forked child process on its own generator of that
-    seed (see :func:`lorid._nn.in_two_processes`).
+    for all of them.  The grid is split where the larger half's summed
+    ``LoridConfig.draws`` (an ancestral purify's denoiser calls) is least, and
+    the second half runs in a forked child process on its own generator of
+    that seed (see :func:`lorid._nn.in_two_processes`); one point is not split.
     """
     if not t_grid or not L_grid:
         raise ConfigError("calibration grids must be nonempty")
@@ -220,7 +221,8 @@ def run_calibration(
     if len(configs) == 1:
         accs = accuracies(configs)
     else:
-        half = (len(configs) + 1) // 2
+        draws = [config.draws for config in configs]
+        half = min(range(1, len(draws)), key=lambda i: max(sum(draws[:i]), sum(draws[i:])))
         here, there = in_two_processes(lambda: accuracies(configs[:half]),
                                        lambda: accuracies(configs[half:]))
         accs = here + there
@@ -688,6 +690,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The flags of the commands that read a run config, and of the two that run PGD.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
+    config.add_argument("--seed", type=_seed, help="override config seed")
+    attack = argparse.ArgumentParser(add_help=False, parents=[config])
+    budget = toy_budget()
+    attack.add_argument("--eps", type=float, default=budget.epsilon, help="L-inf budget")
+    attack.add_argument("--steps", type=_count, default=budget.steps, help="PGD steps")
+    attack.add_argument("--trials", type=_count, default=3, help="purification rounds to average")
+
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--task", required=True,
                    choices=["gaussian", "two-gaussians", "two-point", "striped"])
@@ -698,15 +710,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output tensor path")
     p.add_argument("--labels-out", help="labels tensor path (two-gaussians and striped)")
 
-    p = sub.add_parser("train-denoiser", help="train the MLP noise predictor")
+    p = sub.add_parser("train-denoiser", parents=[config], help="train the MLP noise predictor")
     p.add_argument("--data", required=True, help="training tensor (n, d) or images")
-    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output container path")
     p.add_argument("--hidden", type=_comma_list(_count), default=MlpTrainConfig.hidden,
                    help="comma list of hidden-layer widths")
     p.add_argument("--epochs", type=_count, default=MlpTrainConfig.epochs)
     p.add_argument("--lr", type=_positive_float, default=MlpTrainConfig.lr)
-    p.add_argument("--seed", type=_seed, help="override config seed")
 
     p = sub.add_parser("train-classifier", help="train the softmax MLP classifier")
     p.add_argument("--data", required=True)
@@ -718,20 +728,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_positive_float, default=ClassifierTrainConfig.lr)
     p.add_argument("--seed", type=_seed, default=0)
 
-    p = sub.add_parser("purify", help="run the purifier on a stored tensor")
+    p = sub.add_parser("purify", parents=[config], help="run the purifier on a stored tensor")
     p.add_argument("--input", required=True)
     p.add_argument("--denoiser", required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--basis", help="fitted basis container")
     p.add_argument("--fit-basis-from", help="clean dataset tensor to fit the basis on")
     p.add_argument("--save-basis", help="write the freshly fitted basis here")
     p.add_argument("--clean-ref", help="clean reference tensor for distance traces")
-    p.add_argument("--seed", type=_seed, help="override config seed")
 
-    p = sub.add_parser("curves", help="emit analysis curves as CSV")
+    p = sub.add_parser("curves", parents=[config], help="emit analysis curves as CSV")
     p.add_argument("--kind", required=True, choices=["fig2", "mmse", "snr"])
-    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--effective-t", type=_comma_list(_count),
                    help="comma list of depth budgets (fig2; default "
@@ -741,11 +748,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-grid", type=_comma_list(float),
                    help="comma list of snr values (mmse; default "
                         f"{','.join(map(str, _CURVES['mmse']['snr_grid']))})")
-    p.add_argument("--seed", type=_seed, help="override config seed")
 
-    p = sub.add_parser("verify", help="run a bound/monotonicity verification")
+    p = sub.add_parser("verify", parents=[config], help="run a bound/monotonicity verification")
     p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
-    p.add_argument("--config", required=True)
     p.add_argument("--trials", type=_count,
                    help="Monte Carlo trials (theorems 2-5 and cor1; default per theorem)")
     p.add_argument("--pairs", type=_count,
@@ -755,27 +760,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         "be strictly decreasing when the half-depth snr(t // 2) is >= 1, "
                         "as at 200 or 400 on the default schedule; at the default "
                         f"{_THEOREMS['4'][2]['effective_t']} it is 0.657 and the check fails")
-    p.add_argument("--seed", type=_seed, help="override config seed")
 
-    p = sub.add_parser("attack-eval", help="striped-task robustness ladder under PGD")
-    p.add_argument("--config", required=True)
-    p.add_argument("--eps", type=float, default=0.35, help="L-inf budget")
-    p.add_argument("--steps", type=_count, default=30, help="PGD steps")
-    p.add_argument("--trials", type=_count, default=3, help="purification rounds to average")
+    p = sub.add_parser("attack-eval", parents=[attack],
+                       help="striped-task robustness ladder under PGD")
     p.add_argument("--out", help="accuracy table CSV")
-    p.add_argument("--seed", type=_seed, help="override config seed")
 
-    p = sub.add_parser("calibrate", help="clean/robust accuracy grid over (t, L)")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("calibrate", parents=[attack],
+                       help="clean/robust accuracy grid over (t, L)")
     p.add_argument("--t-grid", type=_comma_list(_count), required=True,
                    help="comma list of depths")
     p.add_argument("--L-grid", type=_comma_list(_count), required=True,
                    help="comma list of loop counts")
-    p.add_argument("--eps", type=float, default=0.35)
-    p.add_argument("--steps", type=_count, default=30)
-    p.add_argument("--trials", type=_count, default=3)
     p.add_argument("--out", help="grid CSV path")
-    p.add_argument("--seed", type=_seed, help="override config seed")
 
     return parser
 

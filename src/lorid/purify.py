@@ -292,16 +292,16 @@ def purify_in_lockstep(
     denoiser: Denoiser,
     schedule: Schedule,
     configs: Sequence[LoridConfig],
-    rounds: int,
     rng: np.random.Generator,
     score: Callable[[np.ndarray], R],
 ) -> list[list[R]]:
-    """Purify each of ``inputs`` ``rounds`` times under every config, all
-    configs side by side on one sequence of draws; returns, per config, the
-    ``score`` of each purified input (in its input's shape) in the order made.
+    """Purify each of ``inputs`` under every config, all configs side by side
+    on one sequence of draws; returns, per config, the ``score`` of each
+    purified input (in its input's shape), in the order of ``inputs``.
 
-    Under each config, every round purifies the inputs in turn, each with the
-    next draws, as that many :func:`lorid_purify` calls on ``rng`` would.
+    Under each config, the inputs are purified in turn, each with the next
+    draws, as that many :func:`lorid_purify` calls on ``rng`` would; an input
+    listed twice is purified twice, on its own draws each time.
     The configs share their draws (common random numbers): each draw is made
     once and sent to every config still purifying, so each config's outputs
     and scores are those it would give alone from a generator in ``rng``'s
@@ -322,12 +322,11 @@ def purify_in_lockstep(
     (shape,) = shapes
 
     def purifies(config: LoridConfig, scores: list[R]) -> Generator:
-        for _ in range(rounds):
-            for x in inputs:
-                flat = yield from _purify_steps(
-                    x, denoiser, schedule, config, shape, PurifyTrace(), None)
-                scores.append(score(flat.reshape(x.shape)))
-                del flat  # not held through the next purify
+        for x in inputs:
+            flat = yield from _purify_steps(
+                x, denoiser, schedule, config, shape, PurifyTrace(), None)
+            scores.append(score(flat.reshape(x.shape)))
+            del flat  # not held through the next purify
 
     def waits(step: Generator, draw: np.ndarray | None) -> bool:
         """Send ``draw`` to ``step``: True while it asks for another."""
@@ -339,7 +338,7 @@ def purify_in_lockstep(
 
     per_config: list[list[R]] = [[] for _ in configs]
     steps = [purifies(config, scores) for config, scores in zip(configs, per_config)]
-    count = rounds * len(inputs) * max(config.draws for config in configs)
+    count = len(inputs) * max(config.draws for config in configs)
     with _noise_source(rng, shape, count) as noise:
         waiting = [step for step in steps if waits(step, None)]
         while waiting:

@@ -96,6 +96,29 @@ class TestToyClassifier:
             blob_clf.accuracy(x[:3].reshape(-1)[:5], y[:2])
         assert blob_clf.accuracy(x[0], y[0]) == float(blob_clf.predict(x[0])[0] == y[0])
 
+    # Labels for five samples of a two-class classifier that break the label
+    # rule: a count other than the sample count, a non-integer, a negative
+    # class (which indexing would wrap to the last class) and a class past the last.
+    BAD_LABELS = [([0, 1, 0], "5 samples but 3 labels"),
+                  ([0, 1, 0.5, 1, 0], r"finite integers in \[0, 2\)"),
+                  ([0, 1, -1, 1, 0], r"finite integers in \[0, 2\)"),
+                  ([0, 1, 2, 1, 0], r"finite integers in \[0, 2\)")]
+
+    @pytest.mark.parametrize("labels, message", BAD_LABELS,
+                             ids=["count", "half", "negative", "n_classes"])
+    def test_label_rule_refuses(self, blob_data, blob_clf, labels, message):
+        """accuracy, input_grad and pgd each refuse, pgd before its generator moves."""
+        x = blob_data[0][:5]
+        with pytest.raises(ValueError, match=message):
+            blob_clf.accuracy(x, labels)
+        with pytest.raises(ValueError, match=message):
+            blob_clf.input_grad(x, labels)
+        rng = np.random.default_rng(35)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            pgd(blob_clf, x, labels, AttackBudget(norm="linf", epsilon=0.1, steps=2), rng)
+        assert rng.bit_generator.state == state
+
     def test_training_label_validation(self):
         x = np.zeros((10, 2))
         cfg = ClassifierTrainConfig(hidden=(4,), epochs=1)

@@ -2,9 +2,11 @@
 
 The bench tracer wraps each name in ``bench/tracing.py`` ``TARGETS`` and the
 workloads call ``lorid`` module attributes by name; running the bench takes
-minutes, so this guard reads those files instead.  A rename or deletion in
-``lorid`` that would crash a traced run, or silently zero a per-layer count,
-fails here at once.
+minutes, so this guard reads those files instead.  It checks that each of
+those names resolves to a ``lorid`` attribute, so a rename or deletion that
+would crash a traced run fails here at once.  It does not check that a
+workload calls what the tracer wraps: a name that still resolves but that no
+workload reaches reads 0 in its per-layer count, and passes here.
 """
 
 import ast

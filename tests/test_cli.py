@@ -1002,6 +1002,31 @@ def test_training_flags_default_to_the_train_config(argv, stock):
     assert (tuple(args.hidden), args.epochs, args.lr) == (stock.hidden, stock.epochs, stock.lr)
 
 
+def test_attack_commands_share_their_flags(capsys):
+    """attack-eval and calibrate document --config, --seed, --eps, --steps and
+    --trials alike, and the budget defaults are toy_budget's."""
+    shared = {}
+    grids = {"attack-eval": [], "calibrate": ["--t-grid", "1", "--L-grid", "1"]}
+    for command, grid in grids.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        shared[command] = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()
+                           if re.match(r"\s+--(config|seed|eps|steps|trials)\b", line)]
+        args = cli._build_parser().parse_args([command, "--config", "c", *grid])
+        assert (args.eps, args.steps) == (cli.toy_budget().epsilon, cli.toy_budget().steps)
+    assert len(shared["attack-eval"]) == 5
+    assert shared["attack-eval"] == shared["calibrate"]
+
+
+@pytest.mark.parametrize("command", ["train-denoiser", "purify", "curves", "verify",
+                                     "attack-eval", "calibrate"])
+def test_run_config_commands_list_config_first(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("use_tucker", [True, False], ids=["true", "false"])
 class TestRobustnessCommands:
     def test_attack_eval_smoke(self, use_tucker, tmp_path, capsys):
@@ -1184,6 +1209,27 @@ class TestCalibrationSplit:
         assert rows == self._solo_rows(art, [15], [3]) and pick == (15, 3)
         cli.run_calibration(self.CFG, [15], [1, 3], self.BUDGET, trials=2, artifacts=art)
         assert splits == [1]
+
+    @pytest.mark.parametrize("t_grid, L_grid, sizes", [
+        ([40, 80, 120, 160], [1, 2, 4, 8], (11, 5)),  # criterion 8's grid
+        ([150, 160], [2, 4], (2, 2)),  # the defense-eval benchmark's grid
+    ], ids=["criterion-8", "defense-eval"])
+    def test_split_balances_the_draws(self, art, t_grid, L_grid, sizes, monkeypatch):
+        """The halves meet where the larger one's summed draws are least:
+        840 against 760 per purify on criterion 8's grid, 298 against 320 on
+        the benchmark's."""
+        halves = []
+
+        def recorded(clf, denoiser, schedule, configs, *rest):
+            halves.append([(config.t, config.L) for config in configs])
+            return [[1.0, 0.0] for _ in configs]
+
+        monkeypatch.setattr(cli, "in_two_processes", lambda here, there: (here(), there()))
+        monkeypatch.setattr(cli, "purified_accuracy", recorded)
+        cfg = default_config(T=250, t=20, L=2, eta=None, ranks=(2, 2, 8, 1), seed=3)
+        cli.run_calibration(cfg, t_grid, L_grid, self.BUDGET, trials=2, artifacts=art)
+        assert tuple(map(len, halves)) == sizes
+        assert halves[0] + halves[1] == [(t, L) for t in t_grid for L in L_grid]
 
     @pytest.mark.parametrize("where", ["here", "child"])
     def test_denoiser_error_in_either_half_is_raised(self, art, where, leaves_nothing):

@@ -376,7 +376,7 @@ class TestLockstep:
         inputs = self._inputs(images, n_images, with_basis)
         before = threading.active_count()
         rng = np.random.default_rng(460)
-        made = purify_in_lockstep(inputs, mlp, sched, configs, 2, rng, lambda p: p.tobytes())
+        made = purify_in_lockstep(inputs * 2, mlp, sched, configs, rng, lambda p: p.tobytes())
         assert threading.active_count() == before
         ends = []
         for cfg, outputs in zip(configs, made):
@@ -413,7 +413,7 @@ class TestLockstep:
         x = images[:n_images]
         cfg = LoridConfig(t=12, L=4, basis=basis, sampler=sampler, skip_k=2)
         rng, rng_serial = np.random.default_rng(463), np.random.default_rng(463)
-        ((out,),) = purify_in_lockstep([x], mlp, sched, [cfg], 1, rng, lambda p: p)
+        ((out,),) = purify_in_lockstep([x], mlp, sched, [cfg], rng, lambda p: p)
         assert out.tobytes() == _serial_purify(x, mlp, sched, cfg, rng_serial).tobytes()
         assert rng.bit_generator.state == rng_serial.bit_generator.state
 
@@ -425,7 +425,7 @@ class TestLockstep:
         probe = _Probe(mlp, fail_at=7)
         configs = [LoridConfig(t=12, L=3), LoridConfig(t=8, L=2)]
         with pytest.raises(RuntimeError, match="denoiser failed"):
-            purify_in_lockstep([x], probe, sched, configs, 2, np.random.default_rng(464),
+            purify_in_lockstep([x, x], probe, sched, configs, np.random.default_rng(464),
                                lambda p: p)
         assert len(probe.threads) == 7
         assert threading.active_count() == before
@@ -448,7 +448,7 @@ class TestLockstep:
             rng = np.random.default_rng(465)
             state = rng.bit_generator.state
             with pytest.raises(ValueError, match=message):
-                purify_in_lockstep(inputs, mlp, sched, configs, 1, rng, lambda p: p)
+                purify_in_lockstep(inputs, mlp, sched, configs, rng, lambda p: p)
             assert rng.bit_generator.state == state
 
 
