@@ -67,7 +67,7 @@ from .io_formats import (
     write_tensor,
 )
 from ._nn import in_two_processes
-from .purify import LoridConfig, lorid_purify, misaligned_noise
+from .purify import LoridConfig, lorid_purify, misaligned_noise, purify_in_lockstep
 from .tucker import TensorizationLayout, TuckerBasis, fit_basis
 
 __all__ = [
@@ -526,19 +526,20 @@ def _verify_theorem_4(
     print(f"theorem 4: curve at effective_t={effective_t} strictly decreasing over L=1..10 "
           f"({half_note})")
 
+    # Both loop counts purify one x0 on one stream of draws (common random
+    # numbers), so "L=8 beats L=1" is a paired comparison.
     t = _THEOREM_4_T
     oracle = GaussianOracleDenoiser(np.zeros(1), 1.0, schedule)
-    errs = {}
-    for L in (1, 8):
-        cfg = LoridConfig(t=t, L=L)
-        x0 = rng.standard_normal((trials, 1))
-        out, _ = lorid_purify(x0, oracle, schedule, cfg, rng)
-        errs[L] = float(np.mean((out - x0) ** 2))
-    if not errs[8] < errs[1]:
+    x0 = rng.standard_normal((trials, 1))
+    [err_1], [err_8] = purify_in_lockstep(
+        [x0], oracle, schedule, [LoridConfig(t=t, L=1), LoridConfig(t=t, L=8)], rng,
+        lambda out: float(np.mean((out - x0) ** 2)),
+    )
+    if not err_8 < err_1:
         raise BoundViolation(
-            f"looped purification did not win: L=8 error {errs[8]:.4f} vs L=1 {errs[1]:.4f}"
+            f"looped purification did not win: L=8 error {err_8:.4f} vs L=1 {err_1:.4f}"
         )
-    print(f"theorem 4: empirical t={t} error L=8 {errs[8]:.4f} < L=1 {errs[1]:.4f}")
+    print(f"theorem 4: empirical t={t} error L=8 {err_8:.4f} < L=1 {err_1:.4f}")
 
 
 def _verify_theorem_5(schedule: Schedule, rng: np.random.Generator, trials: int) -> None:
@@ -589,6 +590,8 @@ _VERIFY_FLAGS = ("trials", "pairs", "effective_t")
 def _cmd_verify(args) -> int:
     check, depths, defaults = _THEOREMS[args.theorem]
     flags = _flags_read(args, defaults, _VERIFY_FLAGS, f"theorem {args.theorem}")
+    if flags.get("trials", 2) < 2:
+        raise ValueError("need at least 2 trials")
     cfg = _load_config(args.config, args.seed)
     if max(depths, default=0) > cfg.T:
         raise ConfigError(f"theorem {args.theorem} checks depths "

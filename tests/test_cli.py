@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, file outputs, reproducibility."""
 
+import copy
 import os
 import re
 import struct
@@ -18,7 +19,7 @@ from lorid.analysis import kl_gaussian_curve, loop_bound_curve, verify_bounds
 from lorid.cli import main
 from lorid.attacks import ClassifierTrainConfig
 from lorid.diffusion import MlpDenoiser, MlpTrainConfig, make_linear_schedule
-from lorid.purify import LoridConfig
+from lorid.purify import LoridConfig, lorid_purify, purify_in_lockstep
 from lorid.io_formats import (
     default_config,
     format_config,
@@ -633,19 +634,19 @@ class TestVerify:
     def test_default_trials(self, theorem, trials, tmp_path, monkeypatch):
         """Without --trials each theorem draws its own default number of
         Monte Carlo trials: the first ``verify_bounds`` call (theorem 4's
-        first ``lorid_purify`` call, in its rows) shows it."""
+        ``purify_in_lockstep`` call, in the rows of its first input) shows it."""
         seen = []
 
         def first_bound(setup, ts, n, rng):
             seen.append(n)
             raise _Stop
 
-        def first_purify(x, *args):
-            seen.append(x.shape[0])
+        def first_purify(inputs, *args):
+            seen.append(inputs[0].shape[0])
             raise _Stop
 
         monkeypatch.setattr(cli, "verify_bounds", first_bound)
-        monkeypatch.setattr(cli, "lorid_purify", first_purify)
+        monkeypatch.setattr(cli, "purify_in_lockstep", first_purify)
         cfg = write_config(tmp_path, T=1000)
         extra = ["--effective-t", "400"] if theorem == "4" else []
         with pytest.raises(_Stop):
@@ -685,21 +686,59 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines()[0].endswith(
             f"(worst closed-form step {worst:.2e})")
 
+    @pytest.mark.parametrize("theorem", ["2", "3", "4", "5", "cor1"])
+    def test_one_trial_refused(self, theorem, tmp_path, capsys):
+        """Every Monte Carlo theorem refuses a single trial the same way: exit
+        2, one stderr line, nothing printed (theorem 4 not even its curve line)."""
+        cfg = write_config(tmp_path, T=1000)
+        extra = ["--effective-t", "400"] if theorem == "4" else []
+        code, err, _ = _run_refused(["verify", "--theorem", theorem, "--config", cfg,
+                                     "--trials", "1", *extra], {}, tmp_path, capsys)
+        assert code == 2
+        assert err == ["error: need at least 2 trials"]
+
+    def test_theorem_4_purifies_one_x0_in_lockstep(self, tmp_path, monkeypatch):
+        """Theorem 4 purifies one x0 under L=1 and L=8 in one lockstep call.
+        Each error is bit-equal to a ``lorid_purify`` of that x0 from a copy of
+        the generator in its state after the x0 draw, and the L=1 error keeps
+        the seed-0 bits it had when each loop count drew its own x0 and draws."""
+        calls = []
+
+        def recorded(inputs, denoiser, schedule, configs, rng, score):
+            start = copy.deepcopy(rng)
+            scores = purify_in_lockstep(inputs, denoiser, schedule, configs, rng, score)
+            calls.append((inputs, denoiser, schedule, configs, start, scores))
+            return scores
+
+        monkeypatch.setattr(cli, "purify_in_lockstep", recorded)
+        cfg = write_config(tmp_path, T=1000)
+        assert main(["verify", "--theorem", "4", "--config", cfg, "--effective-t", "400"]) == 0
+        [(inputs, oracle, schedule, configs, start, scores)] = calls
+        [x0] = inputs
+        assert x0.shape == (10_000, 1)
+        assert [(c.t, c.L) for c in configs] == [(400, 1), (400, 8)]
+        for config, [err] in zip(configs, scores):
+            out, _ = lorid_purify(x0, oracle, schedule, config, copy.deepcopy(start))
+            assert err == float(np.mean((out - x0) ** 2))
+        assert scores[0] == [1.610239540961904]
+
     def test_theorem_4_reads_effective_t(self, tmp_path, capsys):
         cfg = write_config(tmp_path, T=1000)
         assert main(["verify", "--theorem", "4", "--config", cfg, "--effective-t", "400"]) == 0
         assert "effective_t=400" in capsys.readouterr().out
 
     def test_monte_carlo_theorems_pass_on_bench_seeds(self, tmp_path, capsys):
-        """Theorems 2, 3, 5 and cor1 exit 0 at their default trials on seeds
-        0-11, which cover the benchmark's: a change to their random stream
-        that makes one fail shows here, not as a failed benchmark operation."""
+        """Theorems 2, 3, 5 and cor1, and theorem 4 at --effective-t 400, exit 0
+        at their default trials on seeds 0-11, which cover the benchmark's: a
+        change to their random stream that makes one fail shows here, not as a
+        failed benchmark operation."""
         cfg = write_config(tmp_path, T=1000)
         failed = []
         for seed in range(12):
-            for theorem in ("2", "3", "5", "cor1"):
+            for theorem, extra in (("2", []), ("3", []), ("4", ["--effective-t", "400"]),
+                                   ("5", []), ("cor1", [])):
                 code = main(["verify", "--theorem", theorem, "--config", cfg,
-                             "--seed", str(seed)])
+                             "--seed", str(seed), *extra])
                 err = capsys.readouterr().err
                 if code != 0:
                     failed.append(f"seed {seed} theorem {theorem}: exit {code} {err.strip()}")
