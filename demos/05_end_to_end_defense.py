@@ -12,15 +12,17 @@ Run:  python3 demos/05_end_to_end_defense.py   (about a minute)
 import time
 from dataclasses import replace
 
-from lorid.cli import run_attack_eval, run_calibration, toy_budget
+from lorid.experiment import run_attack_eval, run_calibration, toy_budget, toy_task_artifacts
 from lorid.io_formats import default_config
 
 start = time.time()
 base = default_config(T=250, t=160, L=4, eta=None, ranks=(2, 2, 8, 1), seed=0)
 budget = toy_budget()  # sign-step attack, strength 0.35, 30 iterations
 
+seed_0 = toy_task_artifacts(base)  # seed 0's models, for calibration and its ladder
+
 print("Calibrating (depth, loops) on a reduced grid...")
-rows, (t_pick, L_pick) = run_calibration(base, [80, 160], [1, 4], budget)
+rows, (t_pick, L_pick) = run_calibration(base, [80, 160], [1, 4], budget, artifacts=seed_0)
 print(f"{'t':>5} {'L':>3} {'clean':>7} {'robust':>7}")
 for t, L, clean, robust in rows:
     marker = "  <- picked" if (t, L) == (t_pick, L_pick) else ""
@@ -28,7 +30,8 @@ for t, L, clean, robust in rows:
 
 print(f"\nEvaluating the defense ladder at (t={t_pick}, L={L_pick}), seeds 0-2:")
 for seed in range(3):
-    table = run_attack_eval(replace(base, t=t_pick, L=L_pick, seed=seed), budget)
+    table = run_attack_eval(replace(base, t=t_pick, L=L_pick, seed=seed), budget,
+                            artifacts=seed_0 if seed == 0 else None)
     print(f"  seed {seed}: clean {table['standard']:.3f} | attacked {table['attacked']:.3f}"
           f" | projection only {table['tf_only']:.3f} | single loop {table['single']:.3f}"
           f" | loops only {table['loop_only']:.3f} | full stack {table['lorid']:.3f}")

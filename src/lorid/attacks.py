@@ -84,9 +84,6 @@ class ToyClassifier:
         out, _ = _nn.forward(self.params, x)
         return out
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return _softmax(self.logits(x))
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=-1)
 

@@ -5,7 +5,8 @@ Eight subcommands: ``gen-data``, ``train-denoiser``, ``train-classifier``,
 command is deterministic under a fixed ``--seed`` (which overrides the config
 file's seed where both exist).  Exit codes: 0 = success/pass, 1 = a numerical
 check failed (margins printed), 2 = usage or input error, a request for an
-array larger than memory included.
+array larger than memory included.  The striped-task experiment behind
+``attack-eval`` and ``calibrate`` lives in :mod:`lorid.experiment`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,22 +32,16 @@ from .analysis import (
     quadrature_grid,
     verify_bounds,
 )
-from .attacks import (
-    AttackBudget,
-    ClassifierTrainConfig,
-    ToyClassifier,
-    evaluate,
-    format_accuracy_table,
-    pgd,
-    purified_accuracy,
-    train_classifier,
-)
-from .diffusion import (
-    GaussianOracleDenoiser,
-    MlpDenoiser,
-    MlpTrainConfig,
-    Schedule,
-    train_mlp_denoiser,
+# pgd and toy_task_artifacts are not called here; the benchmark reads them and
+# its tracer wraps them under this module's name.
+from .attacks import ClassifierTrainConfig, format_accuracy_table, pgd, train_classifier
+from .diffusion import GaussianOracleDenoiser, MlpTrainConfig, Schedule, train_mlp_denoiser
+from .experiment import (
+    fit_config_basis,
+    run_attack_eval,
+    run_calibration,
+    toy_budget,
+    toy_task_artifacts,
 )
 from .io_formats import (
     ConfigError,
@@ -66,18 +61,10 @@ from .io_formats import (
     write_mlp,
     write_tensor,
 )
-from ._nn import in_two_processes
 from .purify import LoridConfig, lorid_purify, misaligned_noise, purify_in_lockstep
-from .tucker import TensorizationLayout, TuckerBasis, fit_basis
+from .tucker import TensorizationLayout, fit_basis
 
-__all__ = [
-    "main",
-    "ToyArtifacts",
-    "toy_task_artifacts",
-    "toy_budget",
-    "run_attack_eval",
-    "run_calibration",
-]
+__all__ = ["main"]
 
 
 def _load_config(path: str, seed_override: int | None) -> RunConfig:
@@ -86,153 +73,6 @@ def _load_config(path: str, seed_override: int | None) -> RunConfig:
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     return cfg
-
-
-def _fit_basis(images: np.ndarray, cfg: RunConfig) -> TuckerBasis:
-    """The basis of ``cfg`` (its patch and rank policy) fitted on (N, H, W, C) images."""
-    if images.ndim != 4:
-        raise ConfigError("--fit-basis-from needs an (N, H, W, C) tensor, "
-                          f"got shape {images.shape}")
-    _, height, width, channels = images.shape
-    layout = TensorizationLayout(height=height, width=width, channels=channels, patch=cfg.patch)
-    return fit_basis(images, layout, cfg.eta if cfg.eta is not None else cfg.ranks)
-
-
-# ---------------------------------------------------------------------------
-# Shared toy pipeline (striped-image task) — also driven by the test suite.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ToyArtifacts:
-    """Everything the end-to-end striped-image demonstrations need."""
-
-    schedule: Schedule
-    basis: TuckerBasis
-    denoiser: MlpDenoiser
-    clf: ToyClassifier
-    test_images: np.ndarray
-    test_labels: np.ndarray
-
-
-def toy_task_artifacts(cfg: RunConfig) -> ToyArtifacts:
-    """Generate striped data (512 training and 200 test images), fit the basis,
-    train the denoiser (60 epochs) and the classifier (150 epochs).
-
-    Deterministic in ``cfg.seed``; the four stages consume fixed child seeds.
-    The two trainings share only the training set, so the classifier trains in
-    a forked child process while the denoiser trains here (see
-    :func:`lorid._nn.in_two_processes`); the results are those of one training
-    after the other.
-    """
-    train_images, train_labels = gen_striped_images(512, seed=cfg.seed)
-    test_images, test_labels = gen_striped_images(200, seed=cfg.seed + 1)
-    basis = _fit_basis(train_images, cfg)
-    flat_train = train_images.reshape(train_images.shape[0], -1)
-
-    def denoiser() -> MlpDenoiser:
-        return train_mlp_denoiser(
-            flat_train,
-            cfg.schedule,
-            MlpTrainConfig(hidden=(64, 64), epochs=60),
-            np.random.default_rng(cfg.seed + 2),
-        )[0]
-
-    def classifier() -> ToyClassifier:
-        return train_classifier(
-            flat_train,
-            train_labels,
-            ClassifierTrainConfig(hidden=(32,), epochs=150),
-            np.random.default_rng(cfg.seed + 3),
-        )
-
-    trained_denoiser, clf = in_two_processes(denoiser, classifier)
-    return ToyArtifacts(
-        schedule=cfg.schedule,
-        basis=basis,
-        denoiser=trained_denoiser,
-        clf=clf,
-        test_images=test_images,
-        test_labels=test_labels,
-    )
-
-
-def toy_budget(eps: float = 0.35, steps: int = 30) -> AttackBudget:
-    """Stock PGD budget for the striped task (sign steps, unit-box clamp)."""
-    return AttackBudget(norm="linf", epsilon=eps, steps=steps, clip=(-1.0, 1.0))
-
-
-def run_attack_eval(
-    cfg: RunConfig,
-    budget: AttackBudget,
-    trials: int = 3,
-    artifacts: ToyArtifacts | None = None,
-) -> dict[str, float]:
-    """Accuracy ladder of the striped task under PGD, per the config's purifier."""
-    art = artifacts or toy_task_artifacts(cfg)
-    return evaluate(
-        art.clf, art.denoiser, art.schedule,
-        replace(cfg.purifier, basis=art.basis if cfg.use_tucker else None),
-        art.test_images, art.test_labels, budget, trials, np.random.default_rng(cfg.seed + 4)
-    )
-
-
-def run_calibration(
-    cfg: RunConfig,
-    t_grid: list[int],
-    L_grid: list[int],
-    budget: AttackBudget,
-    trials: int = 3,
-    artifacts: ToyArtifacts | None = None,
-) -> tuple[list[tuple], tuple[int, int]]:
-    """Clean/robust accuracy over a (t, L) grid, plus the balanced pick.
-
-    Returns (rows, (t, L)) where rows are (t, L, clean_acc, robust_acc) and
-    the recommendation maximizes robust accuracy subject to clean accuracy
-    within 3 points of the grid's best clean accuracy (ties: smaller t, then
-    smaller L).  Every grid point is checked as a config before any model is
-    trained.
-
-    Every grid point purifies from the draws of ``default_rng(seed + 6)``
-    (common random numbers), so each row is what that point gives alone on
-    such a generator.  The points run in lockstep through one
-    :func:`lorid.attacks.purified_accuracy` call, which makes each draw once
-    for all of them.  The grid is split where the larger half's summed
-    ``LoridConfig.draws`` (an ancestral purify's denoiser calls) is least, and
-    the second half runs in a forked child process on its own generator of
-    that seed (see :func:`lorid._nn.in_two_processes`); one point is not split.
-    """
-    if not t_grid or not L_grid:
-        raise ConfigError("calibration grids must be nonempty")
-    grid = [replace(cfg, t=int(t), L=int(L)) for t in t_grid for L in L_grid]
-    art = artifacts or toy_task_artifacts(cfg)
-    adv_images = pgd(
-        art.clf, art.test_images, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)
-    )
-    configs = [replace(run_cfg.purifier, basis=art.basis if run_cfg.use_tucker else None)
-               for run_cfg in grid]
-
-    def accuracies(part: list[LoridConfig]) -> list[list[float]]:
-        return purified_accuracy(
-            art.clf, art.denoiser, art.schedule, part, [art.test_images, adv_images],
-            art.test_labels, trials, np.random.default_rng(cfg.seed + 6),
-        )
-
-    if len(configs) == 1:
-        accs = accuracies(configs)
-    else:
-        draws = [config.draws for config in configs]
-        half = min(range(1, len(draws)), key=lambda i: max(sum(draws[:i]), sum(draws[i:])))
-        here, there = in_two_processes(lambda: accuracies(configs[:half]),
-                                       lambda: accuracies(configs[half:]))
-        accs = here + there
-    rows = [(run_cfg.t, run_cfg.L, clean, robust)
-            for run_cfg, (clean, robust) in zip(grid, accs)]
-
-    best_clean = max(r[2] for r in rows)
-    eligible = [r for r in rows if r[2] >= best_clean - 0.03]
-    pick = max(eligible, key=lambda r: (r[3], -r[0], -r[1]))
-    return rows, (pick[0], pick[1])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +220,11 @@ def _cmd_purify(args) -> int:
     if args.basis is not None:
         basis = read_basis(args.basis)
     elif args.fit_basis_from is not None:
-        basis = _fit_basis(read_tensor(args.fit_basis_from), cfg)
+        images = read_tensor(args.fit_basis_from)
+        if images.ndim != 4:
+            raise ConfigError("--fit-basis-from needs an (N, H, W, C) tensor, "
+                              f"got shape {images.shape}")
+        basis = fit_config_basis(images, cfg)
     clean_ref = read_tensor(args.clean_ref) if args.clean_ref else None
     out, trace = lorid_purify(
         x, denoiser, cfg.schedule, replace(cfg.purifier, basis=basis),

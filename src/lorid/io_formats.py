@@ -16,6 +16,7 @@ default.  Dataset generators are deterministic functions of their seed.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from typing import BinaryIO, Iterable, Sequence, get_args, get_origin, get_type_hints
@@ -87,11 +88,12 @@ def _read_block(fh: BinaryIO) -> np.ndarray:
     if version > TENSOR_VERSION:
         raise TensorFormatError(f"format version {version} is newer than supported {TENSOR_VERSION}")
     dims = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims")) if ndim else ()
-    count = 1
+    nonzero = 1  # the product of the nonzero dims: a zero dim must not hide a huge one
     for d in dims:
-        count *= d
-        if count > _MAX_ELEMENTS:
+        nonzero *= d or 1
+        if nonzero > _MAX_ELEMENTS:
             raise TensorFormatError(f"dimension overflow: {dims}")
+    count = math.prod(dims)
     if fh.seekable():  # refuse a header that claims more payload than the file holds
         here = fh.tell()
         left = fh.seek(0, io.SEEK_END) - here

@@ -88,10 +88,6 @@ class TuckerBasis:
         if not all(e >= 0.0 for e in self.discarded_energy):  # NaN fails too
             raise ValueError("discarded energies must be nonnegative")
 
-    @property
-    def total_discarded_energy(self) -> float:
-        return float(sum(self.discarded_energy))
-
 
 def tensorize(x: np.ndarray, layout: TensorizationLayout) -> np.ndarray:
     """Reshuffle an image (or batch of images) into its patch tensor, losslessly."""

@@ -30,7 +30,7 @@ from lorid.analysis import (
     verify_bounds,
 )
 from lorid.attacks import TABLE_KEYS
-from lorid.cli import main, run_attack_eval, run_calibration, toy_budget
+from lorid.cli import main
 from lorid.diffusion import (
     GaussianOracleDenoiser,
     MlpTrainConfig,
@@ -40,6 +40,7 @@ from lorid.diffusion import (
     one_shot_recover,
     train_mlp_denoiser,
 )
+from lorid.experiment import run_attack_eval, run_calibration, toy_budget, toy_task_artifacts
 from lorid.io_formats import (
     default_config,
     format_config,
@@ -316,13 +317,18 @@ def test_criterion_8_end_to_end_robustness_on_the_striped_task():
     start = time.perf_counter()
     base = default_config(T=250, t=160, L=4, eta=None, ranks=(2, 2, 8, 1), seed=0)
     budget = toy_budget()
+    # Seed 0's models serve calibration and seed 0's ladder: both configs share
+    # the schedule, patch and rank policy that training reads.
+    seed_0 = toy_task_artifacts(base)
 
-    rows, (pick_t, pick_L) = run_calibration(base, [40, 80, 120, 160], [1, 2, 4, 8], budget)
+    rows, (pick_t, pick_L) = run_calibration(base, [40, 80, 120, 160], [1, 2, 4, 8], budget,
+                                             artifacts=seed_0)
     tuned = default_config(T=250, t=pick_t, L=pick_L, eta=None, ranks=(2, 2, 8, 1), seed=0)
 
     drops, ordered, recovered = [], 0, 0
     for seed in range(5):
-        table = run_attack_eval(replace(tuned, seed=seed), budget)
+        table = run_attack_eval(replace(tuned, seed=seed), budget,
+                                artifacts=seed_0 if seed == 0 else None)
         drop = table["standard"] - table["attacked"]
         drops.append(drop)
         if (table["lorid"] >= table["tf_only"] - 1e-9

@@ -133,6 +133,16 @@ class TestTensorFile:
         with pytest.raises(TensorFormatError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("dims", [(0, 1 << 62), (1 << 40, 0, 1 << 40)],
+                             ids=["zero-first", "zero-between"])
+    def test_zero_dim_does_not_hide_an_overflow(self, dims):
+        """The element bound applies to the product of the nonzero dims, so a
+        zero-size header with huge other dims is refused as an overflow."""
+        blob = (TENSOR_MAGIC + struct.pack("<HH", TENSOR_VERSION, len(dims))
+                + struct.pack(f"<{len(dims)}Q", *dims))
+        with pytest.raises(TensorFormatError, match="^dimension overflow"):
+            read_tensor(io.BytesIO(blob))
+
     def test_header_claiming_more_than_the_file_holds_rejected(self, tmp_path):
         """A 40-byte file claiming 2^37 elements is refused before any payload
         is read, from a path and from a seekable handle."""
