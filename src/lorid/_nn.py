@@ -1,9 +1,9 @@
 """Minimal dense-network plumbing shared by the trained denoiser and the toy classifier.
 
-Hand-rolled forward/backward passes for a tanh MLP with a linear head, the one
-minibatch SGD loop both networks train with, the pack/unpack helpers used for
-finite-difference gradient checking, and the fork that trains two networks
-in two processes.  Kept private: the public surfaces live in
+Hand-rolled forward/backward passes for a tanh MLP with a linear head, the
+layer widths a parameter list chains, the one minibatch SGD loop both networks
+train with, its finite-difference gradient check, and the fork that trains two
+networks in two processes.  Kept private: the public surfaces live in
 :mod:`lorid.diffusion` and :mod:`lorid.attacks`.
 
 Importing this module, which ``import lorid`` does, sets numpy's bundled
@@ -38,6 +38,24 @@ def init_params(sizes: Sequence[int], rng: np.random.Generator) -> Params:
         b = np.zeros(fan_out)
         params.append((w, b))
     return params
+
+
+def layer_sizes(params: Params) -> tuple[int, ...]:
+    """The widths ``(d_in, h1, ..., d_out)`` that ``params`` chains, read off its
+    weights.  No layer, a layer of no width, a bias of another width, a weight
+    that does not take the previous layer's outputs, or a non-finite entry
+    raises ValueError."""
+    if not params:
+        raise ValueError("a network needs at least one layer")
+    sizes = [params[0][0].shape[0] if params[0][0].ndim == 2 else 0]
+    for i, (w, b) in enumerate(params):
+        if w.ndim != 2 or min(w.shape) < 1 or w.shape[0] != sizes[-1] or b.shape != w.shape[1:]:
+            raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} are not a "
+                             f"nonempty layer taking {sizes[-1]} inputs")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ValueError("non-finite parameters")
+        sizes.append(w.shape[1])
+    return tuple(sizes)
 
 
 def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -135,22 +153,6 @@ def sgd_train(
     return epoch_losses
 
 
-def pack(params: Params) -> np.ndarray:
-    return np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in params])
-
-
-def unpack(theta: np.ndarray, like: Params) -> Params:
-    out: Params = []
-    pos = 0
-    for w, b in like:
-        nw, nb = w.size, b.size
-        out.append((theta[pos : pos + nw].reshape(w.shape), theta[pos + nw : pos + nw + nb].reshape(b.shape)))
-        pos += nw + nb
-    if pos != theta.size:
-        raise ValueError("parameter vector size mismatch")
-    return out
-
-
 def gradient_check(
     loss_fn: Callable[[Params], float],
     params: Params,
@@ -161,21 +163,30 @@ def gradient_check(
 
     Probes 10 randomly chosen parameter coordinates with step 1e-5; the
     relative error for one coordinate is |g_a - g_fd| / max(|g_a|, |g_fd|, 1e-12).
+    Coordinates are numbered through the layers' weights and biases in turn,
+    and each probe moves its coordinate of ``params`` in place, so ``loss_fn``
+    is called on ``params`` itself; the coordinate is put back even when
+    ``loss_fn`` raises.
     """
     h = 1e-5
-    theta = pack(params)
-    grad_flat = pack(analytic)
-    idx = rng.choice(theta.size, size=min(10, theta.size), replace=False)
+    pairs = [(p, g) for layer, grads in zip(params, analytic) for p, g in zip(layer, grads)]
+    ends = np.cumsum([p.size for p, _ in pairs])  # one past each array's last coordinate
+    total = int(ends[-1])
     worst = 0.0
-    for i in idx:
-        orig = theta[i]
-        theta[i] = orig + h
-        lp = loss_fn(unpack(theta, params))
-        theta[i] = orig - h
-        lm = loss_fn(unpack(theta, params))
-        theta[i] = orig
+    for i in rng.choice(total, size=min(10, total), replace=False):
+        k = int(np.searchsorted(ends, i, side="right"))
+        p, g = pairs[k]
+        j = int(i - ends[k] + p.size)
+        orig = p.flat[j]
+        try:
+            p.flat[j] = orig + h
+            lp = loss_fn(params)
+            p.flat[j] = orig - h
+            lm = loss_fn(params)
+        finally:
+            p.flat[j] = orig
         g_fd = (lp - lm) / (2.0 * h)
-        g_an = grad_flat[i]
+        g_an = g.flat[j]
         worst = max(worst, abs(g_an - g_fd) / max(abs(g_an), abs(g_fd), 1e-12))
     return worst
 

@@ -391,12 +391,9 @@ class BoundReport:
     upper: float
     empirical: float
     delta_ddpm_est: float
-    trials: int
     tolerance: float
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         vals = (self.lower, self.upper, self.empirical, self.delta_ddpm_est, self.tolerance)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"non-finite bound report: {vals}")
@@ -519,7 +516,6 @@ def verify_bounds(
             upper=mmse + delta_hat + gap,
             empirical=empirical,
             delta_ddpm_est=delta_hat,
-            trials=trials,
             tolerance=tolerance,
         )
         if not report.lower - tolerance <= empirical <= report.upper + tolerance:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -62,22 +62,19 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class ToyClassifier:
-    """Softmax MLP over flat feature vectors (tanh hidden layers)."""
+    """Softmax MLP over flat feature vectors (tanh hidden layers).
+
+    ``input_dim`` and ``n_classes`` are read off ``params`` at construction.
+    """
 
     params: _nn.Params
-    input_dim: int
-    n_classes: int
+    input_dim: int = field(init=False)
+    n_classes: int = field(init=False)
 
     def __post_init__(self) -> None:
+        self.input_dim, *_, self.n_classes = _nn.layer_sizes(self.params)
         if self.n_classes < 2:
             raise ValueError("classifier needs at least 2 classes")
-        if self.params[0][0].shape[0] != self.input_dim:
-            raise ValueError("first-layer fan-in does not match input_dim")
-        if self.params[-1][0].shape[1] != self.n_classes:
-            raise ValueError("last-layer fan-out does not match n_classes")
-        for w, b in self.params:
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("non-finite classifier parameters")
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).reshape(-1, self.input_dim)
@@ -197,7 +194,7 @@ def train_classifier(
         params, x.shape[0], hyperparams.batch_size, hyperparams.epochs, hyperparams.lr, 1.0, rng,
         lambda idx: _ce_loss_and_grads(params, x[idx], y[idx])
     )
-    return ToyClassifier(params=params, input_dim=d, n_classes=int(classes.size))
+    return ToyClassifier(params)
 
 
 def classifier_grad_check(

@@ -549,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--task", required=True,
-                   choices=["gaussian", "two-gaussians", "two-point", "striped"])
+                   choices=list(_GEN_DATA))
     p.add_argument("--n", type=_count, required=True, help="number of samples")
     p.add_argument("--d", type=_count,
                    help=f"dimension (gaussian and two-gaussians; default {_GEN_DATA_D})")
@@ -585,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean-ref", help="clean reference tensor for distance traces")
 
     p = sub.add_parser("curves", parents=[config], help="emit analysis curves as CSV")
-    p.add_argument("--kind", required=True, choices=["fig2", "mmse", "snr"])
+    p.add_argument("--kind", required=True, choices=list(_CURVES))
     p.add_argument("--out", required=True)
     p.add_argument("--effective-t", type=_comma_list(_count),
                    help="comma list of depth budgets (fig2; default "

@@ -363,26 +363,28 @@ class MlpDenoiser:
     """Small tanh MLP noise predictor over flattened signals.
 
     The network input is the noisy signal concatenated with time features for
-    t/T; the output is the predicted noise of the same dimension.  Parameters
-    are immutable after training; prediction is deterministic.  The time
-    features of the steps t = 0..T are computed once, at construction, and a
-    step off that table is refused.
+    t/T; the output is the predicted noise of the same dimension.  ``dim`` and
+    the ``hidden`` widths are read off ``params``, whose input layer must take
+    ``dim + N_TIME_FEATURES`` values.  Parameters are immutable after training;
+    prediction is deterministic.  The time features of the steps t = 0..T are
+    computed once, at construction, and a step off that table is refused.
     """
 
-    def __init__(self, dim: int, hidden: Sequence[int], t_total: int, params: _nn.Params):
-        self.dim = int(dim)
-        self.hidden = tuple(int(h) for h in hidden)
+    def __init__(self, t_total: int, params: _nn.Params):
+        d_in, *hidden, self.dim = _nn.layer_sizes(params)
+        self.hidden = tuple(hidden)
+        if d_in != self.dim + N_TIME_FEATURES:
+            raise ValueError(f"denoiser input layer takes {d_in} values, not "
+                             f"dim + {N_TIME_FEATURES} = {self.dim + N_TIME_FEATURES}")
         self.t_total = int(t_total)
+        if self.t_total < 1:
+            raise ValueError(f"t_total must be >= 1, got {self.t_total}")
         self.params = params
-        for w, b in params:
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("non-finite parameters")
         self._time_table = _time_features(np.arange(self.t_total + 1) / self.t_total)
 
     @classmethod
     def initialize(cls, dim: int, hidden: Sequence[int], t_total: int, rng: np.random.Generator):
-        sizes = [dim + N_TIME_FEATURES, *hidden, dim]
-        return cls(dim, hidden, t_total, _nn.init_params(sizes, rng))
+        return cls(t_total, _nn.init_params([dim + N_TIME_FEATURES, *hidden, dim], rng))
 
     def _features(self, x: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
         if not np.all((t_arr >= 0) & (t_arr <= self.t_total) & (np.floor(t_arr) == t_arr)):
@@ -486,7 +488,7 @@ def train_mlp_denoiser(
         params, n, hyperparams.batch_size, hyperparams.epochs, hyperparams.lr,
         hyperparams.lr_decay, rng, batch_loss
     )
-    trained = MlpDenoiser(d, hyperparams.hidden, schedule.T, params)
+    trained = MlpDenoiser(schedule.T, params)
     final = epoch_losses[-1] if epoch_losses else _denoiser_loss_and_grads(
         model, params, x0_chk, t_chk, eps_chk, schedule
     )[0]

@@ -57,6 +57,7 @@ __all__ = [
 TENSOR_MAGIC = b"LTEN"
 TENSOR_VERSION = 1
 _MAX_ELEMENTS = 1 << 40  # refuse absurd allocations before they happen
+_MAX_NDIM = 32  # numpy 1.x's limit (2.x allows 64): every supported numpy reads what is written
 
 
 class TensorFormatError(ValueError):
@@ -65,6 +66,8 @@ class TensorFormatError(ValueError):
 
 def _write_block(fh: BinaryIO, x: np.ndarray) -> None:
     arr = np.asarray(x, dtype="<f8")
+    if arr.ndim > _MAX_NDIM:
+        raise TensorFormatError(f"{arr.ndim} dims exceed the {_MAX_NDIM} a tensor file may hold")
     if arr.ndim:  # ascontiguousarray would promote 0-dim to shape (1,)
         arr = np.ascontiguousarray(arr)
     fh.write(TENSOR_MAGIC)
@@ -87,6 +90,8 @@ def _read_block(fh: BinaryIO) -> np.ndarray:
     version, ndim = struct.unpack("<HH", _read_exact(fh, 4, "header"))
     if version > TENSOR_VERSION:
         raise TensorFormatError(f"format version {version} is newer than supported {TENSOR_VERSION}")
+    if ndim > _MAX_NDIM:
+        raise TensorFormatError(f"header claims {ndim} dims, over the {_MAX_NDIM} supported")
     dims = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims")) if ndim else ()
     nonzero = 1  # the product of the nonzero dims: a zero dim must not hide a huge one
     for d in dims:
@@ -313,12 +318,7 @@ def read_basis(path: str) -> TuckerBasis:
             )
         if fh.read(1):
             raise TensorFormatError("trailing bytes after basis container")
-    return TuckerBasis(
-        factors=factors,
-        ranks=tuple(u.shape[1] for u in factors),
-        layout=layout,
-        discarded_energy=tuple(float(e) for e in energy),
-    )
+    return TuckerBasis(factors, layout, tuple(float(e) for e in energy))
 
 
 def _write_params(fh: BinaryIO, params: _nn.Params) -> None:
@@ -347,10 +347,7 @@ def _read_params(
     for i in range(n_layers):
         w = _read_block(fh)
         b = _read_block(fh)
-        if i == n_layers - 1:
-            want = fan_out
-        else:
-            want = None if hidden is None else hidden[i]
+        want = fan_out if i == n_layers - 1 else None if hidden is None else hidden[i]
         if (w.ndim != 2 or w.shape[0] != fan_in or want not in (None, w.shape[1])
                 or b.shape != (w.shape[1],)):
             raise TensorFormatError(
@@ -380,15 +377,13 @@ def read_mlp(path: str) -> MlpDenoiser:
         params = _read_params(fh, len(hidden) + 1, dim + N_TIME_FEATURES, dim, "denoiser", hidden)
         if fh.read(1):
             raise TensorFormatError("trailing bytes after denoiser container")
-    return MlpDenoiser(dim=dim, hidden=hidden, t_total=t_total, params=params)
+    return MlpDenoiser(t_total, params)
 
 
 def write_classifier(path: str, clf: ToyClassifier) -> None:
     """Classifier container: [input_dim, n_classes, n_layers], then weight/bias pairs."""
     with open(path, "wb") as fh:
-        _write_block(
-            fh, np.array([clf.input_dim, clf.n_classes, len(clf.params)], dtype=float)
-        )
+        _write_block(fh, np.array([clf.input_dim, clf.n_classes, len(clf.params)], dtype=float))
         _write_params(fh, clf.params)
 
 
@@ -401,7 +396,7 @@ def read_classifier(path: str) -> ToyClassifier:
         params = _read_params(fh, n_layers, input_dim, n_classes, "classifier")
         if fh.read(1):
             raise TensorFormatError("trailing bytes after classifier container")
-    return ToyClassifier(params=params, input_dim=input_dim, n_classes=n_classes)
+    return ToyClassifier(params)
 
 
 # ---------------------------------------------------------------------------

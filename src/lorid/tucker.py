@@ -12,7 +12,7 @@ fitted basis is frozen: purification never refits it per input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -63,30 +63,33 @@ class TuckerBasis:
     """Frozen per-mode factors for the tensorized image modes.
 
     ``factors[n]`` is the I_n x r_n column-orthonormal factor for mode n of the
-    single-image tensor (patch-row, patch-col, patch-pixel, channel), and
-    ``discarded_energy[n]`` is the summed squared singular values dropped from
-    that mode's unfolding at fit time.
+    single-image tensor (patch-row, patch-col, patch-pixel, channel), with
+    1 <= r_n <= I_n, and ``discarded_energy[n]`` is the summed squared singular
+    values dropped from that mode's unfolding at fit time.  ``ranks`` is read
+    off the factors at construction.
     """
 
     factors: tuple[np.ndarray, ...]
-    ranks: tuple[int, ...]
     layout: TensorizationLayout
     discarded_energy: tuple[float, ...]
+    ranks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.factors) != 4 or len(self.ranks) != 4 or len(self.discarded_energy) != 4:
-            raise ValueError("expected factors/ranks/energies for the four image modes")
-        for u, r, dim in zip(self.factors, self.ranks, self.layout.tensor_shape):
-            if u.shape != (dim, r):
-                raise ValueError(f"factor shape {u.shape} inconsistent with (I_n, r_n) = ({dim}, {r})")
+        if len(self.factors) != 4 or len(self.discarded_energy) != 4:
+            raise ValueError("expected factors and energies for the four image modes")
+        for u, dim in zip(self.factors, self.layout.tensor_shape):
+            if u.ndim != 2 or u.shape[0] != dim or not 1 <= u.shape[1] <= dim:
+                raise ValueError(f"factor shape {u.shape} is not (I_n, r_n) with I_n = {dim} "
+                                 f"and 1 <= r_n <= {dim}")
             # Entries of a column-orthonormal factor lie in [-1, 1]; checked
             # before u.T @ u, which a huge entry would overflow.  NaN fails too.
             if not np.all(np.abs(u) <= 1.0 + 1e-10):
                 raise ValueError("factor entries must be finite and at most 1 in magnitude")
-            if not np.allclose(u.T @ u, np.eye(r), atol=1e-10):
+            if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-10):
                 raise ValueError("factor columns are not orthonormal")
-        if not all(e >= 0.0 for e in self.discarded_energy):  # NaN fails too
-            raise ValueError("discarded energies must be nonnegative")
+        if not all(0.0 <= e < math.inf for e in self.discarded_energy):  # NaN fails too
+            raise ValueError("discarded energies must be finite and nonnegative")
+        object.__setattr__(self, "ranks", tuple(u.shape[1] for u in self.factors))
 
 
 def tensorize(x: np.ndarray, layout: TensorizationLayout) -> np.ndarray:
@@ -208,12 +211,7 @@ def fit_basis(
         raise ValueError(f"dataset images {data.shape[1:]} do not match layout {layout.image_shape}")
     tens = tensorize(data, layout)  # (N, H/p, W/p, p*p, C)
     factors, discarded = _hosvd_factors(tens, rank_policy, modes=[1, 2, 3, 4])
-    return TuckerBasis(
-        factors=tuple(factors),
-        ranks=tuple(u.shape[1] for u in factors),
-        layout=layout,
-        discarded_energy=tuple(discarded),
-    )
+    return TuckerBasis(tuple(factors), layout, tuple(discarded))
 
 
 def tf_apply(x: np.ndarray, basis: TuckerBasis) -> np.ndarray:

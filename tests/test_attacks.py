@@ -1,5 +1,7 @@
 """The toy classifier, gradient attacks, and the defense-ladder evaluation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -74,10 +76,23 @@ class TestToyClassifier:
         assert err < 1e-5
 
     def test_construction_validation(self, blob_clf):
-        with pytest.raises(ValueError):
-            ToyClassifier(params=blob_clf.params, input_dim=2, n_classes=1)
-        with pytest.raises(ValueError):
-            ToyClassifier(params=blob_clf.params, input_dim=3, n_classes=2)
+        """A one-output last layer is not a classifier."""
+        (w0, b0), (w1, b1) = blob_clf.params
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            ToyClassifier(params=[(w0, b0), (w1[:, :1], b1[:1])])
+
+    def test_sizes_are_read_off_the_arrays(self, blob_clf):
+        assert (blob_clf.input_dim, blob_clf.n_classes) == (2, 2)
+        clf = ToyClassifier(_nn.init_params([5, 4, 3], np.random.default_rng(36)))
+        assert (clf.input_dim, clf.n_classes) == (5, 3)
+        (w0, b0), (w1, b1) = clf.params
+        with pytest.raises(ValueError, match="layer 1"):
+            ToyClassifier([(w0, b0), (w1[1:], b1)])
+
+    def test_sizes_survive_a_pickle(self, blob_clf):
+        """The classifier comes back from a forked child pickled."""
+        back = pickle.loads(pickle.dumps(blob_clf, pickle.HIGHEST_PROTOCOL))
+        assert (back.input_dim, back.n_classes) == (blob_clf.input_dim, blob_clf.n_classes)
 
     def test_accuracy_refuses_a_label_count_other_than_the_sample_count(
             self, blob_data, blob_clf):

@@ -841,6 +841,20 @@ class TestWorkflow:
         assert err.startswith("error: dimension overflow") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_header_with_too_many_dims_is_usage_error(self, workdir, tmp_path, capsys):
+        """A 33-dim header exits 2 with the reader's one line and writes nothing."""
+        tmp, cfg, data, labels, deno = workdir
+        bogus = tmp_path / "deep.lten"
+        bogus.write_bytes(b"LTEN" + struct.pack("<HH", 1, 33) + struct.pack("<33Q", *[1] * 33)
+                          + struct.pack("<d", 0.5))
+        out = tmp_path / "x.lten"
+        rc = main(["purify", "--input", str(bogus), "--denoiser", deno, "--config", cfg,
+                   "--out", str(out), "--fit-basis-from", data])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: header claims 33 dims") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_finite_input_is_usage_error(self, workdir, tmp_path, capsys):
         """One NaN pixel exits 2 with one line and writes nothing: neither --out
         nor the --save-basis file."""

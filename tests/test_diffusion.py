@@ -20,7 +20,7 @@ from lorid.diffusion import (
     reverse_skip,
     train_mlp_denoiser,
 )
-from lorid.diffusion import _time_features
+from lorid.diffusion import N_TIME_FEATURES, _time_features
 
 # Hand-checked cumulative products of (1 - beta) for the default linear
 # schedule, computed independently with mpmath at 30 digits and rounded.
@@ -573,7 +573,36 @@ class TestMlpDenoiser:
         params = [(w.copy(), b.copy()) for w, b in model.params]
         params[0][0][0, 0] = np.nan
         with pytest.raises(ValueError):
-            MlpDenoiser(2, (4,), 10, params)
+            MlpDenoiser(10, params)
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (64, 64)])
+    def test_sizes_are_read_off_the_arrays(self, hidden):
+        params = _nn.init_params([3 + N_TIME_FEATURES, *hidden, 3], np.random.default_rng(13))
+        model = MlpDenoiser(10, params)
+        assert (model.dim, model.hidden, model.t_total) == (3, hidden, 10)
+        assert model.params is params
+
+    def test_input_layer_must_take_dim_plus_time_features(self):
+        """A network whose input layer is not dim + N_TIME_FEATURES wide is
+        refused at construction, before any prediction reaches a matmul."""
+        rng = np.random.default_rng(14)
+        for sizes in ([3 + N_TIME_FEATURES, 7, 2], [2 + N_TIME_FEATURES - 1, 7, 2], [2, 2]):
+            with pytest.raises(ValueError, match="input layer takes"):
+                MlpDenoiser(10, _nn.init_params(sizes, rng))
+
+    def test_unchained_layers_are_refused(self):
+        """Layers that do not chain, a bias of another width, a layer of no
+        width and an empty network are refused at construction."""
+        (w0, b0), (w1, b1) = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(15)).params
+        for params in ([(w0, b0), (w1[1:], b1)], [(w0, b0[1:]), (w1, b1)],
+                       [(w0[:, :0], b0[:0]), (w1[:0], b1)], [(w0, b0), (w1, b1[:, None])], []):
+            with pytest.raises(ValueError):
+                MlpDenoiser(10, params)
+
+    def test_t_total_must_be_positive(self):
+        params = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(16)).params
+        with pytest.raises(ValueError, match="t_total"):
+            MlpDenoiser(0, params)
 
 
 class TestTraining:
@@ -589,6 +618,46 @@ class TestTraining:
         assert np.isfinite(report.final_loss)
         out = model.predict_eps(np.zeros(2), 50)
         assert out.shape == (2,)
+
+    def test_gradient_check_restores_every_parameter(self):
+        """The check probes coordinates in place; every parameter is bit-equal
+        afterwards, whether it returns or ``loss_fn`` raises on a probe."""
+        params = MlpDenoiser.initialize(2, (4, 3), 10, np.random.default_rng(17)).params
+        before = [a.copy() for layer in params for a in layer]
+        grads = [(np.ones_like(w), np.ones_like(b)) for w, b in params]
+
+        def bits_equal():
+            after = [a for layer in params for a in layer]
+            return all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
+                       for x, y in zip(before, after))
+
+        _nn.gradient_check(lambda p: float(sum(np.sum(a) for layer in p for a in layer)),
+                           params, grads, np.random.default_rng(18))
+        assert bits_equal()
+        calls = []
+
+        def failing(p):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("probe failed")
+            return 0.0
+
+        with pytest.raises(RuntimeError, match="probe failed"):
+            _nn.gradient_check(failing, params, grads, np.random.default_rng(19))
+        assert bits_equal()
+
+    def test_gradient_check_matches_finite_differences_of_a_known_loss(self):
+        """On the loss sum(p**2) / 2, whose gradient is p, the check reads ~0,
+        and a wrong analytic gradient reads a large error."""
+        params = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(20)).params
+
+        def loss(p):
+            return 0.5 * float(sum(np.sum(a * a) for layer in p for a in layer))
+
+        exact = [(w.copy(), b.copy()) for w, b in params]
+        assert _nn.gradient_check(loss, params, exact, np.random.default_rng(21)) < 1e-6
+        wrong = [(w + 1.0, b + 1.0) for w, b in params]
+        assert _nn.gradient_check(loss, params, wrong, np.random.default_rng(21)) > 0.1
 
     @pytest.mark.skipif(_nn._openblas_threads() is None, reason="numpy bundles no OpenBLAS")
     def test_sgd_train_holds_blas_to_one_thread(self):

@@ -127,7 +127,7 @@ class TestCalibrationSplit:
         return experiment.ToyArtifacts(
             schedule=cfg.schedule, basis=experiment.fit_config_basis(train_images, cfg),
             denoiser=MlpDenoiser.initialize(256, (16,), cfg.schedule.T, rng),
-            clf=experiment.ToyClassifier(_nn.init_params([256, 8, 2], rng), 256, 2),
+            clf=experiment.ToyClassifier(_nn.init_params([256, 8, 2], rng)),
             test_images=images, test_labels=labels)
 
     leaves_nothing = TestToyTaskTraining.leaves_nothing

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import lorid
-from lorid.attacks import ClassifierTrainConfig, train_classifier
-from lorid.diffusion import MlpTrainConfig, make_linear_schedule, train_mlp_denoiser
+from lorid import _nn
+from lorid.attacks import ClassifierTrainConfig, ToyClassifier, train_classifier
+from lorid.diffusion import (N_TIME_FEATURES, MlpDenoiser, MlpTrainConfig, make_linear_schedule,
+                             train_mlp_denoiser)
 from lorid.purify import LoridConfig
 from lorid.io_formats import (
     ConfigError,
@@ -38,7 +40,7 @@ from lorid.io_formats import (
     write_mlp,
     write_tensor,
 )
-from lorid.tucker import TensorizationLayout, fit_basis, tf_apply
+from lorid.tucker import TensorizationLayout, TuckerBasis, fit_basis, tf_apply
 
 # What a run config builds once from its keys and keeps: each field, the same
 # object built afresh from the config's keys, and what two builds share when equal.
@@ -142,6 +144,30 @@ class TestTensorFile:
                 + struct.pack(f"<{len(dims)}Q", *dims))
         with pytest.raises(TensorFormatError, match="^dimension overflow"):
             read_tensor(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("ndim", [33, 65, 100])
+    def test_more_dims_than_numpy_1_allows_rejected(self, ndim):
+        """A header with more than 32 dims is refused before its dims are
+        read, whatever they hold, with sizes of 1 and of 0."""
+        for size in (1, 0):
+            blob = (TENSOR_MAGIC + struct.pack("<HH", TENSOR_VERSION, ndim)
+                    + struct.pack(f"<{ndim}Q", *[size] * ndim) + struct.pack("<d", 1.0))
+            with pytest.raises(TensorFormatError, match=f"header claims {ndim} dims"):
+                read_tensor(io.BytesIO(blob))
+
+    def test_32_dims_round_trip(self):
+        buf = io.BytesIO()
+        write_tensor(buf, np.full((1,) * 32, 2.5))
+        buf.seek(0)
+        assert read_tensor(buf).shape == (1,) * 32
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy 1.x builds no 33-dim array")
+    def test_writer_refuses_more_dims_than_a_reader_takes(self):
+        buf = io.BytesIO()
+        with pytest.raises(TensorFormatError, match="33 dims"):
+            write_tensor(buf, np.zeros((1,) * 33))
+        assert buf.getvalue() == b""
 
     def test_header_claiming_more_than_the_file_holds_rejected(self, tmp_path):
         """A 40-byte file claiming 2^37 elements is refused before any payload
@@ -397,6 +423,77 @@ class TestModelSerialization:
         assert back.input_dim == clf.input_dim
         assert back.n_classes == clf.n_classes
         np.testing.assert_array_equal(back.predict(x), clf.predict(x))
+
+
+class TestModelSizesRoundTrip:
+    """A model's sizes are its arrays' shapes, and every model that can be
+    built comes back from its container with the same sizes and bytes."""
+
+    @staticmethod
+    def _same_params(a, b):
+        assert len(a) == len(b)
+        for (w1, b1), (w2, b2) in zip(a, b):
+            assert w1.shape == w2.shape and w1.tobytes() == w2.tobytes()
+            assert b1.shape == b2.shape and b1.tobytes() == b2.tobytes()
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (64, 64)])
+    def test_mlp(self, hidden, tmp_path):
+        model = MlpDenoiser.initialize(3, hidden, 7, np.random.default_rng(60))
+        assert model.params[0][0].shape[0] == model.dim + N_TIME_FEATURES
+        assert model.hidden == tuple(w.shape[1] for w, _ in model.params[:-1]) == hidden
+        path = str(tmp_path / "mlp.lten")
+        write_mlp(path, model)
+        back = read_mlp(path)
+        assert (back.dim, back.hidden, back.t_total) == (model.dim, model.hidden, model.t_total)
+        self._same_params(back.params, model.params)
+
+    def test_one_step_mlp(self, tmp_path):
+        model = MlpDenoiser.initialize(1, (1,), 1, np.random.default_rng(61))
+        path = str(tmp_path / "mlp.lten")
+        write_mlp(path, model)
+        back = read_mlp(path)
+        assert (back.dim, back.t_total) == (1, 1)
+
+    @pytest.mark.parametrize("sizes", [[5, 2], [5, 4, 3], [1, 1, 1, 2]])
+    def test_classifier(self, sizes, tmp_path):
+        clf = ToyClassifier(_nn.init_params(sizes, np.random.default_rng(62)))
+        assert (clf.input_dim, clf.n_classes) == (sizes[0], sizes[-1])
+        path = str(tmp_path / "clf.lten")
+        write_classifier(path, clf)
+        back = read_classifier(path)
+        assert (back.input_dim, back.n_classes) == (clf.input_dim, clf.n_classes)
+        self._same_params(back.params, clf.params)
+
+    @pytest.mark.parametrize("rank_policy", [(1, 1, 1, 1), (2, 2, 8, 1), (4, 4, 16, 1)])
+    def test_basis(self, rank_policy, tmp_path):
+        images, _ = gen_striped_images(64, seed=63)
+        layout = TensorizationLayout(height=16, width=16, channels=1, patch=4)
+        basis = fit_basis(images, layout, rank_policy)
+        assert basis.ranks == tuple(u.shape[1] for u in basis.factors) == rank_policy
+        path = str(tmp_path / "basis.lten")
+        write_basis(path, basis)
+        back = read_basis(path)
+        assert (back.ranks, back.layout) == (basis.ranks, basis.layout)
+        assert back.discarded_energy == basis.discarded_energy
+        for u1, u2 in zip(back.factors, basis.factors):
+            assert u1.shape == u2.shape and u1.tobytes() == u2.tobytes()
+
+    def test_what_a_reader_refuses_cannot_be_built(self):
+        """The shapes each reader refuses are refused at construction too."""
+        rng = np.random.default_rng(64)
+        with pytest.raises(ValueError, match="input layer"):
+            MlpDenoiser(10, _nn.init_params([12, 7, 2], rng))
+        with pytest.raises(ValueError):
+            MlpDenoiser(0, _nn.init_params([1 + N_TIME_FEATURES, 1], rng))
+        with pytest.raises(ValueError):
+            ToyClassifier(_nn.init_params([4, 0, 2], rng))
+        images, _ = gen_striped_images(16, seed=65)
+        layout = TensorizationLayout(height=16, width=16, channels=1, patch=4)
+        good = fit_basis(images, layout, (1, 1, 1, 1))
+        for factors, energy in [((good.factors[0][:, :0], *good.factors[1:]), good.discarded_energy),
+                                (good.factors, (np.inf, *good.discarded_energy[1:]))]:
+            with pytest.raises(ValueError):
+                TuckerBasis(factors, layout, energy)
 
 
 def _write_blocks(path, blocks):

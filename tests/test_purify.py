@@ -395,7 +395,7 @@ class TestLockstep:
         images, basis, sched, _ = setup
         configs = self._configs(basis if with_basis else None, sampler)
         inputs = self._inputs(images, n_images, with_basis)
-        clf = ToyClassifier(_nn.init_params([256, 8, 2], np.random.default_rng(461)), 256, 2)
+        clf = ToyClassifier(_nn.init_params([256, 8, 2], np.random.default_rng(461)))
         labels = np.arange(n_images) % 2
         rng = np.random.default_rng(462)
         together = purified_accuracy(clf, mlp, sched, configs, inputs, labels, 2, rng)

@@ -181,7 +181,6 @@ class TestFitBasis:
                 warnings.simplefilter("error")
                 TuckerBasis(
                     factors=factors,
-                    ranks=good.ranks,
                     layout=good.layout,
                     discarded_energy=energy,
                 )
