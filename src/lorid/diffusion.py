@@ -374,7 +374,7 @@ class MlpDenoiser:
         d_in, *hidden, self.dim = _nn.layer_sizes(params)
         self.hidden = tuple(hidden)
         if d_in != self.dim + N_TIME_FEATURES:
-            raise ValueError(f"denoiser input layer takes {d_in} values, not "
+            raise ValueError(f"layer 0: the denoiser input layer takes {d_in} values, not "
                              f"dim + {N_TIME_FEATURES} = {self.dim + N_TIME_FEATURES}")
         self.t_total = int(t_total)
         if self.t_total < 1:

@@ -18,15 +18,15 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field, fields
-from typing import BinaryIO, Iterable, Sequence, get_args, get_origin, get_type_hints
+from dataclasses import astuple, dataclass, field, fields
+from typing import BinaryIO, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import _nn
 from .attacks import ToyClassifier
-from .diffusion import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, N_TIME_FEATURES,
-                        MlpDenoiser, Schedule, make_linear_schedule)
+from .diffusion import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, MlpDenoiser, Schedule,
+                        make_linear_schedule)
 from .purify import LoridConfig
 from .tucker import TensorizationLayout, TuckerBasis
 
@@ -64,12 +64,17 @@ class TensorFormatError(ValueError):
     """Malformed or unreadable tensor container."""
 
 
-def _write_block(fh: BinaryIO, x: np.ndarray) -> None:
+def _as_block(x) -> np.ndarray:
+    """``x`` as the little-endian float64 array of an LTEN block; more dims
+    than a reader takes raise TensorFormatError."""
     arr = np.asarray(x, dtype="<f8")
     if arr.ndim > _MAX_NDIM:
         raise TensorFormatError(f"{arr.ndim} dims exceed the {_MAX_NDIM} a tensor file may hold")
-    if arr.ndim:  # ascontiguousarray would promote 0-dim to shape (1,)
-        arr = np.ascontiguousarray(arr)
+    return arr
+
+
+def _write_block(fh: BinaryIO, arr: np.ndarray) -> None:
+    """Write an array from :func:`_as_block` as one LTEN block."""
     fh.write(TENSOR_MAGIC)
     fh.write(struct.pack("<HH", TENSOR_VERSION, arr.ndim))
     fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
@@ -114,10 +119,9 @@ def _read_block(fh: BinaryIO) -> np.ndarray:
 def write_tensor(path_or_file: str | BinaryIO, x: np.ndarray) -> None:
     """Write one array as an LTEN block (to a path, or appended to a handle)."""
     if isinstance(path_or_file, (str, bytes)):
-        with open(path_or_file, "wb") as fh:
-            _write_block(fh, x)
+        _write_container(path_or_file, [x])
     else:
-        _write_block(path_or_file, x)
+        _write_block(path_or_file, _as_block(x))
 
 
 def read_tensor(path_or_file: str | BinaryIO) -> np.ndarray:
@@ -287,116 +291,102 @@ def default_config(**overrides) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def write_basis(path: str, basis: TuckerBasis) -> None:
-    """Basis container: layout meta, four factors, discarded energies."""
-    lay = basis.layout
+def _write_container(path: str, blocks: Iterable) -> None:
+    """Write ``blocks`` in order as the LTEN blocks of the file at ``path``.
+    Every block is checked before the file is created, so a refused write
+    leaves no file."""
+    arrays = [_as_block(x) for x in blocks]
     with open(path, "wb") as fh:
-        _write_block(fh, np.array([lay.height, lay.width, lay.channels, lay.patch], dtype=float))
-        for u in basis.factors:
-            _write_block(fh, u)
-        _write_block(fh, np.array(basis.discarded_energy, dtype=float))
+        for arr in arrays:
+            _write_block(fh, arr)
 
 
-def read_basis(path: str) -> TuckerBasis:
+def _read_container(path: str) -> list[np.ndarray]:
+    """The LTEN blocks of the file at ``path``, read to its end: a file that
+    ends inside a block is refused as truncated."""
+    blocks = []
     with open(path, "rb") as fh:
-        meta = _read_block(fh)
-        if meta.shape != (4,):
-            raise TensorFormatError(f"bad basis meta block shape {meta.shape}")
-        layout = TensorizationLayout(*(int(v) for v in meta))
-        factors = tuple(_read_block(fh) for _ in range(4))
-        for mode, (u, dim) in enumerate(zip(factors, layout.tensor_shape)):
-            if u.ndim != 2 or u.shape[0] != dim or not 1 <= u.shape[1] <= dim:
-                raise TensorFormatError(
-                    f"basis factor {mode} has shape {u.shape}, expected {dim} rows "
-                    f"and 1 to {dim} columns"
-                )
-        energy = _read_block(fh)
-        if energy.shape != (4,) or not np.all(np.isfinite(energy) & (energy >= 0.0)):
-            raise TensorFormatError(
-                "basis discarded energies must be 4 finite nonnegative values, "
-                f"got a block of shape {energy.shape}"
-            )
-        if fh.read(1):
-            raise TensorFormatError("trailing bytes after basis container")
-    return TuckerBasis(factors, layout, tuple(float(e) for e in energy))
+        while fh.peek(1):
+            blocks.append(_read_block(fh))
+    return blocks
 
 
-def _write_params(fh: BinaryIO, params: _nn.Params) -> None:
-    for w, b in params:
-        _write_block(fh, w)
-        _write_block(fh, b)
+def _read_network(path: str, what: str, heads: int) -> tuple[list[np.ndarray], _nn.Params]:
+    """The ``heads`` meta blocks of a network container, then its weight/bias pairs."""
+    blocks = _read_container(path)
+    if len(blocks) < heads or (len(blocks) - heads) % 2:
+        raise TensorFormatError(f"{what} container holds {len(blocks)} blocks: not its "
+                                f"{heads} meta block(s), then weight/bias pairs")
+    layers = blocks[heads:]
+    return blocks[:heads], list(zip(layers[::2], layers[1::2]))
 
 
-def _sizes(block: np.ndarray, what: str) -> tuple[int, ...]:
-    """The positive integers a 1-D size block holds."""
+def _sizes(block: np.ndarray, what: str, count: int | None = None) -> tuple[int, ...]:
+    """The positive integers a 1-D size block holds, ``count`` of them where given."""
     ok = np.isfinite(block) & (block >= 1) & (block == np.round(block))
-    if block.ndim != 1 or not np.all(ok):
-        raise TensorFormatError(
-            f"{what} must be a vector of positive integers, got a block of shape {block.shape}"
-        )
+    if block.ndim != 1 or count not in (None, block.size) or not np.all(ok):
+        raise TensorFormatError(f"{what} must be {count or 'a vector of'} positive integers, "
+                                f"got a block of shape {block.shape}")
     return tuple(int(v) for v in block)
 
 
-def _read_params(
-    fh: BinaryIO, n_layers: int, fan_in: int, fan_out: int, what: str,
-    hidden: Sequence[int] | None = None,
-) -> _nn.Params:
-    """Weight/bias pairs chaining ``fan_in`` through the ``hidden`` widths (any
-    widths when None) to ``fan_out``; a block of another shape is refused."""
-    params = []
-    for i in range(n_layers):
-        w = _read_block(fh)
-        b = _read_block(fh)
-        want = fan_out if i == n_layers - 1 else None if hidden is None else hidden[i]
-        if (w.ndim != 2 or w.shape[0] != fan_in or want not in (None, w.shape[1])
-                or b.shape != (w.shape[1],)):
-            raise TensorFormatError(
-                f"{what} layer {i}: weight {w.shape} and bias {b.shape} do not map "
-                f"{fan_in} inputs to {want or 'any number of'} outputs"
-            )
-        fan_in = w.shape[1]
-        params.append((w, b))
-    return params
+def _built(what: str, make: Callable, *args):
+    """``make(*args)``: a model checks its own arrays, and its ValueError is
+    re-raised as a TensorFormatError on the ``what`` container."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise TensorFormatError(f"{what} container: {exc}") from None
+
+
+def _agree(what: str, read: tuple[int, ...], stored: tuple[int, ...]) -> None:
+    """Refuse a network whose sizes, read off its arrays, are not its meta blocks'."""
+    if read != stored:
+        raise TensorFormatError(f"{what} sizes {read}, read off its layers from layer 0, "
+                                f"differ from the {stored} of its meta blocks")
+
+
+def write_basis(path: str, basis: TuckerBasis) -> None:
+    """Basis container: layout meta, four factors, discarded energies."""
+    _write_container(path, [astuple(basis.layout), *basis.factors, basis.discarded_energy])
+
+
+def read_basis(path: str) -> TuckerBasis:
+    blocks = _read_container(path)
+    if len(blocks) != 6:
+        raise TensorFormatError(f"basis container holds {len(blocks)} blocks, not 6")
+    meta, *factors, energy = blocks
+    layout = _built("basis", TensorizationLayout, *_sizes(meta, "basis meta block", 4))
+    return _built("basis", TuckerBasis, tuple(factors), layout, energy)
 
 
 def write_mlp(path: str, denoiser: MlpDenoiser) -> None:
     """Denoiser container: [dim, t_total], hidden sizes, then weight/bias pairs."""
-    with open(path, "wb") as fh:
-        _write_block(fh, np.array([denoiser.dim, denoiser.t_total], dtype=float))
-        _write_block(fh, np.array(denoiser.hidden, dtype=float))
-        _write_params(fh, denoiser.params)
+    _write_container(path, [(denoiser.dim, denoiser.t_total), denoiser.hidden,
+                            *(arr for layer in denoiser.params for arr in layer)])
 
 
 def read_mlp(path: str) -> MlpDenoiser:
-    with open(path, "rb") as fh:
-        meta = _read_block(fh)
-        if meta.shape != (2,):
-            raise TensorFormatError(f"bad denoiser meta block shape {meta.shape}")
-        dim, t_total = _sizes(meta, "denoiser meta block")
-        hidden = _sizes(_read_block(fh), "denoiser hidden sizes")
-        params = _read_params(fh, len(hidden) + 1, dim + N_TIME_FEATURES, dim, "denoiser", hidden)
-        if fh.read(1):
-            raise TensorFormatError("trailing bytes after denoiser container")
-    return MlpDenoiser(t_total, params)
+    (meta, hidden), params = _read_network(path, "denoiser", 2)
+    dim, t_total = _sizes(meta, "denoiser meta block", 2)
+    hidden = _sizes(hidden, "denoiser hidden sizes")
+    model = _built("denoiser", MlpDenoiser, t_total, params)
+    _agree("denoiser", (model.dim, *model.hidden), (dim, *hidden))
+    return model
 
 
 def write_classifier(path: str, clf: ToyClassifier) -> None:
     """Classifier container: [input_dim, n_classes, n_layers], then weight/bias pairs."""
-    with open(path, "wb") as fh:
-        _write_block(fh, np.array([clf.input_dim, clf.n_classes, len(clf.params)], dtype=float))
-        _write_params(fh, clf.params)
+    _write_container(path, [(clf.input_dim, clf.n_classes, len(clf.params)),
+                            *(arr for layer in clf.params for arr in layer)])
 
 
 def read_classifier(path: str) -> ToyClassifier:
-    with open(path, "rb") as fh:
-        meta = _read_block(fh)
-        if meta.shape != (3,):
-            raise TensorFormatError(f"bad classifier meta block shape {meta.shape}")
-        input_dim, n_classes, n_layers = _sizes(meta, "classifier meta block")
-        params = _read_params(fh, n_layers, input_dim, n_classes, "classifier")
-        if fh.read(1):
-            raise TensorFormatError("trailing bytes after classifier container")
-    return ToyClassifier(params)
+    (meta,), params = _read_network(path, "classifier", 1)
+    sizes = _sizes(meta, "classifier meta block", 3)
+    clf = _built("classifier", ToyClassifier, params)
+    _agree("classifier", (clf.input_dim, clf.n_classes, len(params)), sizes)
+    return clf
 
 
 # ---------------------------------------------------------------------------

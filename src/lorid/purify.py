@@ -203,6 +203,11 @@ def _finite(x, what: str) -> np.ndarray:
     return x
 
 
+def _overflow_unwarned() -> np.errstate:
+    """No numpy overflow warnings: :func:`_purify_steps` refuses an overflowed output instead."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _draw_shape(x: np.ndarray, config: LoridConfig) -> tuple[int, ...]:
     """The shape of each noise draw of a purify of ``x``: its samples, flattened."""
     batched = x.ndim > (1 if config.basis is None else 3)
@@ -240,6 +245,8 @@ def _purify_steps(
         trace.loops += 1
         if ref is not None:
             trace.distances.append(_distance(x, ref))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("purify overflows float64: its output holds non-finite values")
     return x
 
 
@@ -260,8 +267,9 @@ def lorid_purify(
     ``x``), ``trace.distances`` records the aggregate l2 distance to it after
     the projection stage and after every loop — handy for watching the
     iterates approach the clean signal.  Non-finite input, a clean reference
-    that is non-finite or of another shape, and a distance that overflows
-    float64 raise ValueError; the first two before any draw.
+    that is non-finite or of another shape, a distance that overflows float64
+    and an output that does (from finite input) raise ValueError, the first
+    two before any draw, and no numpy warning is given.
 
     The noise draws run on a second thread when each holds at least
     :data:`STREAM_MIN_VALUES` values (see :class:`_NoiseStream`); the output
@@ -281,7 +289,7 @@ def lorid_purify(
         ref = _finite(ref, "clean reference").reshape(shape)
 
     trace = PurifyTrace()
-    with _noise_source(rng, shape, config.draws) as noise:
+    with _noise_source(rng, shape, config.draws) as noise, _overflow_unwarned():
         flat = drive(_purify_steps(x, denoiser, schedule, config, shape, trace, ref), noise)
     trace.wall_time_s = time.perf_counter() - start
     return flat.reshape(x.shape), trace
@@ -309,7 +317,7 @@ def purify_in_lockstep(
     on the noise stream as in :func:`lorid_purify`.  No config or no input, a
     config deeper than the schedule, non-finite input, and inputs and configs
     that would draw noise of more than one shape raise ValueError before any
-    draw.
+    draw; an output that overflows float64 raises it as in :func:`lorid_purify`.
     """
     if not configs:
         raise ValueError("need at least one config to purify under")
@@ -339,7 +347,7 @@ def purify_in_lockstep(
     per_config: list[list[R]] = [[] for _ in configs]
     steps = [purifies(config, scores) for config, scores in zip(configs, per_config)]
     count = len(inputs) * max(config.draws for config in configs)
-    with _noise_source(rng, shape, count) as noise:
+    with _noise_source(rng, shape, count) as noise, _overflow_unwarned():
         waiting = [step for step in steps if waits(step, None)]
         while waiting:
             draw = noise.standard_normal(shape)

@@ -75,7 +75,7 @@ class TuckerBasis:
     ranks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.factors) != 4 or len(self.discarded_energy) != 4:
+        if len(self.factors) != 4 or np.shape(self.discarded_energy) != (4,):
             raise ValueError("expected factors and energies for the four image modes")
         for u, dim in zip(self.factors, self.layout.tensor_shape):
             if u.ndim != 2 or u.shape[0] != dim or not 1 <= u.shape[1] <= dim:
@@ -89,6 +89,7 @@ class TuckerBasis:
                 raise ValueError("factor columns are not orthonormal")
         if not all(0.0 <= e < math.inf for e in self.discarded_energy):  # NaN fails too
             raise ValueError("discarded energies must be finite and nonnegative")
+        object.__setattr__(self, "discarded_energy", tuple(map(float, self.discarded_energy)))
         object.__setattr__(self, "ranks", tuple(u.shape[1] for u in self.factors))
 
 
@@ -207,8 +208,6 @@ def fit_basis(
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 4 or data.shape[0] < 1:
         raise ValueError("dataset must be a nonempty (N, H, W, C) array")
-    if data.shape[1:] != layout.image_shape:
-        raise ValueError(f"dataset images {data.shape[1:]} do not match layout {layout.image_shape}")
     tens = tensorize(data, layout)  # (N, H/p, W/p, p*p, C)
     factors, discarded = _hosvd_factors(tens, rank_policy, modes=[1, 2, 3, 4])
     return TuckerBasis(tuple(factors), layout, tuple(discarded))
@@ -217,10 +216,7 @@ def fit_basis(
 def tf_apply(x: np.ndarray, basis: TuckerBasis) -> np.ndarray:
     """Low-rank projection of an image (or batch): tensorize, project each mode
     onto its fitted subspace, reconstruct, detensorize.  Idempotent."""
-    x = np.asarray(x, dtype=np.float64)
     layout = basis.layout
-    if x.shape[-3:] != layout.image_shape:
-        raise ValueError(f"input shape {x.shape} does not match layout {layout.image_shape}")
     tens = tensorize(x, layout)
     offset = tens.ndim - 4  # image modes sit after any batch axes
     for i, u in enumerate(basis.factors):

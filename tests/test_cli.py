@@ -946,6 +946,30 @@ class TestWorkflow:
         assert not out.exists()
         assert not caught, [str(w.message) for w in caught]
 
+    @pytest.mark.parametrize("value", [1e308, 1e200])
+    def test_input_that_overflows_is_usage_error(self, value, workdir, tmp_path, capsys):
+        """Finite images of 1e308 overflow inside the purifier: exit 2 with one
+        line, no output and no numpy warning.  Images of 1e200 purify to finite
+        values."""
+        tmp, cfg, data, labels, deno = workdir
+        huge = str(tmp_path / "huge.lten")
+        write_tensor(huge, np.full((4, 16, 16, 1), value))
+        out = tmp_path / "out.lten"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["purify", "--input", huge, "--denoiser", deno, "--config", cfg,
+                       "--out", str(out), "--fit-basis-from", data])
+        err = capsys.readouterr().err
+        assert not caught, [str(w.message) for w in caught]
+        if value == 1e308:
+            assert rc == 2
+            assert err == "error: purify overflows float64: its output holds non-finite values\n"
+            assert not out.exists()
+        else:
+            assert rc == 0, err
+            assert np.all(np.isfinite(read_tensor(str(out))))
+
     def test_denoiser_trained_for_another_T_is_usage_error(self, workdir, tmp_path, capsys):
         """A T=120 denoiser under a T=1000 config exits 2 with one line and writes
         nothing, although every step of its 100-step loops is on the denoiser's table."""

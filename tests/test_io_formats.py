@@ -14,6 +14,7 @@ import pytest
 import lorid
 from lorid import _nn
 from lorid.attacks import ClassifierTrainConfig, ToyClassifier, train_classifier
+from lorid.cli import main
 from lorid.diffusion import (N_TIME_FEATURES, MlpDenoiser, MlpTrainConfig, make_linear_schedule,
                              train_mlp_denoiser)
 from lorid.purify import LoridConfig
@@ -168,6 +169,14 @@ class TestTensorFile:
         with pytest.raises(TensorFormatError, match="33 dims"):
             write_tensor(buf, np.zeros((1,) * 33))
         assert buf.getvalue() == b""
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy 1.x builds no 33-dim array")
+    def test_refused_write_to_a_path_leaves_no_file(self, tmp_path):
+        path = tmp_path / "deep.lten"
+        with pytest.raises(TensorFormatError, match="33 dims"):
+            write_tensor(str(path), np.zeros((1,) * 33))
+        assert not path.exists()
 
     def test_header_claiming_more_than_the_file_holds_rejected(self, tmp_path):
         """A 40-byte file claiming 2^37 elements is refused before any payload
@@ -568,6 +577,93 @@ class TestModelShapeChecks:
         _write_blocks(path, [[clf.input_dim, clf.n_classes, 0], *_layer_blocks(clf.params)])
         with pytest.raises(TensorFormatError, match="meta block"):
             read_classifier(path)
+
+
+def _blob(blocks):
+    buf = io.BytesIO()
+    for block in blocks:
+        write_tensor(buf, block)
+    return buf.getvalue()
+
+
+def _grown(block):
+    """The block one longer along its first axis, its values repeated."""
+    return np.resize(block, (block.shape[0] + 1, *block.shape[1:]))
+
+
+# Ways to break a container of blocks at block i, each giving the broken file's bytes.
+BREAKS = {
+    "cut-before": lambda blocks, i: _blob(blocks[:i]),
+    "cut-inside": lambda blocks, i: _blob(blocks[:i + 1])[:-(len(_blob(blocks[i:i + 1])) // 2)],
+    "dropped": lambda blocks, i: _blob(blocks[:i] + blocks[i + 1:]),
+    "duplicated": lambda blocks, i: _blob(blocks[:i + 1] + blocks[i:]),
+    "grown": lambda blocks, i: _blob([*blocks[:i], _grown(blocks[i]), *blocks[i + 1:]]),
+    "lifted": lambda blocks, i: _blob([*blocks[:i], blocks[i][None], *blocks[i + 1:]]),
+}
+# Each container below: its reader, and its blocks for a basis, a
+# one-hidden-layer denoiser and a one-hidden-layer classifier.
+CONTAINERS = {"basis": (read_basis, 6), "denoiser": (read_mlp, 6),
+              "classifier": (read_classifier, 5)}
+# The purify flag that reads each container.
+PURIFY_FLAGS = {"basis": "--basis", "denoiser": "--denoiser"}
+
+
+class TestContainerRefusals:
+    """Every container the writers make, broken at each block in each way, is
+    refused as a TensorFormatError; a broken basis or denoiser makes
+    ``lorid purify`` exit 2 with one line and no output."""
+
+    @pytest.fixture(scope="class")
+    def made(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("containers")
+        rng = np.random.default_rng(66)
+        cfg = default_config(T=120, t=20, L=2, eta=None, ranks=(2, 2, 8, 1))
+        images, _ = gen_striped_images(8, seed=67)
+        paths = {name: str(tmp / f"{name}.lten") for name in CONTAINERS}
+        write_basis(paths["basis"], fit_basis(images, TensorizationLayout(16, 16, 1, 4),
+                                              cfg.ranks))
+        write_mlp(paths["denoiser"], MlpDenoiser.initialize(256, (16,), cfg.T, rng))
+        write_classifier(paths["classifier"], ToyClassifier(_nn.init_params([256, 8, 2], rng)))
+        paths["config"], paths["input"] = str(tmp / "run.cfg"), str(tmp / "input.lten")
+        Path(paths["config"]).write_text(format_config(cfg))
+        write_tensor(paths["input"], images[:4])
+        return paths
+
+    @staticmethod
+    def _blocks(path):
+        with open(path, "rb") as fh:
+            blocks = []
+            while fh.peek(1):
+                blocks.append(read_tensor(fh))
+        return blocks
+
+    @staticmethod
+    def _purify(paths, out, **files):
+        flags = {"--basis": paths["basis"], "--denoiser": paths["denoiser"], **files}
+        return main(["purify", "--input", paths["input"], "--config", paths["config"],
+                     "--out", str(out), *(arg for flag in flags.items() for arg in flag)])
+
+    def test_unbroken_containers_are_read_and_purify(self, made, tmp_path):
+        for name, (reader, count) in CONTAINERS.items():
+            assert len(self._blocks(made[name])) == count
+            assert _blob(self._blocks(made[name])) == Path(made[name]).read_bytes()
+            reader(made[name])
+        assert self._purify(made, tmp_path / "out.lten") == 0
+
+    @pytest.mark.parametrize("name, broken, i", [
+        (name, broken, i) for name, (_, count) in CONTAINERS.items() for broken in BREAKS
+        for i in range(count)])
+    def test_broken_container_refused(self, name, broken, i, made, tmp_path, capsys):
+        bad = tmp_path / "bad.lten"
+        bad.write_bytes(BREAKS[broken](self._blocks(made[name]), i))
+        with pytest.raises(TensorFormatError):
+            CONTAINERS[name][0](str(bad))
+        if name in PURIFY_FLAGS:
+            out = tmp_path / "out.lten"
+            capsys.readouterr()
+            assert self._purify(made, out, **{PURIFY_FLAGS[name]: str(bad)}) == 2
+            assert capsys.readouterr().err.count("\n") == 1
+            assert not out.exists()
 
 
 class TestGenerators:

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,28 @@ class TestPurifyWithProjection:
         _, trace = lorid_purify(x, oracle, sched, cfg, np.random.default_rng(1), clean_ref=x)
         expected = frobenius_norm(tf_apply(x, basis) - x)
         np.testing.assert_allclose(trace.distances[0], expected, rtol=1e-12)
+
+
+class TestOverflow:
+    """A finite input that overflows inside the purifier is refused with one
+    ValueError and no numpy warning, by lorid_purify and by purify_in_lockstep."""
+
+    @pytest.mark.parametrize("value", [1e308, 1e200])
+    def test_refused_only_where_the_output_overflows(self, setup, mlp, value):
+        _, basis, sched, _ = setup
+        x = np.full((4, 16, 16, 1), value)
+        cfg = LoridConfig(t=160, L=4, basis=basis)
+        runs = [lambda: lorid_purify(x, mlp, sched, cfg, np.random.default_rng(470))[0],
+                lambda: purify_in_lockstep([x], mlp, sched, [cfg], np.random.default_rng(470),
+                                           lambda p: p)[0][0]]
+        for run in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if value == 1e308:
+                    with pytest.raises(ValueError, match="^purify overflows float64"):
+                        run()
+                else:
+                    assert np.all(np.isfinite(run()))
 
 
 def _serial_purify(x, denoiser, sched, cfg, rng):
