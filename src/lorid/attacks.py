@@ -77,9 +77,7 @@ class ToyClassifier:
             raise ValueError("classifier needs at least 2 classes")
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).reshape(-1, self.input_dim)
-        out, _ = _nn.forward(self.params, x)
-        return out
+        return _nn.infer(self.params, np.asarray(x, dtype=np.float64).reshape(-1, self.input_dim))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=-1)

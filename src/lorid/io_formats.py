@@ -112,8 +112,15 @@ def _read_block(fh: BinaryIO) -> np.ndarray:
             raise TensorFormatError(
                 f"truncated file: header claims {8 * count} bytes of payload, {left} remain"
             )
-    payload = _read_exact(fh, 8 * count, "payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+    # Read straight into the array's own memory, the one copy of the payload.
+    # np.empty, unlike bytearray, does not zero-fill what a lying header claims
+    # of a handle whose size cannot be checked above.
+    payload = np.empty(8 * count, dtype=np.uint8)
+    got = fh.readinto(payload)
+    if got != payload.size:
+        raise TensorFormatError(
+            f"truncated file: expected {payload.size} bytes of payload, got {got}")
+    return payload.view("<f8").reshape(dims)
 
 
 def write_tensor(path_or_file: str | BinaryIO, x: np.ndarray) -> None:

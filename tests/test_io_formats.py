@@ -109,6 +109,30 @@ class TestTensorFile:
         with pytest.raises(TensorFormatError):
             read_tensor(path)
 
+    def test_read_array_is_writable_and_bit_equal(self, tmp_path):
+        x = np.random.default_rng(602).standard_normal((3, 5))
+        x[0, :4] = [-0.0, np.inf, 5e-324, np.nan]
+        path = str(tmp_path / "t.lten")
+        write_tensor(path, x)
+        for back in (read_tensor(path), read_tensor(io.BytesIO(open(path, "rb").read()))):
+            assert back.tobytes() == x.tobytes() and back.shape == x.shape
+            assert back.flags.writeable
+            back[...] = 1.0
+
+    def test_short_payload_read_refused(self):
+        """A handle that cannot seek skips the size check, so the payload read
+        itself refuses a cut payload."""
+
+        class Unseekable(io.BytesIO):
+            def seekable(self):
+                return False
+
+        buf = io.BytesIO()
+        write_tensor(buf, np.zeros(8))
+        with pytest.raises(TensorFormatError,
+                           match="^truncated file: expected 64 bytes of payload, got 60$"):
+            read_tensor(Unseekable(buf.getvalue()[:-4]))
+
     def test_trailing_bytes_rejected_on_path_read(self, tmp_path):
         path = str(tmp_path / "extra.lten")
         with open(path, "wb") as fh:

@@ -1,11 +1,12 @@
 """Patch tensorization, truncated HOSVD, and the low-rank projection operator."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from lorid.tensorops import frobenius_norm
+from lorid.tensorops import frobenius_norm, unfold
 from lorid.tucker import (
     TensorizationLayout,
     TuckerBasis,
@@ -154,6 +155,57 @@ class TestFitBasis:
         basis = fit_basis(images, LAYOUT_16, rank_policy=(2, 2, 8, 1))
         assert basis.ranks == (2, 2, 8, 1)
         assert sum(basis.discarded_energy) > 0.0
+
+    # 16x16x1 at patch 4, 32x32x3 at patch 8, and a non-square two-channel one.
+    REFERENCE_LAYOUTS = [LAYOUT_16, TensorizationLayout(32, 32, 3, 8),
+                         TensorizationLayout(16, 8, 2, 4)]
+
+    @staticmethod
+    def _reference(data, layout, rank_policy):
+        """Factors and energies by the route fit_basis skips: tensorize the
+        batch, then take each image mode's unfolding of that tensor."""
+        tens = tensorize(data, layout)
+        factors, energies = [], []
+        for i, mode in enumerate([1, 2, 3, 4]):
+            u, s, _ = np.linalg.svd(unfold(tens, mode), full_matrices=False)
+            if isinstance(rank_policy, float):
+                r = int(np.searchsorted(np.cumsum(s**2), rank_policy * np.sum(s**2)) + 1)
+            else:
+                r = rank_policy[i]
+            factors.append(u[:, :r])
+            energies.append(float(np.sum(s[r:] ** 2)))
+        return factors, energies
+
+    @pytest.mark.parametrize("layout", REFERENCE_LAYOUTS, ids=["16x16x1p4", "32x32x3p8", "16x8x2p4"])
+    @pytest.mark.parametrize("policy", ["eta", "ranks"])
+    def test_bit_equal_to_the_tensorize_unfold_route(self, layout, policy):
+        data = np.random.default_rng(layout.height + layout.channels).standard_normal(
+            (24, *layout.image_shape))
+        data[:, ::2] *= 3.0  # unequal energies, so eta keeps fewer than all directions
+        rank_policy = 0.9 if policy == "eta" else tuple(max(1, d // 2) for d in layout.tensor_shape)
+        basis = fit_basis(data, layout, rank_policy)
+        factors, energies = self._reference(data, layout, rank_policy)
+        assert [u.tobytes() for u in basis.factors] == [u.tobytes() for u in factors]
+        assert basis.discarded_energy == tuple(energies)
+
+    def test_holds_one_unfolding_and_one_svd_at_a_time(self):
+        """Past the dataset, the fit's traced peak is one unfolding and its
+        SVD's right singular vectors, each the data's size: 2.0x, where a
+        tensorized copy held beside them read 4.0x."""
+        data = np.random.default_rng(5).standard_normal((128, 32, 32, 3))
+        layout = TensorizationLayout(32, 32, 3, 8)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fit_basis(data, layout, 0.95)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2.1 * data.nbytes
 
     def test_dataset_shape_validation(self):
         with pytest.raises(ValueError):
