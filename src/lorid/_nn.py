@@ -1,11 +1,10 @@
 """Minimal dense-network plumbing shared by the trained denoiser and the toy classifier.
 
-Hand-rolled forward/backward passes for a tanh MLP with a linear head, a
-cache-free inference pass, the layer widths a parameter list chains, the one
-minibatch SGD loop both networks train with, its finite-difference gradient
-check, and the fork that runs two independent jobs in two processes: it
-trains the two networks, and it splits ``experiment.run_calibration``'s grid
-into two halves.  Kept private: the public surfaces live in
+Hand-rolled forward/backward passes for a tanh MLP with a linear head, the
+layer widths a parameter list chains, the one minibatch SGD loop both networks
+train with, its finite-difference gradient check, and the fork that runs two
+independent jobs in two processes: it trains the two networks, and it splits
+``experiment.run_calibration``'s grid into two halves.  Kept private: the public surfaces live in
 :mod:`lorid.diffusion` and :mod:`lorid.attacks`.
 
 Importing this module, which ``import lorid`` does, sets numpy's bundled
@@ -64,24 +63,11 @@ def forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
     """Run the network on a batch ``x`` (n, d_in).
 
     Hidden layers use tanh, the last layer is linear.  Returns the output and
-    the cache of post-activation values needed by :func:`backward`.
+    the cache of post-activation values needed by :func:`backward`.  Each
+    layer's bias add and tanh run in place on its product, the one array the
+    layer allocates; ``x`` itself is never written.
     """
     cache = [x]
-    h = x
-    last = len(params) - 1
-    for i, (w, b) in enumerate(params):
-        z = h @ w + b
-        h = z if i == last else np.tanh(z)
-        cache.append(h)
-    return h, cache
-
-
-def infer(params: Params, x: np.ndarray) -> np.ndarray:
-    """The output of :func:`forward` on ``x``, bit for bit, without its cache.
-
-    Each layer's bias add and tanh run in place on that layer's product, so
-    one activation is held at a time; ``x`` itself is never written.
-    """
     h = x
     last = len(params) - 1
     for i, (w, b) in enumerate(params):
@@ -89,7 +75,8 @@ def infer(params: Params, x: np.ndarray) -> np.ndarray:
         h += b
         if i != last:
             np.tanh(h, out=h)
-    return h
+        cache.append(h)
+    return h, cache
 
 
 def backward(params: Params, cache: list[np.ndarray], dout: np.ndarray) -> tuple[

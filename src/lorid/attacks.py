@@ -77,7 +77,9 @@ class ToyClassifier:
             raise ValueError("classifier needs at least 2 classes")
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return _nn.infer(self.params, np.asarray(x, dtype=np.float64).reshape(-1, self.input_dim))
+        x = np.asarray(x, dtype=np.float64).reshape(-1, self.input_dim)
+        out, _ = _nn.forward(self.params, x)
+        return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=-1)

@@ -391,6 +391,10 @@ class MlpDenoiser:
             raise ValueError(f"time steps must be integers in [0, {self.t_total}]")
         return np.concatenate([x, self._time_table[t_arr.astype(np.intp)]], axis=-1)
 
+    def _forward_batch(self, x: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
+        out, _ = _nn.forward(self.params, self._features(x, t_arr))
+        return out
+
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray:
         x_t = np.asarray(x_t, dtype=np.float64)
         if x_t.shape[-1] != self.dim:
@@ -398,7 +402,7 @@ class MlpDenoiser:
         lead = x_t.shape[:-1]
         flat = x_t.reshape(-1, self.dim)
         t_arr = np.full(flat.shape[0], float(t))
-        return _nn.infer(self.params, self._features(flat, t_arr)).reshape(*lead, self.dim)
+        return self._forward_batch(flat, t_arr).reshape(*lead, self.dim)
 
 
 @dataclass(frozen=True)

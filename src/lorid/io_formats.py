@@ -104,7 +104,9 @@ def _read_block(fh: BinaryIO) -> np.ndarray:
         if nonzero > _MAX_ELEMENTS:
             raise TensorFormatError(f"dimension overflow: {dims}")
     count = math.prod(dims)
-    if fh.seekable():  # refuse a header that claims more payload than the file holds
+    # Refuse a header that claims more payload than the file holds, where the
+    # handle can tell; one that has only read is taken at its word until the read.
+    if hasattr(fh, "seekable") and fh.seekable():
         here = fh.tell()
         left = fh.seek(0, io.SEEK_END) - here
         fh.seek(here)
@@ -112,11 +114,14 @@ def _read_block(fh: BinaryIO) -> np.ndarray:
             raise TensorFormatError(
                 f"truncated file: header claims {8 * count} bytes of payload, {left} remain"
             )
+    if not hasattr(fh, "readinto"):  # a handle with only read: one copy more
+        payload = _read_exact(fh, 8 * count, "payload")
+        return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     # Read straight into the array's own memory, the one copy of the payload.
     # np.empty, unlike bytearray, does not zero-fill what a lying header claims
     # of a handle whose size cannot be checked above.
     payload = np.empty(8 * count, dtype=np.uint8)
-    got = fh.readinto(payload)
+    got = fh.readinto(payload) or 0  # a non-blocking handle with no data gives None
     if got != payload.size:
         raise TensorFormatError(
             f"truncated file: expected {payload.size} bytes of payload, got {got}")

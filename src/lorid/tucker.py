@@ -93,17 +93,28 @@ class TuckerBasis:
         object.__setattr__(self, "ranks", tuple(u.shape[1] for u in self.factors))
 
 
-def tensorize(x: np.ndarray, layout: TensorizationLayout) -> np.ndarray:
-    """Reshuffle an image (or batch of images) into its patch tensor, losslessly."""
-    x = np.asarray(x, dtype=np.float64)
+# The patch tensor's layout, defined here once: with an image viewed as
+# (H/p, p, W/p, p, C) by _patch_view, its four modes (patch-row, patch-col,
+# patch-pixel, channel) are these groups of trailing axes.  The patch-pixel
+# mode is the pair of in-patch axes, row-major.
+_MODE_AXES = ((-5,), (-3,), (-4, -2), (-1,))
+
+
+def _patch_view(x: np.ndarray, layout: TensorizationLayout) -> np.ndarray:
+    """``x`` (..., H, W, C) viewed as (..., H/p, p, W/p, p, C), with no copy."""
     h, w, c = layout.image_shape
     p = layout.patch
     if x.shape[-3:] != (h, w, c):
         raise ValueError(f"image shape {x.shape} does not match layout {layout.image_shape}")
-    lead = x.shape[:-3]
-    out = x.reshape(*lead, h // p, p, w // p, p, c)
-    out = np.moveaxis(out, -4, -3)  # -> (..., H/p, W/p, p, p, C)
-    return out.reshape(*lead, h // p, w // p, p * p, c)
+    return x.reshape(*x.shape[:-3], h // p, p, w // p, p, c)
+
+
+def tensorize(x: np.ndarray, layout: TensorizationLayout) -> np.ndarray:
+    """Reshuffle an image (or batch of images) into its patch tensor, losslessly."""
+    blocks = _patch_view(np.asarray(x, dtype=np.float64), layout)
+    lead = blocks.shape[:-5]
+    order = [*range(len(lead)), *(a % blocks.ndim for group in _MODE_AXES for a in group)]
+    return blocks.transpose(order).reshape(*lead, *layout.tensor_shape)
 
 
 def detensorize(x: np.ndarray, layout: TensorizationLayout) -> np.ndarray:
@@ -215,21 +226,18 @@ def fit_basis(
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 4 or data.shape[0] < 1:
         raise ValueError("dataset must be a nonempty (N, H, W, C) array")
-    if data.shape[1:] != layout.image_shape:
-        raise ValueError(f"image shape {data.shape} does not match layout {layout.image_shape}")
-    h, w, c = layout.image_shape
-    p = layout.patch
-    # Axes (N, H/p, p, W/p, p, C): the patch-pixel mode is the pair (2, 4).
-    blocks = data.reshape(data.shape[0], h // p, p, w // p, p, c)
+    blocks = _patch_view(data, layout)  # (N, H/p, p, W/p, p, C)
+    groups = [(0,), *(tuple(a % blocks.ndim for a in g) for g in _MODE_AXES)]
     # A fresh data-sized array per mode would be mapped and unmapped by malloc
     # each time, and fault its pages in anew: 4x the faults at 64 CIFAR images.
     buf = np.empty(data.size)
 
     def unfoldings() -> Iterator[np.ndarray]:
         # Per image mode, its axes and then the batch tensor's other axes in
-        # order.  Each yield overwrites the last, which _hosvd_factors is done with.
-        orders = ((1, 0, 3, 2, 4, 5), (3, 0, 1, 2, 4, 5), (2, 4, 0, 1, 3, 5), (5, 0, 1, 3, 2, 4))
-        for order, dim in zip(orders, layout.tensor_shape):
+        # order, as unfold takes them.  Each yield overwrites the last, which
+        # _hosvd_factors is done with.
+        for mode, dim in enumerate(layout.tensor_shape, start=1):
+            order = groups[mode] + sum(groups[:mode] + groups[mode + 1:], ())
             axes = blocks.transpose(order)
             buf.reshape(axes.shape)[...] = axes
             yield buf.reshape(dim, -1)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lorid import _nn
-from lorid.attacks import ToyClassifier
 from lorid.diffusion import (
     GaussianOracleDenoiser,
     GaussianSource,
@@ -606,33 +605,27 @@ class TestMlpDenoiser:
             MlpDenoiser(0, params)
 
 
-class TestInference:
-    """``_nn.infer``, the cache-free pass ``predict_eps`` and ``logits`` run, gives
-    the bits of ``_nn.forward``'s output, which training and ``input_grad`` keep."""
+class TestForward:
+    """``_nn.forward`` adds each bias and applies each tanh in place on the
+    layer's product; its output and cache keep the bits of the out-of-place
+    formula kept here as the reference."""
 
     @pytest.mark.parametrize("hidden", [(), (7,), (7, 5), (7, 5, 9)])
-    def test_bit_equal_to_forward_and_input_untouched(self, hidden):
+    def test_bit_equal_to_the_out_of_place_formula_and_input_untouched(self, hidden):
         rng = np.random.default_rng(len(hidden))
         params = _nn.init_params([6, *hidden, 4], rng)
         for _, b in params:
             b += rng.standard_normal(b.shape)  # init leaves the biases zero
         x = rng.standard_normal((11, 6))
         before = x.copy()
-        out = _nn.infer(params, x)
-        want, _ = _nn.forward(params, x)
-        assert out.tobytes() == want.tobytes()
+        out, cache = _nn.forward(params, x)
+        want = [x]
+        for i, (w, b) in enumerate(params):
+            z = want[-1] @ w + b
+            want.append(z if i == len(params) - 1 else np.tanh(z))
+        assert out.tobytes() == want[-1].tobytes()
+        assert [h.tobytes() for h in cache] == [h.tobytes() for h in want]
         assert x.tobytes() == before.tobytes()
-
-    def test_predict_eps_and_logits_give_the_forward_bits(self):
-        rng = np.random.default_rng(31)
-        model = MlpDenoiser.initialize(3, (6, 5), 50, rng)
-        batch = rng.standard_normal((2, 4, 3))
-        feats = np.concatenate([batch.reshape(-1, 3), model._time_table[np.full(8, 20)]], axis=-1)
-        want, _ = _nn.forward(model.params, feats)
-        assert model.predict_eps(batch, 20).tobytes() == want.tobytes()
-        clf = ToyClassifier(_nn.init_params([3, 6, 2], rng))
-        want, _ = _nn.forward(clf.params, batch.reshape(-1, 3))
-        assert clf.logits(batch).tobytes() == want.tobytes()
 
 
 class TestTraining:

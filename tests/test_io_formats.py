@@ -133,6 +133,24 @@ class TestTensorFile:
                            match="^truncated file: expected 64 bytes of payload, got 60$"):
             read_tensor(Unseekable(buf.getvalue()[:-4]))
 
+    def test_handle_with_only_read(self):
+        """A handle without readinto or seekable still reads, and a cut payload
+        is still refused."""
+
+        class ReadOnly:
+            def __init__(self, data):
+                self.read = io.BytesIO(data).read
+
+        x = np.random.default_rng(603).standard_normal((2, 3))
+        buf = io.BytesIO()
+        write_tensor(buf, x)
+        back = read_tensor(ReadOnly(buf.getvalue()))
+        assert back.tobytes() == x.tobytes() and back.shape == x.shape
+        assert back.flags.writeable
+        with pytest.raises(TensorFormatError,
+                           match="^truncated file: expected 48 bytes of payload, got 44$"):
+            read_tensor(ReadOnly(buf.getvalue()[:-4]))
+
     def test_trailing_bytes_rejected_on_path_read(self, tmp_path):
         path = str(tmp_path / "extra.lten")
         with open(path, "wb") as fh:
