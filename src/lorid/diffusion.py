@@ -16,14 +16,15 @@ the trailing axis as the data dimension and broadcast over leading axes.
 Every stochastic operation takes an explicit ``numpy.random.Generator``;
 identical seeds reproduce runs bit-for-bit.  :func:`diffuse` takes its
 standard-normal draw ``eps`` from the caller, so with ``eps`` held fixed it is
-the affine map above.  :func:`ancestral_steps` takes its draws the same way,
-one per ``send``, so the purifier can feed one sequence of draws to several
-chains; :func:`reverse_ancestral` feeds it from a generator.
+the affine map above.  :func:`walk` applies a reverse sampler's list of steps,
+taking its draws one per ``send``, so the purifier can feed one sequence of
+draws to several chains; :func:`reverse_ancestral` and :func:`reverse_skip` drive it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Generator, Protocol, Sequence, TypeVar
 
@@ -50,26 +51,33 @@ __all__ = [
     "one_shot_recover",
     "reverse_ancestral",
     "reverse_skip",
+    "skip_steps",
     "train_mlp_denoiser",
+    "walk",
 ]
 
 R = TypeVar("R")
+Step = tuple[int, float, float, float, float]
 
 DEFAULT_T = 1000
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
 
 
+def _check_int(value, name: str) -> None:
+    """ValueError unless ``value`` is an int or numpy integer: a float count,
+    even a whole one, is refused rather than truncated or carried into ``range``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value} is not an integer")
+
+
 class Schedule:
     """Variance schedule for t = 1..T, built from beta_1..beta_T alone.
 
     ``T``, ``alpha`` = 1 - beta and ``alpha_bar`` (the cumulative product of
-    alpha) are derived from ``beta`` here, so they always agree with it.  So are
-    the samplers' per-step tables of plain floats, indexed by s = 0..T: ``_abar``
-    holds abar_s with abar_0 = 1 (``_abar_array`` as an array), ``_eps_coef``
-    beta_s / sqrt(1 - abar_s), ``_sqrt_alpha`` sqrt(alpha_s) and ``_sigma``
-    sqrt(beta_s (1 - abar_{s-1}) / (1 - abar_s)), 0 at s = 1; the last three
-    hold NaN at s = 0.  A caller checks its depth once, then reads the tables.
+    alpha) are derived from ``beta`` here, so they always agree with it.  So is
+    ``_abar``, abar_s for s = 0..T as plain floats with abar_0 = 1
+    (``_abar_array`` as an array).  A caller checks its depth once, then reads it.
     """
 
     def __init__(self, beta) -> None:
@@ -88,10 +96,6 @@ class Schedule:
         if not np.all(np.diff(self._abar_array) < 0.0):
             raise ValueError("alpha_bar must be strictly decreasing from alpha_bar_0 = 1")
         self._abar = self._abar_array.tolist()
-        ab_prev, ab = self._abar_array[:-1], self._abar_array[1:]
-        self._eps_coef = [math.nan, *(beta / np.sqrt(1.0 - ab)).tolist()]
-        self._sqrt_alpha = [math.nan, *np.sqrt(self.alpha).tolist()]
-        self._sigma = [math.nan, *np.sqrt(beta * (1.0 - ab_prev) / (1.0 - ab)).tolist()]
 
     def _check_step(self, t: int | np.ndarray, low: int) -> int | np.ndarray:
         """``t`` as an int, or an array of steps as an index array.  A step that
@@ -165,24 +169,49 @@ def one_shot_recover(
     return x_t / math.sqrt(ab) - math.sqrt((1.0 - ab) / ab) * eps_hat
 
 
-def ancestral_steps(
-    x: np.ndarray, t: int, denoiser: Denoiser, schedule: Schedule
-) -> Generator[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The ancestral reverse chain from step ``t`` down to 0, as a generator.
+def ancestral_steps(t: int, schedule: Schedule) -> list[Step]:
+    """The ancestral reverse chain from step ``t`` down to 0, as :func:`walk`'s steps.
 
     Each step takes the posterior mean implied by the predicted noise and adds
-    Gaussian noise with the posterior standard deviation
-    sigma_s = sqrt(beta_s * (1 - abar_{s-1}) / (1 - abar_s));
-    the final step (s = 1) adds no noise, so t = 1 is deterministic.  For each
-    of the t - 1 noisy steps the generator yields the shape of the
-    standard-normal draw it needs and takes the draw through ``send``; it
-    returns the final state.  Between steps its frame holds only the state.
+    Gaussian noise with the posterior standard deviation sigma_s = sqrt(beta_s
+    (1 - abar_{s-1}) / (1 - abar_s)), 0 at s = 1, so t = 1 is deterministic.
     """
-    x = np.asarray(x, dtype=np.float64)
+    steps = []
     for s in range(schedule._check_step(t, 1), 0, -1):
-        x = (x - schedule._eps_coef[s] * denoiser.predict_eps(x, s)) / schedule._sqrt_alpha[s]
-        if s > 1:
-            x = x + schedule._sigma[s] * (yield x.shape)
+        beta, ab = float(schedule.beta[s - 1]), schedule._abar[s]
+        sigma = math.sqrt(beta * (1.0 - schedule._abar[s - 1]) / (1.0 - ab))
+        steps.append((s, 1.0, -(beta / math.sqrt(1.0 - ab)), math.sqrt(1.0 - beta), sigma))
+    return steps
+
+
+def skip_steps(t: int, k: int, schedule: Schedule) -> list[Step]:
+    """The jumps of :func:`reverse_skip` from step ``t`` down to 0, as :func:`walk`'s steps."""
+    _check_int(k, "skip size k")
+    if k < 1:
+        raise ValueError("skip size k must be >= 1")
+    steps = []
+    for s in range(schedule._check_step(t, 1), 0, -k):
+        ab_s, ab_g = schedule._abar[s], schedule._abar[max(s - k, 0)]
+        coef = math.sqrt((1.0 - ab_g) / ab_g) - math.sqrt((1.0 - ab_s) / ab_s)
+        steps.append((s, math.sqrt(ab_g / ab_s), math.sqrt(ab_g) * coef, 1.0, 0.0))
+    return steps
+
+
+def walk(
+    x: np.ndarray, steps: Sequence[Step], denoiser: Denoiser
+) -> Generator[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Apply ``steps`` to ``x`` in turn: step (s, a, b, d, c) maps x to
+    (a x + b eps_hat(x, s)) / d + c z.  A product or quotient by 1 is skipped,
+    so each step keeps its sampler formula's bits.  Where c != 0 it yields the
+    shape of the standard-normal draw z and takes z through ``send``.  Returns
+    the final state; between draws its frame holds only the state."""
+    x = np.asarray(x, dtype=np.float64)
+    for s, a, b, d, c in steps:
+        x = (x if a == 1.0 else a * x) + b * denoiser.predict_eps(x, s)
+        if d != 1.0:
+            x /= d
+        if c != 0.0:
+            x += c * (yield x.shape)
     return x
 
 
@@ -206,7 +235,7 @@ def reverse_ancestral(
 ) -> np.ndarray:
     """Ancestral reverse chain from step ``t`` down to 0 (see
     :func:`ancestral_steps`), its noise drawn from ``rng``."""
-    return drive(ancestral_steps(x_t, t, denoiser, schedule), rng)
+    return drive(walk(x_t, ancestral_steps(t, schedule), denoiser), rng)
 
 
 def reverse_skip(
@@ -223,18 +252,7 @@ def reverse_skip(
     with a shorter final jump when k does not divide s.  A single jump with
     k = t reduces to :func:`one_shot_recover` (abar_0 = 1).
     """
-    if k < 1:
-        raise ValueError("skip size k must be >= 1")
-    x = np.asarray(x_t, dtype=np.float64)
-    s = schedule._check_step(t, 1)
-    while s > 0:
-        target = max(s - k, 0)
-        ab_s, ab_g = schedule._abar[s], schedule._abar[target]
-        eps_hat = denoiser.predict_eps(x, s)
-        coef = math.sqrt((1.0 - ab_g) / ab_g) - math.sqrt((1.0 - ab_s) / ab_s)
-        x = math.sqrt(ab_g / ab_s) * x + math.sqrt(ab_g) * coef * eps_hat
-        s = target
-    return x
+    return drive(walk(x_t, skip_steps(t, k, schedule), denoiser), None)
 
 
 class GaussianSource:

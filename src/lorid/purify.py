@@ -21,16 +21,19 @@ from typing import Callable, Generator, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-# reverse_ancestral is not called here (the loops run ancestral_steps); the
-# benchmark's tracer wraps it under this module's name.
+# reverse_ancestral and reverse_skip are not called here (the loops walk the
+# step lists); the benchmark's tracer wraps them under this module's name.
 from .diffusion import (
     Denoiser,
     Schedule,
+    _check_int,
     ancestral_steps,
     diffuse,
     drive,
     reverse_ancestral,
     reverse_skip,
+    skip_steps,
+    walk,
 )
 from .tensorops import frobenius_norm
 from .tucker import TuckerBasis, tf_apply
@@ -74,6 +77,8 @@ class LoridConfig:
     skip_k: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("t", "L", "skip_k"):
+            _check_int(getattr(self, name), name)
         if self.L < 1:
             raise ValueError(f"loop count L={self.L} must be >= 1")
         if self.t // self.L < 1:
@@ -224,7 +229,7 @@ def _purify_steps(
     ref: np.ndarray | None,
 ) -> Generator[tuple[int, ...], np.ndarray, np.ndarray]:
     """The purify of ``x`` as a step generator (see
-    :func:`lorid.diffusion.ancestral_steps`): it yields ``shape`` for each of
+    :func:`lorid.diffusion.walk`): it yields ``shape`` for each of
     its ``config.draws`` draws, takes the draw through ``send`` and returns
     the purified samples flattened to ``shape``.  It counts its loops in
     ``trace``, and with ``ref`` records the distances to it there.  Between
@@ -234,14 +239,12 @@ def _purify_steps(
     if ref is not None:
         trace.distances.append(_distance(x, ref))
     t_loop = config.per_loop_t
+    reverse = (ancestral_steps(t_loop, schedule) if config.sampler == "ancestral"
+               else skip_steps(t_loop, config.skip_k, schedule))
     for _ in range(config.L):
-        x = diffuse(x, t_loop, schedule, (yield shape))
-        if config.sampler == "ancestral":
-            chain = ancestral_steps(x, t_loop, denoiser, schedule)
-            del x  # the chain holds the only reference to the diffused state
-            x = yield from chain
-        else:
-            x = reverse_skip(x, t_loop, config.skip_k, denoiser, schedule)
+        chain = walk(diffuse(x, t_loop, schedule, (yield shape)), reverse, denoiser)
+        del x  # the pre-diffuse state is not held while the chain runs
+        x = yield from chain
         trace.loops += 1
         if ref is not None:
             trace.distances.append(_distance(x, ref))

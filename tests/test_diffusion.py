@@ -181,8 +181,8 @@ def _skip_ref(x, t, k, denoiser, sched):
 
 
 class TestStepTables:
-    """The samplers read per-step tables built once per schedule; these loops
-    compute every coefficient per step from beta, alpha and alpha_bar."""
+    """The samplers walk step lists built once per chain; these loops compute
+    every coefficient inline, step by step, from beta, alpha and alpha_bar."""
 
     @pytest.mark.parametrize("beta", [
         np.linspace(1e-4, 0.02, 10), np.linspace(1e-4, 0.02, 250), np.linspace(1e-4, 0.02, 1000),
@@ -392,6 +392,9 @@ class TestReverseSkip:
     def test_bad_k_raises(self):
         with pytest.raises(ValueError):
             reverse_skip(np.zeros(2), 5, 0, _ZeroNoise(), default_schedule())
+        for k in (2.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^skip size k={k} is not an integer"):
+                reverse_skip(np.zeros(2), 5, k, _ZeroNoise(), default_schedule())
 
 
 class TestGaussianOracle:

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -63,6 +64,14 @@ class TestConfig:
             LoridConfig(t=10, sampler="euler")
         with pytest.raises(ValueError):
             LoridConfig(t=10, skip_k=0)
+        with pytest.raises(ValueError, match="^t=10.5 is not an integer"):
+            LoridConfig(t=10.5, L=2)  # not truncated to 5 steps per loop
+        with pytest.raises(ValueError, match="^L=2.0 is not an integer"):
+            LoridConfig(t=10, L=2.0)
+        with pytest.raises(ValueError, match="^skip_k=2.5 is not an integer"):
+            LoridConfig(t=10, sampler="skip", skip_k=2.5)
+        with pytest.raises(ValueError, match="^t=nan is not an integer"):
+            LoridConfig(t=math.nan)
 
     def test_depth_beyond_schedule_rejected(self, sched):
         cfg = LoridConfig(t=2000)
@@ -473,6 +482,53 @@ class TestLockstep:
             with pytest.raises(ValueError, match=message):
                 purify_in_lockstep(inputs, mlp, sched, configs, rng, lambda p: p)
             assert rng.bit_generator.state == state
+
+
+class _DrawProbe:
+    """Stands in for the generator: records the bytes ``tracemalloc`` sees live
+    at each ``standard_normal`` call, then makes the draw from ``rng``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.live = []
+
+    def standard_normal(self, shape):
+        self.live.append(tracemalloc.get_traced_memory()[0])
+        return self.rng.standard_normal(shape)
+
+
+def test_walk_holds_one_state_per_config_at_each_draw():
+    """At every draw of an inline purify (8 x 500 values per draw), the live
+    bytes above those held before it stay within 1.5 states per config, and
+    each input takes ``LoridConfig.draws`` draws.  A purify that kept the
+    pre-diffuse state while its chain runs reads about 2.1 states per config."""
+    sched = make_linear_schedule(50, 1e-4, 0.02)
+    oracle = GaussianOracleDenoiser(np.zeros(500), np.linspace(0.5, 2.0, 500), sched)
+    x = np.random.default_rng(480).standard_normal((8, 500))
+    inputs = [x, -x]
+    assert x.size < STREAM_MIN_VALUES
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for sampler in ("ancestral", "skip"):
+            grid = [LoridConfig(t=t, L=L, sampler=sampler, skip_k=k)
+                    for t, L, k in [(6, 1, 1), (9, 3, 2), (12, 2, 4)]]
+            for cfg in grid:
+                probe = _DrawProbe(np.random.default_rng(481))
+                before = tracemalloc.get_traced_memory()[0]
+                lorid_purify(x, oracle, sched, cfg, probe)
+                assert len(probe.live) == cfg.draws
+                assert max(probe.live) - before <= 1.5 * x.nbytes
+            for pair in zip(grid, grid[1:]):
+                probe = _DrawProbe(np.random.default_rng(482))
+                before = tracemalloc.get_traced_memory()[0]
+                purify_in_lockstep(inputs, oracle, sched, pair, probe, lambda p: float(p[0, 0]))
+                assert len(probe.live) == 2 * max(cfg.draws for cfg in pair)
+                assert max(probe.live) - before <= 1.5 * len(pair) * x.nbytes
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestPerturbations:
