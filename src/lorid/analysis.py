@@ -34,7 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import Denoiser, GaussianSource, Schedule, diffuse, one_shot_recover
+from .diffusion import Denoiser, GaussianSource, Schedule, _finite, diffuse, one_shot_recover
+from .purify import LoridConfig
 from .tensorops import frobenius_norm
 from .tucker import TuckerBasis, tf_apply
 
@@ -149,10 +150,9 @@ def mmse_binary_monte_carlo(snr: float, trials: int, rng: np.random.Generator) -
 
 
 def effective_snr(schedule: Schedule, t: int) -> float:
-    """Signal-to-noise ratio of the forward process at depth t: abar/(1-abar)."""
-    abar = schedule.alpha_bar_at(t)
-    if t < 1:
-        raise ValueError(f"depth t={t} must be >= 1 (snr diverges at t=0)")
+    """Signal-to-noise ratio abar/(1-abar) of the forward process at a depth t
+    in [1, T], checked by :meth:`Schedule._check_step` (it diverges at t = 0)."""
+    abar = schedule._abar[schedule._check_step(t, 1)]
     return abar / (1.0 - abar)
 
 
@@ -181,23 +181,19 @@ def loop_bound_curve(
 
     Each of the L loops runs at depth floor(effective_t / L) and contributes
     at most the standard-normal MMSE at that depth, so the curve value is
-    L * mmse_gaussian(snr at floor(effective_t / L)).
+    L * mmse_gaussian(snr at floor(effective_t / L)).  The split is the
+    purifier's: a valid ``LoridConfig(effective_t, L)`` and its ``per_loop_t``.
 
     The curve is not monotone in L at every depth.  Since mmse_gaussian <= 1,
     the L=1 value is at most 1, and snr(floor(effective_t / 2)) < 1 makes
     each of the two L=2 loops cost more than 1/2: there value(L=2) > 1 >=
     value(L=1), so splitting a deep pass in two loosens the bound.
     """
-    if not 1 <= effective_t <= schedule.T:
-        raise ValueError(f"effective_t={effective_t} outside [1, {schedule.T}]")
     points = []
     for L in L_values:
-        L = int(L)
-        if L < 1:
-            raise ValueError(f"loop count {L} must be >= 1")
-        per_loop = effective_t // L
-        if per_loop < 1:
-            raise ValueError(f"L={L} too large for effective_t={effective_t}: zero-depth loops")
+        split = LoridConfig(effective_t, L)
+        split.validate(schedule)
+        per_loop = split.per_loop_t
         value = L * mmse_gaussian(effective_snr(schedule, per_loop))
         points.append(CurvePoint(L=L, t_over_L=per_loop, effective_t=L * per_loop, value=value))
     return points
@@ -227,7 +223,7 @@ def kl_gaussian_curve(p1, p2, schedule: Schedule, ts: Sequence[int]) -> np.ndarr
     v2 = np.eye(src2.dim) if src2.eigvecs is None else src2.eigvecs
     g1 = np.einsum("ji,jk,ki->i", v2, src1.cov, v2)
     dm2 = (v2.T @ (src2.mean - src1.mean)) ** 2
-    abar = schedule.alpha_bar_at(np.asarray(ts))[:, None]
+    abar = schedule.alpha_bar_at(ts)[:, None]
     c2 = abar * src2.eigvals + (1.0 - abar)
     trace = np.sum((abar * g1 + (1.0 - abar)) / c2, axis=1)
     quad = np.sum(abar * dm2 / c2, axis=1)
@@ -335,8 +331,7 @@ def kl_quadrature_forward(
     Raises if normalization drifts above 1e-6 at any stage (grid too coarse
     for the inputs).
     """
-    if t < 0:
-        raise ValueError(f"depth t={t} must be >= 0")
+    schedule._check_step(t, 0)
     x, w = quadrature_grid()
     p = _grid_density(density1, x, "density1")
     q = _grid_density(density2, x, "density2")
@@ -346,7 +341,7 @@ def kl_quadrature_forward(
             raise ValueError(f"{name} mass {mass:.8f} drifts from 1 by more than 1e-6")
     if t == 0:
         return _grid_kl(p, q, w)
-    pushed = _push_forward(np.column_stack([p, q]), w, x, schedule.alpha_bar_at(t))
+    pushed = _push_forward(np.column_stack([p, q]), w, x, schedule._abar[t])
     p_t, q_t = pushed[:, 0], pushed[:, 1]
     for name, vals in (("pushforward of density1", p_t), ("pushforward of density2", q_t)):
         mass = float(vals @ w)
@@ -470,16 +465,13 @@ def verify_bounds(
     if not ts:
         raise ValueError("need at least one depth")
     schedule = setup.schedule
-    for t in ts:
-        effective_snr(schedule, t)  # refuses a depth that is not an integer in [1, T]
+    schedule._check_step(ts, 1)  # refuses a depth that is not an integer in [1, T]
     d = setup.source.dim
     shift = None
     if setup.eps_a is not None:
-        shift = np.asarray(setup.eps_a, dtype=np.float64).reshape(-1)
+        shift = _finite(setup.eps_a, "perturbation eps_a").reshape(-1)
         if shift.size != d:
             raise ValueError(f"perturbation size {shift.size} != dimension {d}")
-        if not np.all(np.isfinite(shift)):
-            raise ValueError("perturbation eps_a holds non-finite values")
     if setup.basis is not None:
         img_shape = setup.basis.layout.image_shape
         if d != int(np.prod(img_shape)):

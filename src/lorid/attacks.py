@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _nn
-from .diffusion import Denoiser, Schedule
+from .diffusion import Denoiser, Schedule, _TrainCounts, _check_int, _finite
 # lorid_purify is not called here; the benchmark's tracer wraps it under this
 # module's name.
 from .purify import LoridConfig, lorid_purify, purify_in_lockstep
@@ -116,7 +116,7 @@ class AttackBudget:
 
     ``norm`` is "linf" or "l2"; ``epsilon`` the ball radius (0 is allowed as a
     degenerate no-op probe); ``clip`` optionally clamps perturbed inputs to
-    the data's valid range.  ``epsilon`` and ``step_size`` must be finite.
+    the data's valid range.  ``epsilon`` and ``step_size`` are finite, ``steps`` an int.
     """
 
     norm: str
@@ -130,6 +130,7 @@ class AttackBudget:
             raise ValueError(f"norm must be 'linf' or 'l2', got {self.norm!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
+        _check_int(self.steps, "steps=")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.step_size is not None and not (
@@ -147,7 +148,7 @@ class AttackBudget:
 
 
 @dataclass(frozen=True)
-class ClassifierTrainConfig:
+class ClassifierTrainConfig(_TrainCounts):
     hidden: tuple[int, ...] = (32,)
     lr: float = 0.05
     epochs: int = 150
@@ -176,10 +177,8 @@ def train_classifier(
 ) -> ToyClassifier:
     """Cross-entropy training of the softmax MLP on flat feature vectors, at a
     constant rate, by :func:`lorid._nn.sgd_train`."""
-    x = np.asarray(dataset, dtype=np.float64)
+    x = _finite(dataset, "training data")
     x = x.reshape(x.shape[0], -1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("training data holds non-finite values")
     # n samples hold at most n classes.
     y = _class_labels(labels, x.shape[0], x.shape[0])
     classes = np.unique(y)

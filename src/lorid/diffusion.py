@@ -64,11 +64,34 @@ DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
 
 
-def _check_int(value, name: str) -> None:
-    """ValueError unless ``value`` is an int or numpy integer: a float count,
-    even a whole one, is refused rather than truncated or carried into ``range``."""
+def _check_int(value, label: str) -> None:
+    """ValueError, naming ``label`` and ``value`` ("t=2.0"), unless ``value`` is an int
+    or numpy integer: a float, even a whole one, is never truncated or put in ``range``."""
     if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}={value} is not an integer")
+        raise ValueError(f"{label}{value} is not an integer")
+
+
+def _check_steps(t, low: int, high: int):
+    """``t``, a step or a sequence of steps, once each is an integer in [low, high]:
+    an int or numpy integer (:func:`_check_int`), or an array of an integer dtype.
+    The ValueError names the first bad step; a sequence comes back as an index array.
+    """
+    steps = np.asarray(t)
+    if steps.dtype.kind not in "iu":
+        for step in t if steps.ndim else [t]:
+            _check_int(step, "step ")
+    bad = (steps < low) | (steps > high)
+    if bad.any():
+        raise ValueError(f"step {steps[bad][0]} outside [{low}, {high}]")
+    return steps.astype(np.intp, copy=False) if steps.ndim else t
+
+
+def _finite(x, what: str) -> np.ndarray:
+    """``x`` as a float64 array; ValueError where it holds a NaN or an infinity."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} holds non-finite values")
+    return x
 
 
 class Schedule:
@@ -98,24 +121,11 @@ class Schedule:
         self._abar = self._abar_array.tolist()
 
     def _check_step(self, t: int | np.ndarray, low: int) -> int | np.ndarray:
-        """``t`` as an int, or an array of steps as an index array.  A step that
-        is fractional, NaN or infinite, or outside [low, T], raises ValueError
-        rather than being truncated."""
-        if isinstance(t, np.ndarray):
-            steps = t.astype(np.float64)
-            bad = ~((np.floor(steps) == steps) & (low <= steps) & (steps <= self.T))
-            if bad.any():
-                self._check_step(t[bad][0], low)  # raises, naming the first bad step
-            return steps.astype(np.intp)
-        step = float(t)
-        if not step.is_integer():
-            raise ValueError(f"step {t} is not an integer")
-        if not low <= step <= self.T:
-            raise ValueError(f"step {t} outside [{low}, {self.T}]")
-        return int(step)
+        """``t`` once :func:`_check_steps` finds it a step, or steps, in [low, T]."""
+        return _check_steps(t, low, self.T)
 
     def alpha_bar_at(self, t: int | np.ndarray) -> float | np.ndarray:
-        """abar_t with the convention abar_0 = 1; an array of steps reads an array."""
+        """abar_t with the convention abar_0 = 1; a sequence of steps reads an array."""
         step = self._check_step(t, 0)
         if isinstance(step, np.ndarray):
             return self._abar_array[step]
@@ -124,6 +134,7 @@ class Schedule:
 
 def make_linear_schedule(T: int, beta_start: float, beta_end: float) -> Schedule:
     """Schedule with beta linearly interpolated from ``beta_start`` to ``beta_end``."""
+    _check_int(T, "T=")
     if T < 1:
         raise ValueError("T must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
@@ -186,7 +197,7 @@ def ancestral_steps(t: int, schedule: Schedule) -> list[Step]:
 
 def skip_steps(t: int, k: int, schedule: Schedule) -> list[Step]:
     """The jumps of :func:`reverse_skip` from step ``t`` down to 0, as :func:`walk`'s steps."""
-    _check_int(k, "skip size k")
+    _check_int(k, "skip size k=")
     if k < 1:
         raise ValueError("skip size k must be >= 1")
     steps = []
@@ -267,13 +278,11 @@ class GaussianSource:
     """
 
     def __init__(self, mean, cov):
-        self.mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
+        self.mean = np.atleast_1d(_finite(mean, "mean"))
         if self.mean.ndim != 1:
             raise ValueError("mean must be a scalar or vector")
         d = self.mean.size
-        cov = np.asarray(cov, dtype=np.float64)
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and covariance must be finite")
+        cov = _finite(cov, "covariance")
         if cov.ndim == 0:
             cov = np.full(d, float(cov))
         if cov.ndim == 1:
@@ -384,8 +393,8 @@ class MlpDenoiser:
     t/T; the output is the predicted noise of the same dimension.  ``dim`` and
     the ``hidden`` widths are read off ``params``, whose input layer must take
     ``dim + N_TIME_FEATURES`` values.  Parameters are immutable after training;
-    prediction is deterministic.  The time features of the steps t = 0..T are
-    computed once, at construction, and a step off that table is refused.
+    prediction is deterministic.  The time features of the steps t = 0..T, T =
+    ``t_total`` an integer, are computed once, and :func:`_check_steps` refuses others.
     """
 
     def __init__(self, t_total: int, params: _nn.Params):
@@ -394,9 +403,10 @@ class MlpDenoiser:
         if d_in != self.dim + N_TIME_FEATURES:
             raise ValueError(f"layer 0: the denoiser input layer takes {d_in} values, not "
                              f"dim + {N_TIME_FEATURES} = {self.dim + N_TIME_FEATURES}")
-        self.t_total = int(t_total)
-        if self.t_total < 1:
-            raise ValueError(f"t_total must be >= 1, got {self.t_total}")
+        _check_int(t_total, "t_total=")
+        if t_total < 1:
+            raise ValueError(f"t_total must be >= 1, got {t_total}")
+        self.t_total = t_total
         self.params = params
         self._time_table = _time_features(np.arange(self.t_total + 1) / self.t_total)
 
@@ -404,27 +414,33 @@ class MlpDenoiser:
     def initialize(cls, dim: int, hidden: Sequence[int], t_total: int, rng: np.random.Generator):
         return cls(t_total, _nn.init_params([dim + N_TIME_FEATURES, *hidden, dim], rng))
 
-    def _features(self, x: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
-        if not np.all((t_arr >= 0) & (t_arr <= self.t_total) & (np.floor(t_arr) == t_arr)):
-            raise ValueError(f"time steps must be integers in [0, {self.t_total}]")
-        return np.concatenate([x, self._time_table[t_arr.astype(np.intp)]], axis=-1)
-
-    def _forward_batch(self, x: np.ndarray, t_arr: np.ndarray) -> np.ndarray:
-        out, _ = _nn.forward(self.params, self._features(x, t_arr))
-        return out
+    def _features(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
+        """The rows of ``x`` beside the time features of step ``t``, or of one
+        step per row, each checked once against [0, T]."""
+        times = self._time_table[_check_steps(t, 0, self.t_total)]
+        return np.concatenate([x, np.broadcast_to(times, (len(x), N_TIME_FEATURES))], axis=-1)
 
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray:
         x_t = np.asarray(x_t, dtype=np.float64)
         if x_t.shape[-1] != self.dim:
             raise ValueError(f"trailing axis {x_t.shape[-1]} != model dimension {self.dim}")
         lead = x_t.shape[:-1]
-        flat = x_t.reshape(-1, self.dim)
-        t_arr = np.full(flat.shape[0], float(t))
-        return self._forward_batch(flat, t_arr).reshape(*lead, self.dim)
+        out, _ = _nn.forward(self.params, self._features(x_t.reshape(-1, self.dim), t))
+        return out.reshape(*lead, self.dim)
+
+
+class _TrainCounts:
+    """Base of the training configs: their hidden widths, ``epochs`` and
+    ``batch_size`` are integers (:func:`_check_int`), checked when built."""
+
+    def __post_init__(self) -> None:
+        for label, value in (*(("hidden width ", w) for w in self.hidden),
+                             ("epochs=", self.epochs), ("batch_size=", self.batch_size)):
+            _check_int(value, label)
 
 
 @dataclass(frozen=True)
-class MlpTrainConfig:
+class MlpTrainConfig(_TrainCounts):
     hidden: tuple[int, ...] = (64, 64)
     lr: float = 0.05
     epochs: int = 40
@@ -471,13 +487,11 @@ def train_mlp_denoiser(
     the report carries a central-finite-difference gradient check evaluated at
     initialization (before any update).
     """
-    data = np.asarray(dataset, dtype=np.float64)
+    data = _finite(dataset, "training data")
     if data.ndim == 1:
         data = data[:, None]
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("dataset must be a nonempty (n, d) array")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("training data holds non-finite values")
     n, d = data.shape
 
     model = MlpDenoiser.initialize(d, hyperparams.hidden, schedule.T, rng)
@@ -485,7 +499,7 @@ def train_mlp_denoiser(
     # Gradient check on a small fixed batch at the initial parameters.
     check_n = min(8, n)
     x0_chk = data[:check_n]
-    t_chk = rng.integers(1, schedule.T + 1, size=check_n).astype(float)
+    t_chk = rng.integers(1, schedule.T + 1, size=check_n)
     eps_chk = rng.standard_normal((check_n, d))
 
     def chk_loss(p: _nn.Params) -> float:
@@ -498,7 +512,7 @@ def train_mlp_denoiser(
     params = model.params
 
     def batch_loss(idx: np.ndarray) -> tuple[float, _nn.Params]:
-        t_arr = rng.integers(1, schedule.T + 1, size=len(idx)).astype(float)
+        t_arr = rng.integers(1, schedule.T + 1, size=len(idx))
         eps = rng.standard_normal((len(idx), d))
         return _denoiser_loss_and_grads(model, params, data[idx], t_arr, eps, schedule)
 

@@ -120,7 +120,7 @@ def run_calibration(
     """
     if not t_grid or not L_grid:
         raise ConfigError("calibration grids must be nonempty")
-    grid = [replace(cfg, t=int(t), L=int(L)) for t in t_grid for L in L_grid]
+    grid = [replace(cfg, t=t, L=L) for t in t_grid for L in L_grid]
     art = artifacts or toy_task_artifacts(cfg)
     adv_images = attacks.pgd(
         art.clf, art.test_images, art.test_labels, budget, np.random.default_rng(cfg.seed + 5)

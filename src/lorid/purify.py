@@ -27,6 +27,7 @@ from .diffusion import (
     Denoiser,
     Schedule,
     _check_int,
+    _finite,
     ancestral_steps,
     diffuse,
     drive,
@@ -78,7 +79,7 @@ class LoridConfig:
 
     def __post_init__(self) -> None:
         for name in ("t", "L", "skip_k"):
-            _check_int(getattr(self, name), name)
+            _check_int(getattr(self, name), f"{name}=")
         if self.L < 1:
             raise ValueError(f"loop count L={self.L} must be >= 1")
         if self.t // self.L < 1:
@@ -199,13 +200,6 @@ def _distance(flat: np.ndarray, ref: np.ndarray) -> float:
     if not math.isfinite(dist):
         raise ValueError("distance to the clean reference overflows float64")
     return dist
-
-
-def _finite(x, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} holds non-finite values")
-    return x
 
 
 def _overflow_unwarned() -> np.errstate:

@@ -262,6 +262,12 @@ class TestLoopBoundCurve:
             loop_bound_curve(sched, 10, [0])
         with pytest.raises(ValueError):
             loop_bound_curve(sched, 10, [11])  # zero per-loop depth
+        # The split is LoridConfig's: a loop count or depth that is not an
+        # integer is refused, a whole float too, not truncated.
+        with pytest.raises(ValueError, match="^L=2.5 is not an integer"):
+            loop_bound_curve(sched, 400, [2.5])
+        with pytest.raises(ValueError, match="^t=400.0 is not an integer"):
+            loop_bound_curve(sched, 400.0, [1])
 
 
 class TestKlGaussian:
@@ -358,7 +364,9 @@ class TestKlGaussian:
                            (1001, r"step 1001 outside \[0, 1000\]")):
             with pytest.raises(ValueError, match=message):
                 kl_gaussian_curve(p1, p2, sched, [0, t])
-        np.testing.assert_array_equal(kl_gaussian_curve(p1, p2, sched, [0.0, 2.0]),
+        with pytest.raises(ValueError, match="step 0.0 is not an integer"):
+            kl_gaussian_curve(p1, p2, sched, [0.0, 2.0])
+        np.testing.assert_array_equal(kl_gaussian_curve(p1, p2, sched, np.array([0, 2])),
                                       kl_gaussian_curve(p1, p2, sched, [0, 2]))
 
 

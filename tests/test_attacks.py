@@ -165,6 +165,9 @@ class TestAttackBudget:
             AttackBudget(norm="linf", epsilon=-0.1)
         with pytest.raises(ValueError):
             AttackBudget(norm="linf", epsilon=0.1, steps=0)
+        for steps in (2.5, 2.0):
+            with pytest.raises(ValueError, match=f"^steps={steps} is not an integer"):
+                AttackBudget(norm="linf", epsilon=0.1, steps=steps)
         with pytest.raises(ValueError):
             AttackBudget(norm="linf", epsilon=0.1, step_size=0.0)
         with pytest.raises(ValueError):

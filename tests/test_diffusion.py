@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from lorid import _nn
+from lorid.attacks import ClassifierTrainConfig
+from lorid.analysis import (
+    effective_snr,
+    kl_gaussian_curve,
+    kl_quadrature_forward,
+    loop_bound_curve,
+)
 from lorid.diffusion import (
     GaussianOracleDenoiser,
     GaussianSource,
@@ -84,34 +91,40 @@ class TestSchedule:
                 sched.alpha_bar_at(t)
 
     def test_fractional_steps_refused(self):
-        """A step that is not an integer is refused, not truncated to the one below;
-        integral floats and numpy integers are steps, for alpha_bar_at and for the
-        per-step tables a sampler reads."""
+        """A step that is not an int or numpy integer is refused, a whole float
+        too, never truncated to the one below; a numpy integer is a step, for
+        alpha_bar_at and for the steps a sampler reads."""
         sched = make_linear_schedule(10, 1e-4, 0.02)
-        for t in (2.5, 2.999, math.nan, math.inf, -math.inf):
+        x = np.random.default_rng(303).standard_normal(3)
+        for t in (2.5, 2.999, math.nan, math.inf, -math.inf, 2.0, np.float64(2.0)):
             with pytest.raises(ValueError, match="is not an integer"):
                 sched.alpha_bar_at(t)
-        x = np.random.default_rng(303).standard_normal(3)
-        for t in (2.0, np.int64(2), np.float64(2.0)):
-            assert sched.alpha_bar_at(t) == sched.alpha_bar_at(2)
-            np.testing.assert_array_equal(
-                reverse_ancestral(x, t, _EchoNoise(x), sched, np.random.default_rng(4)),
-                reverse_ancestral(x, 2, _EchoNoise(x), sched, np.random.default_rng(4)),
-            )
+            with pytest.raises(ValueError, match="is not an integer"):
+                reverse_ancestral(x, t, _EchoNoise(x), sched, np.random.default_rng(4))
+        assert sched.alpha_bar_at(np.int64(2)) == sched.alpha_bar_at(2)
+        np.testing.assert_array_equal(
+            reverse_ancestral(x, np.int64(2), _EchoNoise(x), sched, np.random.default_rng(4)),
+            reverse_ancestral(x, 2, _EchoNoise(x), sched, np.random.default_rng(4)),
+        )
 
     def test_array_of_steps_read_at_once(self):
-        """An array of steps reads every abar_t in one go, under the scalar rule."""
+        """An array of steps reads every abar_t in one go.  It must have an
+        integer dtype, and each step of a list is held to the scalar rule; the
+        first bad step is named."""
         sched = make_linear_schedule(10, 1e-4, 0.02)
         steps = np.array([0, 2, 10, 2])
         expected = [sched.alpha_bar_at(int(t)) for t in steps]
         assert sched.alpha_bar_at(steps).tolist() == expected
-        assert sched.alpha_bar_at(steps.astype(np.float64)).tolist() == expected
+        assert sched.alpha_bar_at(steps.tolist()).tolist() == expected
+        with pytest.raises(ValueError, match="^step 0.0 is not an integer"):
+            sched.alpha_bar_at(steps.astype(np.float64))
         for bad, message in ((2.5, "step 2.5 is not an integer"),
                              (math.nan, "step nan is not an integer"),
                              (math.inf, "step inf is not an integer"),
-                             (11.0, r"step 11.0 outside \[0, 10\]")):
+                             (11.0, "step 11.0 is not an integer"),
+                             (11, r"step 11 outside \[0, 10\]")):
             with pytest.raises(ValueError, match=message):
-                sched.alpha_bar_at(np.array([1.0, bad, 12.0]))
+                sched.alpha_bar_at([1, bad, 12])
 
     def test_bad_construction(self):
         with pytest.raises(ValueError):
@@ -120,6 +133,9 @@ class TestSchedule:
             make_linear_schedule(10, 0.0, 0.02)
         with pytest.raises(ValueError):
             make_linear_schedule(10, 0.02, 1e-4)  # start > end
+        for T in (10.0, 10.7, np.float64(10.0)):
+            with pytest.raises(ValueError, match=f"^T={T} is not an integer"):
+                make_linear_schedule(T, 1e-4, 0.02)
         for beta in (np.array([]), np.full((2, 2), 0.1), np.array([0.1, 1.0]),
                      np.array([0.1, 0.0]), np.array([0.1, np.nan])):
             with pytest.raises(ValueError):
@@ -208,20 +224,37 @@ class TestStepTables:
                 np.testing.assert_array_equal(reverse_skip(x_t, t, k, oracle, sched),
                                               _skip_ref(x_t, t, k, oracle, sched))
 
-    @pytest.mark.parametrize("bad", [0, 11, 2.5, math.nan], ids=["0", "T+1", "2.5", "nan"])
+    @pytest.mark.parametrize(
+        "bad", [0, 11, 2.5, math.nan, 2.0, np.float64(2.0), -1],
+        ids=["0", "T+1", "2.5", "nan", "2.0", "float64-2.0", "-1"])
     def test_every_sampler_refuses_a_bad_depth(self, bad):
-        """Each sampler checks its depth against [1, T] once, naming the step."""
+        """Each sampler, and each reader of a step, checks its depth against
+        [1, T], or [0, T] where step 0 is read, once, naming the step; the loop
+        curve names the depth it would split."""
         sched = make_linear_schedule(10, 1e-4, 0.02)
         x = np.zeros(2)
-        calls = {
-            "diffuse": lambda: diffuse(x, bad, sched, np.zeros(2)),
-            "one_shot_recover": lambda: one_shot_recover(x, bad, _ZeroNoise(), sched),
-            "reverse_ancestral": lambda: reverse_ancestral(
-                x, bad, _ZeroNoise(), sched, np.random.default_rng(0)),
-            "reverse_skip": lambda: reverse_skip(x, bad, 1, _ZeroNoise(), sched),
-        }
-        for name, call in calls.items():
-            with pytest.raises(ValueError, match=rf"^step {bad} (outside|is not)"):
+        model = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(13))
+        gauss = (np.zeros(2), 1.0)
+        calls = [
+            (1, "step ", lambda: diffuse(x, bad, sched, np.zeros(2))),
+            (1, "step ", lambda: one_shot_recover(x, bad, _ZeroNoise(), sched)),
+            (1, "step ", lambda: reverse_ancestral(
+                x, bad, _ZeroNoise(), sched, np.random.default_rng(0))),
+            (1, "step ", lambda: reverse_skip(x, bad, 1, _ZeroNoise(), sched)),
+            (0, "step ", lambda: sched.alpha_bar_at(bad)),
+            (1, "step ", lambda: effective_snr(sched, bad)),
+            (0, "step ", lambda: kl_quadrature_forward(
+                lambda v: np.exp(-v * v / 2) / math.sqrt(2 * math.pi),
+                lambda v: np.exp(-v * v / 2) / math.sqrt(2 * math.pi), sched, bad)),
+            (0, "step ", lambda: kl_gaussian_curve(gauss, gauss, sched, [bad])),
+            (0, "step ", lambda: model.predict_eps(x, bad)),
+            (1, "t=", lambda: loop_bound_curve(sched, bad, [1])),
+        ]
+        for low, label, call in calls:
+            if bad == low:
+                continue  # a depth these calls read
+            refusal = rf"^{label}{bad} (outside|is not|exceeds|too small)"
+            with pytest.raises(ValueError, match=refusal):
                 call()
 
     def test_one_step_check_per_call(self, monkeypatch):
@@ -553,22 +586,30 @@ class TestMlpDenoiser:
 
         for t in range(T + 1):
             for n in (1, 7, 200):
-                t_arr = np.full(n, float(t))
+                t_arr = np.full(n, t)
+                expected = bits(_time_features(t_arr / T))
                 table = model._features(np.zeros((n, 2)), t_arr)[:, 2:]
-                np.testing.assert_array_equal(bits(table), bits(_time_features(t_arr / T)))
-        t_arr = np.random.default_rng(11).integers(0, T + 1, size=64).astype(float)
+                np.testing.assert_array_equal(bits(table), expected)
+                np.testing.assert_array_equal(bits(model._features(np.zeros((n, 2)), t)[:, 2:]),
+                                              expected)
+        t_arr = np.random.default_rng(11).integers(0, T + 1, size=64)
         table = model._features(np.zeros((64, 2)), t_arr)[:, 2:]
         np.testing.assert_array_equal(bits(table), bits(_time_features(t_arr / T)))
 
     def test_steps_off_the_table_are_refused(self):
         """A step off the 0..T table is refused, never extrapolated: alone,
-        mixed with steps on it, and through predict_eps."""
+        mixed with steps on it, and through predict_eps.  Steps in a float
+        array are refused, whole or not."""
         model = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(12))
         for t_arr in ([-1.0], [2.5], [11.0], [3.0, 11.0], [np.nan], [np.inf]):
-            with pytest.raises(ValueError, match=r"integers in \[0, 10\]"):
+            with pytest.raises(ValueError, match=rf"^step {t_arr[0]} is not an integer"):
                 model._features(np.zeros((len(t_arr), 2)), np.array(t_arr))
-        with pytest.raises(ValueError):
-            model.predict_eps(np.zeros(2), 11)
+        for t_arr in ([-1], [11], [3, 11]):
+            with pytest.raises(ValueError, match=rf"^step {t_arr[-1]} outside \[0, 10\]"):
+                model._features(np.zeros((len(t_arr), 2)), np.array(t_arr))
+        for t in (11, 2.0):
+            with pytest.raises(ValueError):
+                model.predict_eps(np.zeros(2), t)
         model.predict_eps(np.zeros(2), 10)
 
     def test_non_finite_params_rejected(self):
@@ -606,6 +647,9 @@ class TestMlpDenoiser:
         params = MlpDenoiser.initialize(2, (4,), 10, np.random.default_rng(16)).params
         with pytest.raises(ValueError, match="t_total"):
             MlpDenoiser(0, params)
+        for t_total in (10.7, 10.0, np.float64(10.0)):
+            with pytest.raises(ValueError, match=f"^t_total={t_total} is not an integer"):
+                MlpDenoiser(t_total, params)
 
 
 class TestForward:
@@ -632,6 +676,17 @@ class TestForward:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("config", [MlpTrainConfig, ClassifierTrainConfig])
+    def test_counts_refused_at_construction(self, config):
+        """A float epoch count, batch size or hidden width, even a whole one,
+        is refused when the config is built, before any training."""
+        for kwargs, message in (({"epochs": 1.5}, "^epochs=1.5 "),
+                                ({"batch_size": 8.0}, "^batch_size=8.0 "),
+                                ({"hidden": (4, 8.0)}, "^hidden width 8.0 ")):
+            with pytest.raises(ValueError, match=message + "is not an integer"):
+                config(**kwargs)
+        config(hidden=(np.int64(4),), epochs=np.int64(1), batch_size=np.int64(8))
+
     def test_gradient_check_and_loss_decreases(self):
         """Finite differences confirm the hand backprop; SGD lowers the loss."""
         sched = make_linear_schedule(100, 1e-3, 0.05)

@@ -10,7 +10,7 @@ import pytest
 from lorid import _nn, attacks, cli, experiment
 from lorid.cli import main
 from lorid.diffusion import MlpDenoiser
-from lorid.io_formats import default_config, format_config
+from lorid.io_formats import ConfigError, default_config, format_config
 from lorid.purify import LoridConfig
 
 
@@ -155,6 +155,14 @@ class TestCalibrationSplit:
             rows, _ = experiment.run_calibration(self.CFG, t_grid, L_grid, self.BUDGET, trials=2,
                                           artifacts=art)
             assert rows == self._solo_rows(art, t_grid, L_grid)
+
+    def test_fractional_grid_point_refused(self, monkeypatch):
+        """A grid point that is not an integer, a whole float too, is refused
+        by the run config before any model is trained."""
+        monkeypatch.setattr(experiment, "toy_task_artifacts", lambda cfg: pytest.fail("trained"))
+        for t_grid, L_grid, message in (([10.5], [2], "^t=10.5 "), ([10], [2.0], "^L=2.0 ")):
+            with pytest.raises(ConfigError, match=message + "is not an integer"):
+                experiment.run_calibration(self.CFG, t_grid, L_grid, self.BUDGET)
 
     def test_one_point_grid_makes_no_fork(self, art, monkeypatch, leaves_nothing):
         splits = []
